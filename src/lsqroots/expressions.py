@@ -16,14 +16,19 @@ Evaluation is plain IEEE double arithmetic.  Anything that leaves the
 real domain (ln of a non-positive value, division by zero, fractional
 power of a negative base, overflow to inf, nan) makes the whole
 evaluation return ``None`` instead of a number, so callers can classify
-off-domain iterates without catching exceptions.
+off-domain iterates without catching exceptions.  An expression is
+compiled once, on its first ``evaluate``, into a chain of closures (one
+per node), and the chain is cached on the expression's root node; the
+cache is not part of the node's value, so equality, hashing, copying and
+pickling see only the tree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import cached_property
+from typing import Callable, Optional, Union
 
 
 class ParseError(ValueError):
@@ -39,42 +44,50 @@ class ParseError(ValueError):
 # shared between threads or solver runs freely.
 # --------------------------------------------------------------------------
 
+class _Node:
+    """Base of the node classes: holds the compiled form of a root node."""
+
+    @cached_property
+    def _compiled(self) -> Callable[[float], float]:
+        return _compile(self)
+
+    def __getstate__(self):
+        # The compiled closures cannot be pickled and are rebuilt on demand.
+        state = dict(self.__dict__)
+        state.pop("_compiled", None)
+        return state
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Variable:
+class Variable(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Unary:
+class Unary(_Node):
     op: str  # only '-'
     operand: "Expr"
 
 
 @dataclass(frozen=True)
-class Binary:
+class Binary(_Node):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     name: str
     arg: "Expr"
 
 
 Expr = Union[Constant, Variable, Unary, Binary, Call]
-
-FUNCTIONS = (
-    "sin", "cos", "tan", "arctan", "exp", "ln", "log", "log10",
-    "abs", "cbrt", "sqrt",
-)
-
 
 def _cbrt(v: float) -> float:
     # math.cbrt only exists on 3.11+; this keeps the real cube root of
@@ -82,6 +95,15 @@ def _cbrt(v: float) -> float:
     if v == 0.0:
         return 0.0
     return math.copysign(abs(v) ** (1.0 / 3.0), v)
+
+
+_CALLS = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan, "arctan": math.atan,
+    "exp": math.exp, "ln": math.log, "log": math.log, "log10": math.log10,
+    "abs": abs, "cbrt": _cbrt, "sqrt": math.sqrt,
+}
+
+FUNCTIONS = tuple(_CALLS)
 
 
 # --------------------------------------------------------------------------
@@ -172,9 +194,12 @@ class _Parser:
                 self.pos = mark  # 'e' was not an exponent after all
         token = text[start:self.pos]
         try:
-            return Constant(float(token))
+            value = float(token)
         except ValueError:
             raise ParseError(f"invalid number {token!r}", start) from None
+        if not math.isfinite(value):
+            raise ParseError(f"number {token!r} is out of range", start)
+        return Constant(value)
 
     def _name(self) -> Expr:
         start = self.pos
@@ -209,75 +234,95 @@ class _DomainError(Exception):
     pass
 
 
-def _eval(e: Expr, x: float) -> float:
+def _compile(e: Expr) -> Callable[[float], float]:
+    """One closure per node, computing the node's value at ``x``.
+
+    Each closure applies its node's IEEE operation to its children's
+    values, left before right, and raises _DomainError wherever the
+    result leaves the real domain or is not finite.
+    """
     if isinstance(e, Constant):
-        return e.value
+        c = e.value
+        if not math.isfinite(c):
+            # The parser rejects these, but a tree built directly or a
+            # constant folded by differentiate can still hold one.
+            def off_domain(x: float) -> float:
+                raise _DomainError
+            return off_domain
+        return lambda x: c
     if isinstance(e, Variable):
-        return x
+        return lambda x: x
     if isinstance(e, Unary):
-        return -_eval(e.operand, x)
-    if isinstance(e, Binary):
-        a = _eval(e.left, x)
-        b = _eval(e.right, x)
-        op = e.op
-        if op == "+":
-            v = a + b
-        elif op == "-":
-            v = a - b
-        elif op == "*":
-            v = a * b
-        elif op == "/":
+        f = _compile(e.operand)
+        return lambda x: -f(x)
+    if isinstance(e, Call):
+        f, fn = _compile(e.arg), _CALLS[e.name]
+
+        def call(x: float) -> float:
+            u = f(x)
+            try:
+                v = fn(u)
+            except (ValueError, OverflowError):
+                raise _DomainError from None
+            if math.isfinite(v):
+                return v
+            raise _DomainError
+        return call
+
+    fa, fb = _compile(e.left), _compile(e.right)
+    op = e.op
+    if op == "+":
+        def binary(x: float) -> float:
+            v = fa(x) + fb(x)
+            if math.isfinite(v):
+                return v
+            raise _DomainError
+    elif op == "-":
+        def binary(x: float) -> float:
+            v = fa(x) - fb(x)
+            if math.isfinite(v):
+                return v
+            raise _DomainError
+    elif op == "*":
+        def binary(x: float) -> float:
+            v = fa(x) * fb(x)
+            if math.isfinite(v):
+                return v
+            raise _DomainError
+    elif op == "/":
+        def binary(x: float) -> float:
+            a = fa(x)
+            b = fb(x)
             if b == 0.0:
                 raise _DomainError
             v = a / b
-        else:  # '^'
+            if math.isfinite(v):
+                return v
+            raise _DomainError
+    else:  # '^'
+        def binary(x: float) -> float:
+            a = fa(x)
+            b = fb(x)
             try:
                 v = math.pow(a, b)
             except (ValueError, OverflowError):
                 # negative base with fractional exponent, 0^negative, overflow
                 raise _DomainError from None
-        if not math.isfinite(v):
+            if math.isfinite(v):
+                return v
             raise _DomainError
-        return v
-    # Call
-    u = _eval(e.arg, x)
-    name = e.name
-    try:
-        if name == "sin":
-            v = math.sin(u)
-        elif name == "cos":
-            v = math.cos(u)
-        elif name == "tan":
-            v = math.tan(u)
-        elif name == "arctan":
-            v = math.atan(u)
-        elif name == "exp":
-            v = math.exp(u)
-        elif name in ("ln", "log"):
-            v = math.log(u)
-        elif name == "log10":
-            v = math.log10(u)
-        elif name == "abs":
-            v = abs(u)
-        elif name == "cbrt":
-            v = _cbrt(u)
-        else:  # sqrt
-            v = math.sqrt(u)
-    except (ValueError, OverflowError):
-        raise _DomainError from None
-    if not math.isfinite(v):
-        raise _DomainError
-    return v
+    return binary
 
 
 def evaluate(e: Expr, x: float) -> Optional[float]:
     """Evaluate ``e`` at ``x``; ``None`` marks a domain error.
 
     A domain error in any subexpression makes the whole result ``None``;
-    it is never silently coerced to a number.
+    it is never silently coerced to a number.  The first call compiles
+    ``e`` and caches the result on it.
     """
     try:
-        return _eval(e, x)
+        return e._compiled(x)
     except _DomainError:
         return None
 

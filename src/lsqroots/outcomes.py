@@ -85,24 +85,30 @@ def detect_cycle(xs: Sequence[float]) -> bool:
     """True if the tail of ``xs`` repeats with period 2..4.
 
     The last two full periods must match pointwise within a relative
-    1e-9 and the cycle must span more than a relative 1e-3 (so a
-    converging tail, where consecutive iterates also agree to many
-    digits, does not count as a cycle).
+    ``CYCLE_MATCH_RTOL`` and the cycle must span more than a relative
+    ``CYCLE_MIN_DIAMETER`` (so a converging tail, where consecutive
+    iterates also agree to many digits, does not count as a cycle).
     """
-    j = len(xs)
-    if j < CYCLE_MIN_INDEX:
+    if len(xs) < CYCLE_MIN_INDEX:
         return False
-    scale = max(1.0, abs(xs[-1]))
+    last = xs[-1]
+    scale = max(1.0, abs(last))
+    min_span = CYCLE_MIN_DIAMETER * scale
+    # Every window below lies inside this tail, so none can span more.
+    tail = xs[-2 * CYCLE_MAX_PERIOD:]
+    if max(tail) - min(tail) <= min_span:
+        return False
+    tol = CYCLE_MATCH_RTOL * scale
     for period in range(2, CYCLE_MAX_PERIOD + 1):
-        if j < 2 * period:
+        # The last pair of the match below, tested before slicing.
+        if abs(xs[-1 - period] - last) > tol:
             continue
         window = xs[-2 * period:]
-        if all(
-            abs(window[i] - window[i + period]) <= CYCLE_MATCH_RTOL * scale
+        if max(window) - min(window) > min_span and all(
+            abs(window[i] - window[i + period]) <= tol
             for i in range(period)
         ):
-            if max(window) - min(window) > CYCLE_MIN_DIAMETER * scale:
-                return True
+            return True
     return False
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from lsqroots.expressions import (
     Binary,
+    Call,
     Constant,
     ParseError,
     Unary,
@@ -83,6 +84,8 @@ def test_whitespace_and_scientific_notation():
     ("(x + 1", 6),
     ("x * * 2", 4),
     ("", 0),
+    ("1e999", 0),           # a literal that overflows a double
+    ("x + 2.5E+308", 4),
 ])
 def test_syntax_error_carries_position(bad, pos):
     with pytest.raises(ParseError) as err:
@@ -95,6 +98,22 @@ def test_unknown_identifier_rejected():
         parse("sin(y)")
     with pytest.raises(ParseError):
         parse("foo(x)")
+
+
+def test_non_finite_constant_evaluates_to_none():
+    for value in (math.inf, -math.inf, math.nan):
+        assert evaluate(Constant(value), 0.0) is None
+        # even where arithmetic on it would give a finite number
+        assert evaluate(Call("arctan", Constant(value)), 0.0) is None
+        assert evaluate(Binary("/", Variable(), Constant(value)), 1.0) is None
+
+
+def test_constant_folded_to_infinity_evaluates_to_none():
+    # d/dx (1e308*x + 1e308*x) folds to the constant 1e308 + 1e308 = inf
+    half = Binary("*", Constant(1e308), Variable())
+    d = differentiate(Binary("+", half, half))
+    assert d == Constant(math.inf)
+    assert evaluate(d, 1.0) is None
 
 
 def test_eval_log_out_of_domain():
