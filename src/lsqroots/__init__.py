@@ -1,7 +1,7 @@
 """Scalar root finding by three-point least-squares fitting, with Newton
 and secant baselines and a table-reproduction benchmark harness."""
 
-from .baselines import BaselineConfig, newton_step, secant_step, solve_baseline
+from .baselines import BaselineConfig, solve_baseline
 from .bench import (
     BenchReport,
     Problem,
@@ -20,21 +20,13 @@ from .expressions import (
     parse,
     render,
 )
-from .lsq3 import (
-    SolverConfig,
-    adjust_delta,
-    estimate_power,
-    lsq3_step,
-    select_delta,
-    solve,
-)
+from .lsq3 import SolverConfig, solve
 from .outcomes import IterationRecord, SolveOutcome, Status
 
 __all__ = [
     "BaselineConfig", "BenchReport", "Expr", "IterationRecord", "ParseError",
-    "Problem", "SolveOutcome", "SolverConfig", "Status", "adjust_delta",
-    "builtin_suite", "convergence_rates", "differentiate", "emit_report",
-    "estimate_power", "evaluate", "f_n_curve", "final_rate", "lsq3_step",
-    "newton_step", "parse", "render", "run_benchmark", "secant_step",
-    "select_delta", "solve", "solve_baseline",
+    "Problem", "SolveOutcome", "SolverConfig", "Status", "builtin_suite",
+    "convergence_rates", "differentiate", "emit_report", "evaluate",
+    "f_n_curve", "final_rate", "parse", "render", "run_benchmark", "solve",
+    "solve_baseline",
 ]

@@ -14,23 +14,22 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .expressions import Expr, differentiate, evaluate
-from .outcomes import (
-    MAX_CONSECUTIVE_DOMAIN_ERRORS,
-    IterationRecord,
-    SolveOutcome,
-    Status,
-    best_iterate,
-    detect_cycle,
-)
+from .outcomes import IterationRecord, SolveOutcome, Status, StepError, iterate
+# Only ``outcomes`` calls these; they stay module globals here because the
+# benchmark's probes rebind them by module.
+from .outcomes import best_iterate, detect_cycle  # noqa: F401
 
 METHODS = ("newton", "secant")
 
+# Newton treats a derivative below this magnitude as zero.
+DERIVATIVE_FLOOR = 1e-300
 
-class ZeroDerivativeError(Exception):
+
+class ZeroDerivativeError(StepError):
     """Newton step with a derivative too close to zero."""
 
 
-class FlatSecantError(Exception):
+class FlatSecantError(StepError):
     """Secant step through two points with equal function values."""
 
 
@@ -38,8 +37,6 @@ class FlatSecantError(Exception):
 class BaselineConfig:
     tolerance: float = 1e-15
     max_iter: int = 500
-    divergence_bound: float = 1e12
-    derivative_floor: float = 1e-300
 
     def __post_init__(self):
         if self.tolerance <= 0.0:
@@ -48,10 +45,9 @@ class BaselineConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-def newton_step(x: float, y: float, dy: float,
-                derivative_floor: float = 1e-300) -> float:
+def newton_step(x: float, y: float, dy: float) -> float:
     """x - y/dy; raises :class:`ZeroDerivativeError` on a flat tangent."""
-    if abs(dy) < derivative_floor:
+    if abs(dy) < DERIVATIVE_FLOOR:
         raise ZeroDerivativeError(f"derivative {dy!r} too small at x={x!r}")
     return x - y / dy
 
@@ -84,9 +80,15 @@ def solve_baseline(method: str, f: Expr, x0: float,
         return SolveOutcome(Status.DOMAIN_ERROR, x0, 0, (), note="f undefined at starting point")
 
     note = ""
+    prev = None
     if method == "newton":
         dfdx = differentiate(f)
-        x_prev_pair = None
+
+        def step(cur, prev):
+            dy = evaluate(dfdx, cur.x)
+            if dy is None:
+                raise ZeroDerivativeError(f"derivative undefined at x={cur.x!r}")
+            return newton_step(cur.x, cur.y, dy), ()
     else:
         if x1 is None:
             x1 = x0 + 0.1
@@ -95,68 +97,11 @@ def solve_baseline(method: str, f: Expr, x0: float,
         if y1 is None:
             return SolveOutcome(Status.DOMAIN_ERROR, x0, 0, (),
                                 note=f"f undefined at second start x1={x1!r}")
-        x_prev_pair = (x0, y0)
+        prev = IterationRecord(0, x0, y0)
         x0, y0 = x1, y1
 
-    x_curr, y_curr = x0, y0
-    trace: list[IterationRecord] = []
-    accepted: list[float] = []
-    consecutive_domain = 0
-    status = Status.MAX_ITERATIONS
+        def step(cur, prev):
+            return secant_step(prev.x, prev.y, cur.x, cur.y), ()
 
-    for _ in range(config.max_iter):
-        try:
-            if method == "newton":
-                dy = evaluate(dfdx, x_curr)
-                if dy is None:
-                    raise ZeroDerivativeError(f"derivative undefined at x={x_curr!r}")
-                x_new = newton_step(x_curr, y_curr, dy, config.derivative_floor)
-            else:
-                xp, yp = x_prev_pair
-                x_new = secant_step(xp, yp, x_curr, y_curr)
-        except (ZeroDerivativeError, FlatSecantError) as err:
-            consecutive_domain += 1
-            if not note:
-                note = str(err)
-            if consecutive_domain >= MAX_CONSECUTIVE_DOMAIN_ERRORS:
-                status = Status.DIVERGED
-                break
-            continue
-
-        y_new = evaluate(f, x_new) if math.isfinite(x_new) else None
-        trace.append(IterationRecord(
-            k=len(trace) + 1,
-            x=x_new,
-            y=math.nan if y_new is None else y_new,
-        ))
-
-        if y_new is None:
-            consecutive_domain += 1
-            if not math.isfinite(x_new) or consecutive_domain >= MAX_CONSECUTIVE_DOMAIN_ERRORS:
-                status = Status.DIVERGED
-                break
-            continue
-        consecutive_domain = 0
-
-        if abs(x_new - x_curr) + abs(y_new) < config.tolerance:
-            x_curr, y_curr = x_new, y_new
-            status = Status.CONVERGED
-            break
-        if abs(x_new) > config.divergence_bound:
-            status = Status.DIVERGED
-            break
-
-        accepted.append(x_new)
-        if detect_cycle(accepted):
-            status = Status.OSCILLATING
-            break
-
-        if method == "secant":
-            x_prev_pair = (x_curr, y_curr)
-        x_curr, y_curr = x_new, y_new
-
-    if status is Status.CONVERGED:
-        root = x_curr
-    else:
-        root = best_iterate(x0, y0, trace)
-    return SolveOutcome(status, root, len(trace), tuple(trace), note=note)
+    return iterate(step, lambda x: evaluate(f, x), x0, y0,
+                   config.tolerance, config.max_iter, prev, note)

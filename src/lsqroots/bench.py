@@ -21,17 +21,29 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .baselines import BaselineConfig, solve_baseline
+from .baselines import solve_baseline
 from .expressions import Expr, evaluate, parse
 from .lsq3 import SolverConfig, solve
 from .outcomes import IterationRecord, SolveOutcome, Status, table_label
 
 Expected = Union[int, str]
 
+_FIXED = SolverConfig(mode="fixed", n_value=1.0)
+_VARIABLE = SolverConfig(mode="variable")
+
+#: Solver per method identifier, in report-row order.  The entries look
+#: ``solve`` and ``solve_baseline`` up in this module at call time.
+SOLVERS: Dict[str, Callable[[Expr, float], SolveOutcome]] = {
+    "newton": lambda f, x0: solve_baseline("newton", f, x0),
+    "secant": lambda f, x0: solve_baseline("secant", f, x0),
+    "lsq3-fixed": lambda f, x0: solve(f, x0, _FIXED),
+    "lsq3-variable": lambda f, x0: solve(f, x0, _VARIABLE),
+}
+
 #: Canonical method identifiers, in report-row order.
-METHOD_ORDER = ("newton", "secant", "lsq3-fixed", "lsq3-variable")
+METHOD_ORDER = tuple(SOLVERS)
 
 #: Column order of the rendered comparison tables.
 TABLE_COLUMNS = ("secant", "newton", "lsq3-fixed", "lsq3-variable")
@@ -247,10 +259,7 @@ def n_grid(start: float, stop: float, step: float) -> List[float]:
 # ---------------------------------------------------------------------------
 
 def run_benchmark(suite: Optional[Sequence[Problem]] = None,
-                  methods: Optional[Sequence[str]] = None,
-                  fixed_config: Optional[SolverConfig] = None,
-                  variable_config: Optional[SolverConfig] = None,
-                  baseline_config: Optional[BaselineConfig] = None) -> BenchReport:
+                  methods: Optional[Sequence[str]] = None) -> BenchReport:
     """Run every (problem, start, method) combination and collect rows.
 
     Solver failures are data, not errors.  A converged run whose root is
@@ -262,37 +271,18 @@ def run_benchmark(suite: Optional[Sequence[Problem]] = None,
     if methods is None:
         methods = METHOD_ORDER
     else:
-        unknown = [m for m in methods if m not in METHOD_ORDER]
+        unknown = [m for m in methods if m not in SOLVERS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
         methods = tuple(m for m in METHOD_ORDER if m in methods)
-    if fixed_config is None:
-        fixed_config = SolverConfig(mode="fixed", n_value=1.0)
-    if variable_config is None:
-        variable_config = SolverConfig(mode="variable")
-    if baseline_config is None:
-        baseline_config = BaselineConfig()
 
     rows: List[RunRow] = []
     for problem in suite:
         for start in problem.starts:
             for method in methods:
-                outcome = _run_one(problem.expression, start, method,
-                                   fixed_config, variable_config, baseline_config)
+                outcome = SOLVERS[method](problem.expression, start)
                 rows.append(_make_row(problem, start, method, outcome))
     return BenchReport(tuple(rows))
-
-
-def _run_one(f: Expr, start: float, method: str,
-             fixed_config: SolverConfig, variable_config: SolverConfig,
-             baseline_config: BaselineConfig) -> SolveOutcome:
-    if method == "newton":
-        return solve_baseline("newton", f, start, config=baseline_config)
-    if method == "secant":
-        return solve_baseline("secant", f, start, config=baseline_config)
-    if method == "lsq3-fixed":
-        return solve(f, start, fixed_config)
-    return solve(f, start, variable_config)
 
 
 def _make_row(problem: Problem, start: float, method: str,

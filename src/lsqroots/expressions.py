@@ -318,9 +318,12 @@ def evaluate(e: Expr, x: float) -> Optional[float]:
     """Evaluate ``e`` at ``x``; ``None`` marks a domain error.
 
     A domain error in any subexpression makes the whole result ``None``;
-    it is never silently coerced to a number.  The first call compiles
-    ``e`` and caches the result on it.
+    it is never silently coerced to a number.  A non-finite ``x`` is
+    outside every domain, so the result is ``None`` too.  The first call
+    compiles ``e`` and caches the result on it.
     """
+    if not math.isfinite(x):
+        return None
     try:
         return e._compiled(x)
     except _DomainError:

@@ -25,14 +25,10 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .expressions import Expr, evaluate
-from .outcomes import (
-    MAX_CONSECUTIVE_DOMAIN_ERRORS,
-    IterationRecord,
-    SolveOutcome,
-    Status,
-    best_iterate,
-    detect_cycle,
-)
+from .outcomes import SolveOutcome, Status, StepError, iterate
+# Only ``outcomes`` calls these; they stay module globals here because the
+# benchmark's probes rebind them by module.
+from .outcomes import best_iterate, detect_cycle  # noqa: F401
 
 DEFAULT_BETA_SERIES: Tuple[float, ...] = tuple(10.0 ** -k for k in range(13))
 
@@ -61,11 +57,13 @@ _MILD_NEGATIVE_LIMIT = -0.7
 _STRONG_POLE_LIMIT = -2.5
 
 
-class SymmetricStallError(Exception):
+class SymmetricStallError(StepError):
     """y(x+delta) stayed equal to y(x-delta) for every adjusted delta."""
 
+    status = Status.SYMMETRIC_STALL
 
-class ProbeDomainError(Exception):
+
+class ProbeDomainError(StepError):
     """f(x +/- delta) stayed outside the domain for every adjusted delta."""
 
 
@@ -87,7 +85,6 @@ class SolverConfig:
     # for roots at 0 with fractional-power behaviour (cbrt); one ulp is
     # the useful minimum.
     delta_floor: float = 2e-16
-    divergence_bound: float = 1e12
 
     def __post_init__(self):
         if self.mode not in ("fixed", "variable"):
@@ -235,85 +232,24 @@ def solve(f: Expr, x0: float, config: Optional[SolverConfig] = None) -> SolveOut
     if y0 is None:
         return SolveOutcome(Status.DOMAIN_ERROR, x0, 0, (), note="f undefined at starting point")
 
-    x_curr, y_curr = x0, y0
-    x_prev: Optional[float] = None
-    delta_prev = config.delta0
-    trace: list[IterationRecord] = []
-    accepted: list[float] = []
-    consecutive_domain = 0
-    status = Status.MAX_ITERATIONS
-    note = ""
+    variable = config.mode == "variable"
+    ratio = _DELTA_SCALE_RATIO_VARIABLE if variable else _DELTA_SCALE_RATIO_FIXED
 
-    for _ in range(config.max_iter):
-        if x_prev is None:
+    def step(cur, prev):
+        x = cur.x
+        if prev is None:
             delta_try = config.delta0
         else:
-            ratio = (_DELTA_SCALE_RATIO_VARIABLE if config.mode == "variable"
-                     else _DELTA_SCALE_RATIO_FIXED)
-            floor = max(config.delta_floor * abs(x_curr),
-                        ratio * min(abs(x_curr - x_prev), abs(x_curr)),
+            floor = max(config.delta_floor * abs(x),
+                        ratio * min(abs(x - prev.x), abs(x)),
                         1e-300)
-            delta_try = select_delta(x_curr, x_prev, delta_prev, config.beta_series, floor)
-
-        try:
-            delta_k, y_minus, y_plus = adjust_delta(f, x_curr, delta_try)
-        except SymmetricStallError as err:
-            status = Status.SYMMETRIC_STALL
-            note = str(err)
-            break
-        except ProbeDomainError as err:
-            consecutive_domain += 1
-            if consecutive_domain >= MAX_CONSECUTIVE_DOMAIN_ERRORS:
-                status = Status.DIVERGED
-                note = str(err)
-                break
-            continue
-
-        if config.mode == "variable":
-            n_k = estimate_power(y_minus, y_curr, y_plus, delta_k, config.n_clamp)
+            delta_try = select_delta(x, prev.x, cur.delta, config.beta_series, floor)
+        delta, y_minus, y_plus = adjust_delta(f, x, delta_try)
+        if variable:
+            n = estimate_power(y_minus, cur.y, y_plus, delta, config.n_clamp)
         else:
-            n_k = config.n_value
+            n = config.n_value
+        return lsq3_step(x, y_minus, cur.y, y_plus, delta, n), (delta, n, y_minus, y_plus)
 
-        x_new = lsq3_step(x_curr, y_minus, y_curr, y_plus, delta_k, n_k)
-        y_new = evaluate(f, x_new) if math.isfinite(x_new) else None
-
-        trace.append(IterationRecord(
-            k=len(trace) + 1,
-            x=x_new,
-            y=math.nan if y_new is None else y_new,
-            delta=delta_k,
-            n_used=n_k,
-            y_minus=y_minus,
-            y_plus=y_plus,
-        ))
-
-        if y_new is None:
-            # off-shot outside the domain; stay at the last valid point
-            consecutive_domain += 1
-            if not math.isfinite(x_new) or consecutive_domain >= MAX_CONSECUTIVE_DOMAIN_ERRORS:
-                status = Status.DIVERGED
-                note = f"iterate left the domain at x={x_new!r}"
-                break
-            continue
-        consecutive_domain = 0
-
-        if abs(x_new - x_curr) + abs(y_new) < config.tolerance:
-            x_curr, y_curr = x_new, y_new
-            status = Status.CONVERGED
-            break
-        if abs(x_new) > config.divergence_bound:
-            status = Status.DIVERGED
-            break
-
-        accepted.append(x_new)
-        if detect_cycle(accepted):
-            status = Status.OSCILLATING
-            break
-
-        x_prev, x_curr, y_curr, delta_prev = x_curr, x_new, y_new, delta_k
-
-    if status is Status.CONVERGED:
-        root = x_curr
-    else:
-        root = best_iterate(x0, y0, trace)
-    return SolveOutcome(status, root, len(trace), tuple(trace), note=note)
+    return iterate(step, lambda x: evaluate(f, x), x0, y0,
+                   config.tolerance, config.max_iter)

@@ -1,8 +1,10 @@
-"""Shared solver outcome types and failure classification.
+"""Shared solver outcome types, failure classification and iteration driver.
 
 Every solver in this package (the three-point least-squares iteration and
-the Newton/secant baselines) reports results through the same
-:class:`SolveOutcome` so benchmark comparisons are like-for-like.
+the Newton/secant baselines) runs through :func:`iterate`, so all of them
+share one stopping rule and one failure taxonomy and report results
+through the same :class:`SolveOutcome`: benchmark comparisons are
+like-for-like by construction.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 
 class Status(Enum):
@@ -79,6 +81,18 @@ CYCLE_MATCH_RTOL = 1e-8
 CYCLE_MIN_DIAMETER = 1e-3
 
 MAX_CONSECUTIVE_DOMAIN_ERRORS = 3
+DIVERGENCE_BOUND = 1e12
+
+
+class StepError(Exception):
+    """A method could not take its step from the current iterate.
+
+    By default this counts as a domain error step (three in a row classify
+    the run as Diverged); a subclass with a ``status`` ends the run at once
+    with that status.
+    """
+
+    status: Optional[Status] = None
 
 
 def detect_cycle(xs: Sequence[float]) -> bool:
@@ -119,3 +133,62 @@ def best_iterate(x0: float, y0: float, trace: Sequence[IterationRecord]) -> floa
         if math.isfinite(rec.y) and abs(rec.y) < best_ay:
             best_x, best_ay = rec.x, abs(rec.y)
     return best_x
+
+
+def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
+                           Tuple[float, tuple]],
+            fx: Callable[[float], Optional[float]], x0: float, y0: float,
+            tolerance: float, max_iter: int,
+            prev: Optional[IterationRecord] = None, note: str = "") -> SolveOutcome:
+    """Run ``step`` from (x0, y0) until |x_k - x_{k-1}| + |y_k| < tolerance
+    holds or a failure is classified.
+
+    ``step(cur, prev)`` gets the current and the previous accepted point as
+    records (the start is ``k=0``; ``prev`` starts as given) and returns the
+    next iterate with the extra fields of its record, or raises
+    :class:`StepError`.  ``fx`` evaluates f, ``None`` off the domain.  An
+    off-domain iterate is recorded but not accepted: the next step starts
+    from the same point.  A failure's note comes from the break that
+    classifies it, unless ``note`` was already set.
+    """
+    cur = IterationRecord(0, x0, y0)
+    trace: list[IterationRecord] = []
+    accepted: list[float] = []
+    strikes = 0
+    status = Status.MAX_ITERATIONS
+    for _ in range(max_iter):
+        try:
+            x_new, extras = step(cur, prev)
+        except StepError as err:
+            strikes += 1
+            if err.status is not None or strikes >= MAX_CONSECUTIVE_DOMAIN_ERRORS:
+                status = err.status or Status.DIVERGED
+                note = note or str(err)
+                break
+            continue
+
+        y_new = fx(x_new) if math.isfinite(x_new) else None
+        rec = IterationRecord(len(trace) + 1, x_new,
+                              math.nan if y_new is None else y_new, *extras)
+        trace.append(rec)
+        if y_new is None:
+            strikes += 1
+            if not math.isfinite(x_new) or strikes >= MAX_CONSECUTIVE_DOMAIN_ERRORS:
+                status = Status.DIVERGED
+                note = note or f"iterate left the domain at x={x_new!r}"
+                break
+            continue
+        strikes = 0
+
+        if abs(x_new - cur.x) + abs(y_new) < tolerance:
+            return SolveOutcome(Status.CONVERGED, x_new, len(trace), tuple(trace), note)
+        if abs(x_new) > DIVERGENCE_BOUND:
+            status = Status.DIVERGED
+            break
+        accepted.append(x_new)
+        if detect_cycle(accepted):
+            status = Status.OSCILLATING
+            break
+        prev, cur = cur, rec
+
+    return SolveOutcome(status, best_iterate(x0, y0, trace), len(trace), tuple(trace), note)

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +193,14 @@ def test_benchmark_is_deterministic():
     a = emit_report(run_benchmark(), "csv")
     b = emit_report(run_benchmark(), "csv")
     assert a == b
+
+
+@pytest.mark.parametrize("fmt, name", [("csv", "bench.csv"), ("markdown", "bench.md")])
+def test_report_matches_golden_file(fmt, name):
+    # tests/golden holds the reports of the suite as committed; any change
+    # to a status, root, iteration count or rate shows up here.
+    golden = (Path(__file__).parent / "golden" / name).read_bytes()
+    assert emit_report(run_benchmark(), fmt).encode() == golden
 
 
 def test_markdown_layout():

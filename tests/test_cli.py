@@ -159,3 +159,12 @@ def test_timing_goes_to_stderr_only(capsys):
     )
     assert "elapsed" in err1 and "elapsed" not in err2
     assert out1 == out2  # stdout identical with and without --timing
+
+
+def test_solve_prints_the_off_domain_note(capsys):
+    code, out, _ = run_cli(
+        capsys, "solve", "--expr", "x*ln(x) - 1", "--x0", "0.1", "--method", "newton",
+    )
+    assert code == 0
+    assert "status diverged" in out
+    assert "note iterate left the domain at x=-0.844474580521726\n" in out

@@ -3,7 +3,7 @@
 ``reference_evaluate`` walks the tree recursively and applies the
 documented semantics directly: IEEE double operations, left operand
 before right, and ``None`` for any step that leaves the real domain or
-produces a non-finite value (a non-finite constant included).  The
+produces a non-finite value (a non-finite constant or ``x`` included).  The
 compiled closures in ``lsqroots.expressions`` must agree with it on every
 result, including the sign of zero and where ``None`` appears.
 """
@@ -96,6 +96,8 @@ def _walk(e, x):
 
 
 def reference_evaluate(e, x):
+    if not math.isfinite(x):
+        return None
     try:
         return _walk(e, x)
     except _Off:
@@ -132,7 +134,8 @@ trees = st.recursive(
     max_leaves=20,
 )
 
-points = st.lists(numbers, min_size=1, max_size=8)
+points = st.lists(st.one_of(numbers, st.sampled_from([math.inf, -math.inf, math.nan])),
+                  min_size=1, max_size=8)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -143,7 +146,8 @@ def test_random_trees_match_reference(e, xs):
 
 
 def test_suite_expressions_and_derivatives_match_reference():
-    xs = [k / 16.0 for k in range(-80, 81)] + [1e-300, -1e-300, 1e300, 700.0, -700.0]
+    xs = [k / 16.0 for k in range(-80, 81)] + [1e-300, -1e-300, 1e300, 700.0, -700.0,
+                                              math.inf, -math.inf, math.nan]
     problems = builtin_suite()
     assert len(problems) == 14
     for problem in problems:

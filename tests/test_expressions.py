@@ -108,6 +108,15 @@ def test_non_finite_constant_evaluates_to_none():
         assert evaluate(Binary("/", Variable(), Constant(value)), 1.0) is None
 
 
+def test_non_finite_x_evaluates_to_none():
+    for value in (math.inf, -math.inf, math.nan):
+        assert evaluate(parse("x"), value) is None
+        # even where arithmetic on it would give a finite number
+        assert evaluate(parse("exp(-x)"), value) is None
+        assert evaluate(parse("arctan(x)"), value) is None
+        assert evaluate(parse("2"), value) is None
+
+
 def test_constant_folded_to_infinity_evaluates_to_none():
     # d/dx (1e308*x + 1e308*x) folds to the constant 1e308 + 1e308 = inf
     half = Binary("*", Constant(1e308), Variable())

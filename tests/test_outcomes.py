@@ -1,4 +1,5 @@
-"""``detect_cycle`` against a direct statement of its rule.
+"""``detect_cycle`` against a direct statement of its rule, and the
+iteration driver ``iterate`` on scripted steps.
 
 ``reference_detect_cycle`` checks every period's full window, pairwise
 match first and span second, with no shortcut; ``detect_cycle`` must give
@@ -17,7 +18,13 @@ from lsqroots.outcomes import (
     CYCLE_MAX_PERIOD,
     CYCLE_MIN_DIAMETER,
     CYCLE_MIN_INDEX,
+    DIVERGENCE_BOUND,
+    IterationRecord,
+    Status,
+    StepError,
+    best_iterate,
     detect_cycle,
+    iterate,
 )
 
 
@@ -108,3 +115,140 @@ pool = st.sampled_from([0.0, -0.0, 1.0, 1.0 + 1e-9, 1.002, -1.0, 2.5, 1e6, math.
 @given(st.lists(st.one_of(pool, st.floats()), max_size=14))
 def test_verdicts_match_reference_on_arbitrary_floats(xs):
     assert detect_cycle(xs) == reference_detect_cycle(xs)
+
+
+# ---------------------------------------------------------------------------
+# The iteration driver
+# ---------------------------------------------------------------------------
+
+class Stall(StepError):
+    status = Status.SYMMETRIC_STALL
+
+
+def scripted(*moves):
+    """A step that plays ``moves`` in order: a float is the next iterate,
+    an exception is raised.  The (cur, prev) pairs it saw are in ``calls``."""
+    moves = list(moves)
+
+    def step(cur, prev):
+        step.calls.append((cur, prev))
+        move = moves.pop(0)
+        if isinstance(move, Exception):
+            raise move
+        return move, ()
+    step.calls = []
+    return step
+
+
+def fx(x):
+    """f(x) = x on x >= 0, undefined below."""
+    return x if x >= 0.0 else None
+
+
+def run(step, x0=5.0, max_iter=50, **kwargs):
+    out = iterate(step, fx, x0, fx(x0), 1e-15, max_iter, **kwargs)
+    assert out.iterations == len(out.trace)
+    assert [rec.k for rec in out.trace] == list(range(1, out.iterations + 1))
+    if not out.converged:
+        assert out.root == best_iterate(x0, fx(x0), out.trace)
+    return out
+
+
+def test_converged_returns_the_last_iterate():
+    out = run(scripted(2.0, 0.0, 0.0))
+    assert out.status is Status.CONVERGED
+    assert out.root == 0.0
+    assert out.iterations == 3
+    assert out.note == ""
+
+
+def test_max_iterations_returns_the_best_iterate():
+    out = run(scripted(3.0, 1.0, 2.0, 4.0), max_iter=4)
+    assert out.status is Status.MAX_ITERATIONS
+    assert out.iterations == 4
+    assert out.root == 1.0
+
+
+def test_oscillating_once_the_cycle_repeats():
+    out = run(scripted(*[1.0, 3.0] * 10))
+    assert out.status is Status.OSCILLATING
+    assert out.iterations == CYCLE_MIN_INDEX
+
+
+def test_iterate_beyond_the_bound_diverges():
+    out = run(scripted(2.0, 2 * DIVERGENCE_BOUND))
+    assert out.status is Status.DIVERGED
+    assert out.iterations == 2
+    assert out.root == 2.0
+    assert out.note == ""
+
+
+@pytest.mark.parametrize("x_new", [math.inf, -math.inf, math.nan])
+def test_non_finite_iterate_diverges_at_once(x_new):
+    out = run(scripted(x_new))
+    assert out.status is Status.DIVERGED
+    assert out.iterations == 1
+    assert math.isnan(out.trace[0].y)
+    assert out.note == f"iterate left the domain at x={x_new!r}"
+    assert out.root == 5.0
+
+
+def test_three_off_domain_iterates_diverge():
+    out = run(scripted(-1.0, -2.0, -3.0, 1.0))
+    assert out.status is Status.DIVERGED
+    assert out.iterations == 3
+    assert out.note == "iterate left the domain at x=-3.0"
+
+
+def test_three_step_errors_diverge_without_records():
+    out = run(scripted(StepError("a"), StepError("b"), StepError("c"), 1.0))
+    assert out.status is Status.DIVERGED
+    assert out.iterations == 0
+    assert out.root == 5.0
+    assert out.note == "c"
+
+
+def test_strikes_of_both_kinds_add_up_and_an_accepted_step_resets_them():
+    out = run(scripted(-1.0, StepError("a"), 4.0,
+                       StepError("b"), -2.0, 3.0,
+                       -1.0, -1.0, StepError("c")))
+    assert out.status is Status.DIVERGED
+    assert [rec.x for rec in out.trace] == [-1.0, 4.0, -2.0, 3.0, -1.0, -1.0]
+    assert out.note == "c"
+
+
+def test_step_error_with_a_status_ends_the_run_at_once():
+    out = run(scripted(4.0, Stall("flat"), 1.0))
+    assert out.status is Status.SYMMETRIC_STALL
+    assert out.iterations == 1
+    assert out.root == 4.0
+    assert out.note == "flat"
+
+
+def test_a_note_set_before_the_run_is_kept():
+    for moves in [(-1.0, -1.0, -1.0), (Stall("flat"),),
+                  (StepError("a"),) * 3, (0.0, 0.0), (2.0, 3.0, 4.0)]:
+        assert run(scripted(*moves), max_iter=3, note="given").note == "given"
+
+
+def test_only_the_classifying_break_sets_the_note():
+    out = run(scripted(StepError("a"), -1.0, 2.0, 1.0), max_iter=4)
+    assert out.status is Status.MAX_ITERATIONS
+    assert out.note == ""
+
+
+def test_step_sees_the_last_two_accepted_points():
+    start = IterationRecord(0, 9.0, 9.0)
+    step = scripted(-1.0, 4.0, -2.0, 3.0, 2.0)
+    out = run(step, max_iter=5, prev=start)
+    xs = [(cur.x, prev.x) for cur, prev in step.calls]
+    assert xs == [(5.0, 9.0), (5.0, 9.0), (4.0, 5.0), (4.0, 5.0), (3.0, 4.0)]
+    # the current point is the accepted record itself
+    assert step.calls[2][0] is out.trace[1]
+
+
+def test_step_extras_fill_the_record():
+    def step(cur, prev):
+        return cur.x / 2.0, (0.1, 2.0, -1.0, 1.0)
+    out = iterate(step, fx, 1.0, 1.0, 1e-15, 3)
+    assert out.trace[0] == IterationRecord(1, 0.5, 0.5, 0.1, 2.0, -1.0, 1.0)
