@@ -39,8 +39,8 @@ class BaselineConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

@@ -45,8 +45,11 @@ SOLVERS: Dict[str, Callable[[Expr, float], SolveOutcome]] = {
 #: Canonical method identifiers, in report-row order.
 METHOD_ORDER = tuple(SOLVERS)
 
-#: Column order of the rendered comparison tables.
-TABLE_COLUMNS = ("secant", "newton", "lsq3-fixed", "lsq3-variable")
+#: Header per column of the rendered comparison tables, in the printed
+#: tables' order.
+_TABLE_HEADERS = {"secant": "secant", "newton": "Newton",
+                  "lsq3-fixed": "3-point N=1", "lsq3-variable": "3-point N=var"}
+TABLE_COLUMNS = tuple(_TABLE_HEADERS)
 
 ROOT_MATCH_ATOL = 1e-9
 
@@ -105,13 +108,8 @@ class BenchReport:
 
 def _problem(pid: str, source: str, roots: Sequence[float], table: int,
              rows: Sequence[Tuple[float, Expected, Expected, Expected, Expected]]) -> Problem:
-    # row layout follows the printed tables: secant, newton, N=1, N=variable
-    expected = {
-        start: {
-            "secant": sec, "newton": newt, "lsq3-fixed": n1, "lsq3-variable": nvar,
-        }
-        for start, sec, newt, n1, nvar in rows
-    }
+    # row layout follows the printed tables: start, then TABLE_COLUMNS
+    expected = {row[0]: dict(zip(TABLE_COLUMNS, row[1:])) for row in rows}
     return Problem(
         id=pid,
         source=source,
@@ -369,8 +367,6 @@ def _cell(row: RunRow) -> str:
 def _emit_markdown(report: BenchReport, suite: Sequence[Problem]) -> str:
     by_key = {(r.problem, r.start, r.method): r for r in report.rows}
     lines: List[str] = []
-    headers = {"secant": "secant", "newton": "Newton",
-               "lsq3-fixed": "3-point N=1", "lsq3-variable": "3-point N=var"}
     for problem in suite:
         cells_present = any((problem.id, s, m) in by_key
                             for s in problem.starts for m in TABLE_COLUMNS)
@@ -380,7 +376,7 @@ def _emit_markdown(report: BenchReport, suite: Sequence[Problem]) -> str:
         lines.append(f"### {problem.id}: `{problem.source}` (table {problem.table})")
         lines.append(f"roots: {roots}")
         lines.append("")
-        lines.append("| start | " + " | ".join(headers[m] for m in TABLE_COLUMNS) + " |")
+        lines.append("| start | " + " | ".join(_TABLE_HEADERS.values()) + " |")
         lines.append("|---" * (len(TABLE_COLUMNS) + 1) + "|")
         for start in problem.starts:
             cells = []
@@ -389,7 +385,7 @@ def _emit_markdown(report: BenchReport, suite: Sequence[Problem]) -> str:
                 cells.append(_cell(row) if row is not None else "-")
             lines.append("| " + " | ".join([_fmt(start)] + cells) + " |")
         lines.append("")
-    summary = BenchReport(report.rows).summary()
+    summary = report.summary()
     lines.append("summary: " + ", ".join(f"{k}={v}" for k, v in sorted(summary.items())))
     lines.append("")
     return "\n".join(lines)

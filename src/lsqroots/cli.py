@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import List, Optional
@@ -99,17 +100,24 @@ def _run_solver(args) -> SolveOutcome:
         expr = parse(args.expr)
     except ParseError as err:
         raise _UsageError(f"lsqroots: bad --expr: {err}")
+    if not math.isfinite(args.x0):
+        raise _UsageError(f"lsqroots: --x0 must be finite, got {args.x0!r}")
     x1 = getattr(args, "x1", None)
     if x1 is not None and args.method != "secant":
         raise _UsageError("lsqroots: --x1 applies to --method secant only")
-    if args.method == "lsq3":
-        mode, n_value = _parse_power(args.n)
-        config = SolverConfig(mode=mode, n_value=n_value, delta0=args.delta0,
-                              tolerance=args.tol, max_iter=args.max_iter)
-        return solve(expr, args.x0, config)
-    if args.n != "fixed:1":
+    if args.method != "lsq3" and args.n != "fixed:1":
         raise _UsageError("lsqroots: --n applies to --method lsq3 only")
-    config = BaselineConfig(tolerance=args.tol, max_iter=args.max_iter)
+    try:
+        if args.method == "lsq3":
+            mode, n_value = _parse_power(args.n)
+            config = SolverConfig(mode=mode, n_value=n_value, delta0=args.delta0,
+                                  tolerance=args.tol, max_iter=args.max_iter)
+        else:
+            config = BaselineConfig(tolerance=args.tol, max_iter=args.max_iter)
+    except ValueError as err:
+        raise _UsageError(f"lsqroots: bad solver flags: {err}") from None
+    if args.method == "lsq3":
+        return solve(expr, args.x0, config)
     return solve_baseline(args.method, expr, args.x0, x1, config)
 
 
@@ -159,7 +167,7 @@ def _cmd_bench(args) -> int:
 def _cmd_fncurve(args, out) -> int:
     try:
         points = f_n_curve(args.E, n_grid(args.n_from, args.n_to, args.step))
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         raise _UsageError(f"lsqroots: {err}")
     print("n,f", file=out)
     for n, f in points:

@@ -9,6 +9,8 @@ Grammar (infix, single variable ``x``):
     atom   := NUMBER | 'x' | NAME '(' expr ')' | '(' expr ')'
 
 '^' is right-associative, so "2^3^2" is 2^(3^2) and "-x^2" is -(x^2).
+Parentheses, and the nodes of the parsed tree, may nest at most
+``MAX_DEPTH`` (100) levels deep; deeper text raises ``ParseError``.
 Supported functions: sin, cos, tan, arctan, exp, ln, log (natural log),
 log10, abs, cbrt, sqrt.  cbrt is the real, sign-preserving cube root.
 
@@ -110,13 +112,30 @@ FUNCTIONS = tuple(_CALLS)
 # Parsing
 # --------------------------------------------------------------------------
 
+# Parentheses (a call's included) may nest at most this deep, and so may
+# the nodes of the parsed tree (every chain link, power, call and unary
+# minus adds a level).  That bounds the recursion of the parser and of
+# everything that walks a parsed tree (evaluation, differentiation,
+# rendering) well inside Python's default recursion limit.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each rule returns ``(node, depth)``, where depth
+    counts the nodes above the deepest leaf (a leaf has depth 0).
+
+    Only parentheses recurse: unary minus and the right-associative '^'
+    chain are parsed with loops, so any text within the nesting limit
+    parses within the recursion limit.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.groups = 0
 
     def parse(self) -> Expr:
-        node = self._expr()
+        node, _ = self._expr()
         self._skip_ws()
         if self.pos != len(self.text):
             raise ParseError(f"unexpected character {self.text[self.pos]!r}", self.pos)
@@ -130,49 +149,100 @@ class _Parser:
         self._skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def _expr(self) -> Expr:
-        node = self._term()
+    @staticmethod
+    def _too_deep(position: int) -> ParseError:
+        return ParseError(f"expression nested deeper than {MAX_DEPTH} levels", position)
+
+    def _expr(self):
+        node, depth = self._term()
         while self._peek() in ("+", "-"):
-            op = self.text[self.pos]
+            at = self.pos
             self.pos += 1
-            node = Binary(op, node, self._term())
-        return node
+            right, right_depth = self._term()
+            node = Binary(self.text[at], node, right)
+            depth = max(depth, right_depth) + 1
+            if depth > MAX_DEPTH:
+                raise self._too_deep(at)
+        return node, depth
 
-    def _term(self) -> Expr:
-        node = self._unary()
+    def _term(self):
+        node, depth = self._unary()
         while self._peek() in ("*", "/"):
-            op = self.text[self.pos]
+            at = self.pos
             self.pos += 1
-            node = Binary(op, node, self._unary())
-        return node
+            right, right_depth = self._unary()
+            node = Binary(self.text[at], node, right)
+            depth = max(depth, right_depth) + 1
+            if depth > MAX_DEPTH:
+                raise self._too_deep(at)
+        return node, depth
 
-    def _unary(self) -> Expr:
-        if self._peek() == "-":
+    def _minuses(self) -> int:
+        count = 0
+        while self._peek() == "-":
             self.pos += 1
-            return Unary("-", self._unary())
-        return self._power()
+            count += 1
+        return count
 
-    def _power(self) -> Expr:
-        base = self._atom()
-        if self._peek() == "^":
+    def _unary(self):
+        if self._peek() != "-":
+            return self._power()
+        at = self.pos
+        minuses = self._minuses()
+        node, depth = self._power()
+        depth += minuses
+        if depth > MAX_DEPTH:
+            raise self._too_deep(at)
+        for _ in range(minuses):
+            node = Unary("-", node)
+        return node, depth
+
+    def _power(self):
+        first = self._atom()
+        if self._peek() != "^":
+            return first
+        # a ^ -b ^ c is a ^ (-(b ^ c)): collect the operands and the minus
+        # signs after each '^', then fold from the right.
+        operands = [first]
+        links = []
+        while self._peek() == "^":
+            at = self.pos
             self.pos += 1
-            # right-associative; the exponent may start with a unary minus
-            return Binary("^", base, self._unary())
-        return base
+            links.append((at, self._minuses()))
+            operands.append(self._atom())
+        node, depth = operands.pop()
+        while links:
+            at, minuses = links.pop()
+            base, base_depth = operands.pop()
+            depth = max(base_depth, depth + minuses) + 1
+            if depth > MAX_DEPTH:
+                raise self._too_deep(at)
+            for _ in range(minuses):
+                node = Unary("-", node)
+            node = Binary("^", base, node)
+        return node, depth
 
-    def _atom(self) -> Expr:
+    def _group(self):
+        """The expression after a '(' up to its ')'."""
+        self.groups += 1
+        if self.groups > MAX_DEPTH:
+            raise self._too_deep(self.pos - 1)
+        result = self._expr()
+        if self._peek() != ")":
+            raise ParseError("missing ')'", self.pos)
+        self.pos += 1
+        self.groups -= 1
+        return result
+
+    def _atom(self):
         ch = self._peek()
         if ch == "":
             raise ParseError("unexpected end of expression", self.pos)
         if ch == "(":
             self.pos += 1
-            node = self._expr()
-            if self._peek() != ")":
-                raise ParseError("missing ')'", self.pos)
-            self.pos += 1
-            return node
+            return self._group()
         if ch.isdigit() or ch == ".":
-            return self._number()
+            return self._number(), 0
         if ch.isalpha() or ch == "_":
             return self._name()
         raise ParseError(f"unexpected character {ch!r}", self.pos)
@@ -201,7 +271,7 @@ class _Parser:
             raise ParseError(f"number {token!r} is out of range", start)
         return Constant(value)
 
-    def _name(self) -> Expr:
+    def _name(self):
         start = self.pos
         text = self.text
         while self.pos < len(text) and (text[self.pos].isalnum() or text[self.pos] == "_"):
@@ -211,13 +281,12 @@ class _Parser:
             if name not in FUNCTIONS:
                 raise ParseError(f"unknown function {name!r}", start)
             self.pos += 1
-            arg = self._expr()
-            if self._peek() != ")":
-                raise ParseError("missing ')'", self.pos)
-            self.pos += 1
-            return Call(name, arg)
+            arg, depth = self._group()
+            if depth >= MAX_DEPTH:
+                raise self._too_deep(start)
+            return Call(name, arg), depth + 1
         if name == "x":
-            return Variable()
+            return Variable(), 0
         raise ParseError(f"unknown identifier {name!r}", start)
 
 

@@ -13,9 +13,10 @@ step from the same three samples via central differences:
     N = s^2 / (s^2 - y0 * d2),   s = (y_plus - y_minus) / (2*delta),
                                  d2 = (y_minus - 2*y0 + y_plus) / delta^2
 
-The probe spacing shrinks as the iteration converges:
-delta_{k+1} = beta * (x_k - x_{k-1})^2 with beta picked from a
-descending series so delta stays below 1 and never grows.
+The probe spacing is beta * (x_k - x_{k-1})^2 for a beta from a
+descending series, raised to a floor tied to the scale of x and of the
+last step; after a long step it can exceed both 1 and the previous
+spacing (:func:`select_delta` has the whole rule).
 """
 
 from __future__ import annotations
@@ -30,19 +31,22 @@ from .outcomes import SolveOutcome, Status, StepError, iterate
 # benchmark's probes rebind them by module.
 from .outcomes import best_iterate, detect_cycle  # noqa: F401
 
-DEFAULT_BETA_SERIES: Tuple[float, ...] = tuple(10.0 ** -k for k in range(13))
-
 _EPS = 2.0 ** -52
 
-# The schedule delta = beta * (x_k - x_{k-1})^2 can undershoot the scale
-# of the iterate by many orders of magnitude (the monotone rule drops it
-# a decade per step through long linear phases).  Too small a spacing
-# ruins the central differences: the slope drowns in rounding noise of
-# the samples, and in variable mode the curvature needed for the power
-# estimate vanishes first.  The floor tracks the smaller of the last
-# step and the iterate itself (the step alone would overshoot the
+_BETAS = tuple(10.0 ** -k for k in range(13))   # descending
+
+# The beta rule can undershoot the scale of the iterate by many orders of
+# magnitude (it drops a decade per step through long linear phases).  Too
+# small a spacing ruins the central differences: the slope drowns in
+# rounding noise of the samples, and in variable mode the curvature needed
+# for the power estimate vanishes first.  The floor tracks the smaller of
+# the last step and the iterate itself (the step alone would overshoot the
 # root's neighbourhood right after a strong contraction), with a wider
 # ratio in variable mode where second differences must stay resolvable.
+# Under that it is about one ulp of |x|, the smallest spacing below the
+# achievable final error (which falls to denormal range for roots at 0
+# with fractional-power behaviour, cbrt), and 1e-300 absolutely.
+_DELTA_FLOOR_ULP = 2e-16
 _DELTA_SCALE_RATIO_FIXED = 1e-3
 _DELTA_SCALE_RATIO_VARIABLE = 1e-2
 
@@ -55,6 +59,11 @@ _DELTA_SCALE_RATIO_VARIABLE = 1e-2
 # only weakly pole-like, so the straight-line fit is used instead.
 _MILD_NEGATIVE_LIMIT = -0.7
 _STRONG_POLE_LIMIT = -2.5
+
+# Estimated powers are kept inside this interval.  The upper bound
+# protects against off-shooting on steep stretches while still letting
+# roots of multiplicity about 4 contract fast.
+N_CLAMP = (-3.0, 3.5)
 
 
 class SymmetricStallError(StepError):
@@ -72,40 +81,20 @@ class SolverConfig:
     mode: str = "fixed"                 # "fixed" or "variable"
     n_value: float = 1.0                # power used in fixed mode
     delta0: float = 0.1                 # first-step probe spacing, in (0, 1)
-    beta_series: Tuple[float, ...] = DEFAULT_BETA_SERIES
-    # Estimated powers are kept inside this interval.  The upper bound
-    # protects against off-shooting on steep stretches while still
-    # letting roots of multiplicity about 4 contract fast.
-    n_clamp: Tuple[float, float] = (-3.0, 3.5)
     tolerance: float = 1e-15
     max_iter: int = 500
-    # Probe spacing never shrinks below delta_floor * |x| (with a tiny
-    # absolute backstop).  It must stay below the achievable final error,
-    # which scales with |x| for simple roots and falls to denormal range
-    # for roots at 0 with fractional-power behaviour (cbrt); one ulp is
-    # the useful minimum.
-    delta_floor: float = 2e-16
 
     def __post_init__(self):
         if self.mode not in ("fixed", "variable"):
             raise ValueError(f"mode must be 'fixed' or 'variable', got {self.mode!r}")
         if not 0.0 < self.delta0 < 1.0:
             raise ValueError("delta0 must lie in (0, 1)")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        lo, hi = self.n_clamp
-        if not lo <= 1.0 <= hi:
-            raise ValueError("n_clamp must contain 1")
         if self.mode == "fixed" and self.n_value == 0.0:
             raise ValueError("fixed power must be nonzero")
-        if not self.beta_series:
-            raise ValueError("beta_series must be nonempty")
-        if any(b <= 0.0 for b in self.beta_series):
-            raise ValueError("beta_series must be positive")
-        if any(a <= b for a, b in zip(self.beta_series, self.beta_series[1:])):
-            raise ValueError("beta_series must be strictly descending")
 
 
 def lsq3_step(x: float, y_minus: float, y0: float, y_plus: float,
@@ -122,12 +111,11 @@ def lsq3_step(x: float, y_minus: float, y0: float, y_plus: float,
     return x - n * (weighted / slope)
 
 
-def estimate_power(y_minus: float, y0: float, y_plus: float, delta: float,
-                   clamp: Tuple[float, float] = (-3.0, 3.0)) -> float:
+def estimate_power(y_minus: float, y0: float, y_plus: float, delta: float) -> float:
     """Estimate the power N of the fitted curve from the three samples.
 
-    Positive estimates above the upper clamp bound are capped there
-    (off-shoot protection).  Negative estimates mean the samples fit a
+    Positive estimates above the upper bound of :data:`N_CLAMP` are capped
+    there (off-shoot protection).  Negative estimates mean the samples fit a
     pole rather than a root (a(x-b)^N has no root for N < 0); mildly
     negative and strongly negative in-range estimates are kept (small
     cautious steps, respectively a deliberate step reversal), while the
@@ -153,34 +141,36 @@ def estimate_power(y_minus: float, y0: float, y_plus: float, delta: float,
     n = s2 / den
     if not math.isfinite(n):
         return 1.0
-    lo, hi = clamp
+    lo, hi = N_CLAMP
     if n < lo or _STRONG_POLE_LIMIT < n <= _MILD_NEGATIVE_LIMIT:
         return 1.0
-    n = min(max(n, lo), hi)
+    n = min(n, hi)
     if abs(n) < 1e-6:
         return 1.0
     return n
 
 
-def select_delta(x_k: float, x_prev: float, delta_prev: float,
-                 beta_series: Tuple[float, ...] = DEFAULT_BETA_SERIES,
-                 floor: float = 1e-12) -> float:
-    """Probe spacing for the next step: beta * (x_k - x_prev)^2.
+def select_delta(x_k: float, x_prev: float, delta_prev: float, ratio: float) -> float:
+    """Probe spacing for the next step, from the last step x_prev -> x_k.
 
-    Takes the largest beta in the series keeping the spacing below 1 and
-    no larger than the previous spacing; falls back to the floor when no
-    beta qualifies or the winner is smaller than the floor.
+    The beta rule: beta * (x_k - x_prev)^2 for the largest beta in
+    1, 0.1, ..., 1e-12 that keeps the spacing below 1 and no larger than
+    ``delta_prev``.  The floor: max(2e-16*|x_k|, ratio*min(|x_k - x_prev|,
+    |x_k|), 1e-300).  A beta-rule spacing below the floor is raised to the
+    floor.  When no beta qualifies (even 1e-12 * (x_k - x_prev)^2 is 1 or
+    more, or exceeds ``delta_prev``) the spacing is max(floor, 1e-12 *
+    (x_k - x_prev)^2), which after a step of 1e6 or more exceeds 1.
     """
-    dx2 = (x_k - x_prev) ** 2
-    candidates = [beta * dx2 for beta in beta_series]
-    chosen = None
-    for c in candidates:
-        if c < 1.0 and c <= delta_prev:
-            chosen = c
+    dx = x_k - x_prev
+    floor = max(_DELTA_FLOOR_ULP * abs(x_k), ratio * min(abs(dx), abs(x_k)), 1e-300)
+    dx2 = dx ** 2
+    for beta in _BETAS:
+        delta = beta * dx2
+        if delta < 1.0 and delta <= delta_prev:
+            if delta >= floor:
+                return delta
             break
-    if chosen is None or chosen < floor:
-        return max(floor, candidates[-1])
-    return chosen
+    return max(floor, _BETAS[-1] * dx2)
 
 
 def adjust_delta(f: Expr, x: float, delta: float) -> Tuple[float, float, float]:
@@ -240,13 +230,10 @@ def solve(f: Expr, x0: float, config: Optional[SolverConfig] = None) -> SolveOut
         if prev is None:
             delta_try = config.delta0
         else:
-            floor = max(config.delta_floor * abs(x),
-                        ratio * min(abs(x - prev.x), abs(x)),
-                        1e-300)
-            delta_try = select_delta(x, prev.x, cur.delta, config.beta_series, floor)
+            delta_try = select_delta(x, prev.x, cur.delta, ratio)
         delta, y_minus, y_plus = adjust_delta(f, x, delta_try)
         if variable:
-            n = estimate_power(y_minus, cur.y, y_plus, delta, config.n_clamp)
+            n = estimate_power(y_minus, cur.y, y_plus, delta)
         else:
             n = config.n_value
         return lsq3_step(x, y_minus, cur.y, y_plus, delta, n), (delta, n, y_minus, y_plus)

@@ -168,3 +168,31 @@ def test_solve_prints_the_off_domain_note(capsys):
     assert code == 0
     assert "status diverged" in out
     assert "note iterate left the domain at x=-0.844474580521726\n" in out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--x0", "inf", "--method", "newton"), "--x0 must be finite"),
+    (("--x0", "nan", "--method", "lsq3"), "--x0 must be finite"),
+    (("--x0", "1", "--method", "lsq3", "--delta0", "1.5"), "delta0 must lie in (0, 1)"),
+    (("--x0", "1", "--method", "secant", "--tol", "0"), "tolerance must be positive"),
+    (("--x0", "1", "--method", "lsq3", "--tol", "nan"), "tolerance must be positive"),
+    (("--x0", "1", "--method", "newton", "--tol", "inf"), "tolerance must be positive"),
+    (("--x0", "1", "--method", "lsq3", "--max-iter", "0"), "max_iter must be at least 1"),
+    (("--x0", "1", "--method", "lsq3", "--n", "fixed:0"), "fixed power must be nonzero"),
+])
+@pytest.mark.parametrize("command", ["solve", "rate"])
+def test_invalid_numeric_flag_is_one_line_usage_error(capsys, command, flags, message):
+    code, out, err = run_cli(capsys, command, "--expr", "x - 1", *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("lsqroots: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_fncurve_non_finite_bound_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "fncurve", "--E", "0.5", "--from", "1", "--to", "inf", "--step", "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("lsqroots: ") and err.count("\n") == 1

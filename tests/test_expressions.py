@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from lsqroots.cli import main
 from lsqroots.expressions import (
+    MAX_DEPTH,
     Binary,
     Call,
     Constant,
@@ -91,6 +93,55 @@ def test_syntax_error_carries_position(bad, pos):
     with pytest.raises(ParseError) as err:
         parse(bad)
     assert err.value.position == pos
+
+
+def test_power_exponent_minus_signs_fold_from_the_right():
+    two, three, x = Constant(2.0), Constant(3.0), Variable()
+    assert parse("2^-3^-x") == Binary("^", two, Unary("-", Binary("^", three, Unary("-", x))))
+    assert parse("-2^--x") == Unary("-", Binary("^", two, Unary("-", Unary("-", x))))
+
+
+# Text nested n levels deep, one kind of nesting each.
+NESTINGS = {
+    "parens": lambda n: "(" * n + "x" + ")" * n,
+    "calls": lambda n: "sin(" * n + "x" + ")" * n,
+    "unary minus": lambda n: "-" * n + "x",
+    "power chain": lambda n: "^".join(["x"] * (n + 1)),
+    "sum chain": lambda n: "+".join(["x"] * (n + 1)),
+    "product chain": lambda n: "*".join(["x"] * (n + 1)),
+    "quotient chain": lambda n: "/".join(["x"] * (n + 1)),
+    "negated groups": lambda n: "(-" * n + "x" + ")" * n,
+    "power groups": lambda n: "x^(" * n + "x" + ")" * n,
+    # each '^-' is two levels: the power and the minus on its exponent
+    "negative exponents": lambda n: "-" * (n % 2) + "x^-" * (n // 2) + "x",
+}
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_deepest_accepted_nesting_works_end_to_end(kind):
+    e = parse(NESTINGS[kind](MAX_DEPTH))
+    y = evaluate(e, 0.9)
+    assert y is not None
+    d = differentiate(e)
+    assert evaluate(d, 0.9) is not None
+    assert evaluate(parse(render(e)), 0.9) == y
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_one_level_deeper_is_a_parse_error(kind, capsys):
+    text = NESTINGS[kind](MAX_DEPTH + 1)
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH}"):
+        parse(text)
+    assert main(["solve", f"--expr={text}", "--x0", "1", "--method", "newton"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lsqroots: bad --expr: expression nested deeper")
+
+
+def test_nesting_far_past_the_limit_is_a_parse_error():
+    for kind, make in NESTINGS.items():
+        with pytest.raises(ParseError):
+            parse(make(5000))
 
 
 def test_unknown_identifier_rejected():

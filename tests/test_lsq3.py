@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from lsqroots.expressions import parse
 from lsqroots.lsq3 import (
+    N_CLAMP,
     ProbeDomainError,
     SolverConfig,
     SymmetricStallError,
@@ -141,36 +143,53 @@ def test_power_approaches_three_on_cubics():
 
 
 def test_power_clamps_into_range():
-    # (x-2)(x+2)^4 near its quadruple root estimates N about 4.4
+    # (x-2)(x+2)^4 near its quadruple root estimates N about 4.4, which
+    # the upper clamp bound caps
     f = lambda t: (t - 2.0) * (t + 2.0) ** 4
     x, delta = -3.0, 0.01
-    raw = estimate_power(f(x - delta), f(x), f(x + delta), delta, clamp=(-10.0, 10.0))
-    assert raw == pytest.approx(4.37, abs=0.05)
-    clamped = estimate_power(f(x - delta), f(x), f(x + delta), delta, clamp=(-3.0, 3.0))
-    assert clamped == 3.0
+    assert N_CLAMP == (-3.0, 3.5)
+    assert estimate_power(f(x - delta), f(x), f(x + delta), delta) == 3.5
 
 
 # ---------------------------------------------------------------------------
 # select_delta
 # ---------------------------------------------------------------------------
 
+RATIO = 1e-3  # the fixed-mode floor ratio
+
+
 def test_select_delta_takes_largest_admissible_beta():
-    got = select_delta(1.0, 0.5, 0.1, (1.0, 0.1, 0.01), floor=1e-12)
-    assert got == pytest.approx(0.1 * 0.25, rel=1e-15)
+    # beta = 1 gives 0.25 > delta_prev; beta = 0.1 is the largest admissible
+    assert select_delta(1.0, 0.5, 0.1, RATIO) == 0.1 * 0.25
 
 
 def test_select_delta_stagnation_returns_floor():
-    assert select_delta(2.0, 2.0, 0.1, (1.0, 0.1, 0.01), floor=1e-12) == 1e-12
+    # no step: the scale term vanishes and the floor is about one ulp of |x|
+    assert select_delta(2.0, 2.0, 0.1, RATIO) == 2e-16 * 2.0
+    assert select_delta(0.0, 0.0, 0.1, RATIO) == 1e-300
 
 
 def test_select_delta_keeps_spacing_below_previous():
-    got = select_delta(1.1, 1.0, 1.0, (1.0, 0.1, 0.01), floor=1e-12)
+    got = select_delta(1.1, 1.0, 1.0, RATIO)
     assert got == pytest.approx(0.01, rel=1e-15)
+    got = select_delta(1.1, 1.0, 0.005, RATIO)
+    assert got == pytest.approx(0.001, rel=1e-15)
 
 
 def test_select_delta_floors_tiny_candidates():
-    got = select_delta(1.0 + 1e-8, 1.0, 0.05, (1.0, 0.1, 0.01), floor=1e-12)
-    assert got == 1e-12
+    # the beta rule gives 1e-16; the floor is ratio * |step|
+    x_k = 1.0 + 1e-8
+    assert select_delta(x_k, 1.0, 0.05, RATIO) == RATIO * (x_k - 1.0)
+    # the floor's scale term is the smaller of |step| and |x|
+    assert select_delta(1e-5, 1.0, 1e-9, RATIO) == RATIO * 1e-5
+
+
+def test_select_delta_grows_after_a_long_step():
+    # even 1e-12 * step^2 is >= 1: no beta qualifies, the spacing grows
+    got = select_delta(1e10, 0.0, 0.1, RATIO)
+    assert got == pytest.approx(1e8, rel=1e-15)
+    # ... unless the floor is larger
+    assert select_delta(2e6, 0.0, 0.1, RATIO) == RATIO * 2e6
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +275,7 @@ def test_converged_trace_satisfies_stopping_rule():
 
 def test_variable_mode_trace_respects_clamp():
     cfg = SolverConfig(mode="variable")
-    lo, hi = cfg.n_clamp
+    lo, hi = N_CLAMP
     for source, x0 in [("x^3 + 4*x^2 - 10", 0.5), ("arctan(x)", 3.0), ("log(x)", 3.0)]:
         out = solve(parse(source), x0, cfg)
         for rec in out.trace:
@@ -270,10 +289,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(n_clamp=(2.0, 3.0))
+        SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(mode="fixed", n_value=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(beta_series=(0.1, 1.0))
-    with pytest.raises(ValueError):
         SolverConfig(mode="newton")
+    # the clamp, the beta series and the floor are constants, not settings
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "mode", "n_value", "delta0", "tolerance", "max_iter"]
+    with pytest.raises(TypeError):
+        SolverConfig(n_clamp=(2.0, 3.0))
