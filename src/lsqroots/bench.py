@@ -232,6 +232,9 @@ def final_rate(trace: Sequence[IterationRecord], r: float) -> Optional[float]:
 # Error-term curve
 # ---------------------------------------------------------------------------
 
+# ``n_grid`` refuses larger grids before building them.
+MAX_GRID_POINTS = 1_000_000
+
 def f_n_curve(E: float, n_grid: Iterable[float]) -> List[Tuple[float, float]]:
     """Evaluate f(n) = E^(n/4) + E^(1/n) - E on a grid of n values."""
     if not 0.0 < E < 1.0:
@@ -245,10 +248,13 @@ def f_n_curve(E: float, n_grid: Iterable[float]) -> List[Tuple[float, float]]:
 
 
 def n_grid(start: float, stop: float, step: float) -> List[float]:
-    """Inclusive arithmetic grid, computed without drift."""
+    """Inclusive arithmetic grid, computed without drift, of at most
+    :data:`MAX_GRID_POINTS` points."""
     if step <= 0.0:
         raise ValueError("step must be positive")
     count = int(round((stop - start) / step))
+    if count + 1 > MAX_GRID_POINTS:
+        raise ValueError(f"grid of {count + 1} points exceeds {MAX_GRID_POINTS}")
     return [start + i * step for i in range(count + 1)]
 
 

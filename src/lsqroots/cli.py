@@ -54,7 +54,7 @@ def _build_parser() -> _Parser:
                        choices=("newton", "secant", "lsq3"))
         p.add_argument("--n", default="fixed:1",
                        help="lsq3 power: 'variable' or 'fixed:<real>' (default fixed:1)")
-        p.add_argument("--delta0", type=float, default=0.1,
+        p.add_argument("--delta0", type=float, default=None,
                        help="initial probe spacing for lsq3 (default 0.1)")
         p.add_argument("--tol", type=float, default=1e-15)
         p.add_argument("--max-iter", type=int, default=500)
@@ -107,10 +107,13 @@ def _run_solver(args) -> SolveOutcome:
         raise _UsageError("lsqroots: --x1 applies to --method secant only")
     if args.method != "lsq3" and args.n != "fixed:1":
         raise _UsageError("lsqroots: --n applies to --method lsq3 only")
+    if args.method != "lsq3" and args.delta0 is not None:
+        raise _UsageError("lsqroots: --delta0 applies to --method lsq3 only")
     try:
         if args.method == "lsq3":
             mode, n_value = _parse_power(args.n)
-            config = SolverConfig(mode=mode, n_value=n_value, delta0=args.delta0,
+            delta0 = SolverConfig.delta0 if args.delta0 is None else args.delta0
+            config = SolverConfig(mode=mode, n_value=n_value, delta0=delta0,
                                   tolerance=args.tol, max_iter=args.max_iter)
         else:
             config = BaselineConfig(tolerance=args.tol, max_iter=args.max_iter)

@@ -5,6 +5,12 @@ the Newton/secant baselines) runs through :func:`iterate`, so all of them
 share one stopping rule and one failure taxonomy and report results
 through the same :class:`SolveOutcome`: benchmark comparisons are
 like-for-like by construction.
+
+A step is a pure function of the last two accepted records (every field
+but ``k``), so when that pair recurs bit for bit the driver replays the
+step it took then instead of recomputing it: a stuck run's trace is
+unchanged but costs far fewer evaluations.  Records are immutable
+:class:`IterationRecord` named tuples.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 
 class Status(Enum):
@@ -35,9 +41,8 @@ def table_label(status: Status) -> str:
     return "Fails"
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """One completed update step.
+class IterationRecord(NamedTuple):
+    """One completed update step (an immutable named tuple).
 
     ``x``/``y`` are the iterate produced by step ``k`` and its function
     value (``y`` is NaN when the step landed outside the domain).  For the
@@ -107,12 +112,17 @@ def detect_cycle(xs: Sequence[float]) -> bool:
         return False
     last = xs[-1]
     scale = max(1.0, abs(last))
+    tol = CYCLE_MATCH_RTOL * scale
+    # Every period's match below includes the pair (xs[-1-period], last).
+    # A NaN fails every comparison and falls through to the full tests.
+    if (abs(xs[-3] - last) > tol and abs(xs[-4] - last) > tol
+            and abs(xs[-5] - last) > tol):
+        return False
     min_span = CYCLE_MIN_DIAMETER * scale
     # Every window below lies inside this tail, so none can span more.
     tail = xs[-2 * CYCLE_MAX_PERIOD:]
     if max(tail) - min(tail) <= min_span:
         return False
-    tol = CYCLE_MATCH_RTOL * scale
     for period in range(2, CYCLE_MAX_PERIOD + 1):
         # The last pair of the match below, tested before slicing.
         if abs(xs[-1 - period] - last) > tol:
@@ -135,6 +145,19 @@ def best_iterate(x0: float, y0: float, trace: Sequence[IterationRecord]) -> floa
     return best_x
 
 
+def _same_fields(a: Optional[IterationRecord], b: Optional[IterationRecord]) -> bool:
+    """True if ``a`` and ``b`` hold the same values bit for bit in every
+    field but ``k`` (or are both ``None``).  ``==`` alone matches 0.0 with
+    -0.0, so a zero field must also agree in sign."""
+    if a is None or b is None:
+        return a is b
+    fa, fb = a[1:], b[1:]
+    if fa != fb:
+        return False
+    return 0.0 not in fa or all(math.copysign(1.0, u) == math.copysign(1.0, v)
+                                for u, v in zip(fa, fb) if u == 0.0)
+
+
 def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
                            Tuple[float, tuple]],
             fx: Callable[[float], Optional[float]], x0: float, y0: float,
@@ -150,24 +173,42 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     off-domain iterate is recorded but not accepted: the next step starts
     from the same point.  A failure's note comes from the break that
     classifies it, unless ``note`` was already set.
+
+    Contract: ``step`` and ``fx`` are pure, so a step's result depends only
+    on the fields of ``cur`` and ``prev`` other than ``k``.  When a state
+    ``(prev, cur)`` recurs bit for bit, the driver replays the iterate, the
+    extras and f's value that followed it the first time, calling neither
+    ``step`` nor ``fx``; the replayed record goes through every check
+    below and into the trace like a computed one.  Only accepted steps are
+    replayed: a strike is recomputed.
     """
     cur = IterationRecord(0, x0, y0)
     trace: list[IterationRecord] = []
     accepted: list[float] = []
+    # cur.x -> [(prev, cur, (x_new, extras, y_new))] of the accepted steps
+    seen: dict[float, list] = {}
     strikes = 0
     status = Status.MAX_ITERATIONS
     for _ in range(max_iter):
-        try:
-            x_new, extras = step(cur, prev)
-        except StepError as err:
-            strikes += 1
-            if err.status is not None or strikes >= MAX_CONSECUTIVE_DOMAIN_ERRORS:
-                status = err.status or Status.DIVERGED
-                note = note or str(err)
+        replayed = None
+        for seen_prev, seen_cur, result in seen.get(cur.x, ()):
+            if _same_fields(seen_cur, cur) and _same_fields(seen_prev, prev):
+                replayed = result
                 break
-            continue
+        if replayed is None:
+            try:
+                x_new, extras = step(cur, prev)
+            except StepError as err:
+                strikes += 1
+                if err.status is not None or strikes >= MAX_CONSECUTIVE_DOMAIN_ERRORS:
+                    status = err.status or Status.DIVERGED
+                    note = note or str(err)
+                    break
+                continue
+            y_new = fx(x_new) if math.isfinite(x_new) else None
+        else:
+            x_new, extras, y_new = replayed
 
-        y_new = fx(x_new) if math.isfinite(x_new) else None
         rec = IterationRecord(len(trace) + 1, x_new,
                               math.nan if y_new is None else y_new, *extras)
         trace.append(rec)
@@ -189,6 +230,8 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
         if detect_cycle(accepted):
             status = Status.OSCILLATING
             break
+        if replayed is None:
+            seen.setdefault(cur.x, []).append((prev, cur, (x_new, extras, y_new)))
         prev, cur = cur, rec
 
     return SolveOutcome(status, best_iterate(x0, y0, trace), len(trace), tuple(trace), note)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import lsqroots.bench
 from lsqroots.bench import (
     METHOD_ORDER,
     BenchReport,
@@ -130,6 +131,17 @@ def test_error_curve_derivative_changes_sign_across_two():
     values = [f for _, f in f_n_curve(1e-22, grid)]
     i2 = grid.index(min(grid, key=lambda n: abs(n - 2.0)))
     assert values[i2 - 1] > values[i2] < values[i2 + 1]
+
+
+def test_grid_size_is_capped_before_allocation(monkeypatch):
+    assert len(n_grid(0.0, 9.0, 1.0)) == 10
+    monkeypatch.setattr(lsqroots.bench, "MAX_GRID_POINTS", 10)
+    assert n_grid(0.0, 9.0, 1.0) == [float(i) for i in range(10)]
+    with pytest.raises(ValueError, match="grid of 11 points exceeds 10"):
+        n_grid(0.0, 10.0, 1.0)
+    # 10^12 + 1 points: refused by the count alone
+    with pytest.raises(ValueError, match="exceeds 10"):
+        n_grid(1.0, 2.0, 1e-12)
 
 
 def test_error_curve_domain_checks():

@@ -100,6 +100,19 @@ def test_x1_rejected_for_newton(capsys):
     assert "secant" in err
 
 
+@pytest.mark.parametrize("method", ["newton", "secant"])
+@pytest.mark.parametrize("command", ["solve", "rate"])
+@pytest.mark.parametrize("delta0", ["0.5", "0.1", "1.5"])
+def test_delta0_rejected_for_baselines(capsys, command, method, delta0):
+    code, out, err = run_cli(
+        capsys, command, "--expr", "x - 1", "--x0", "3",
+        "--method", method, "--delta0", delta0,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "lsqroots: --delta0 applies to --method lsq3 only\n"
+
+
 def test_fncurve_argmin_near_two(capsys):
     code, out, _ = run_cli(
         capsys, "fncurve", "--E", "1e-22", "--from", "1", "--to", "4", "--step", "0.01",
@@ -196,3 +209,14 @@ def test_fncurve_non_finite_bound_is_usage_error(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("lsqroots: ") and err.count("\n") == 1
+
+
+def test_fncurve_oversized_grid_is_usage_error(capsys):
+    # 10^12 + 1 points: refused before any is built
+    code, out, err = run_cli(
+        capsys, "fncurve", "--E", "0.5", "--from", "1", "--to", "2", "--step", "1e-12",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("lsqroots: ") and err.count("\n") == 1
+    assert "exceeds" in err

@@ -1,9 +1,12 @@
 """``detect_cycle`` against a direct statement of its rule, and the
-iteration driver ``iterate`` on scripted steps.
+iteration driver ``iterate`` on scripted steps and against a driver
+without replay.
 
 ``reference_detect_cycle`` checks every period's full window, pairwise
 match first and span second, with no shortcut; ``detect_cycle`` must give
-the same verdict on every sequence.
+the same verdict on every sequence.  ``reference_iterate`` calls the step
+for every iteration; ``iterate``, which replays exact repeats, must give
+the same outcome, trace included, bit for bit.
 """
 
 import math
@@ -13,19 +16,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lsqroots.baselines
+import lsqroots.lsq3
+from lsqroots.bench import SOLVERS, builtin_suite
+from lsqroots.expressions import parse
 from lsqroots.outcomes import (
     CYCLE_MATCH_RTOL,
     CYCLE_MAX_PERIOD,
     CYCLE_MIN_DIAMETER,
     CYCLE_MIN_INDEX,
     DIVERGENCE_BOUND,
+    MAX_CONSECUTIVE_DOMAIN_ERRORS,
     IterationRecord,
+    SolveOutcome,
     Status,
     StepError,
     best_iterate,
     detect_cycle,
     iterate,
 )
+from test_golden_traces import _bits, outcome_digest
 
 
 def reference_detect_cycle(xs):
@@ -97,6 +107,22 @@ def test_verdicts_match_reference_on_generated_sequences(family):
 def test_span_boundary_is_exclusive():
     assert not detect_cycle([0.0, CYCLE_MIN_DIAMETER] * 4)
     assert detect_cycle([0.0, math.nextafter(CYCLE_MIN_DIAMETER, 1.0)] * 4)
+
+
+@pytest.mark.parametrize("period, head", [
+    (2, [5.0, 6.0, 7.0, 8.0, 1.0]),
+    (3, [9.0, 9.0, 2.0, 3.0]),
+    (4, [2.0, 3.0, 4.0]),
+])
+def test_match_tolerance_is_inclusive(period, head):
+    # the last iterate repeats its period's partner at exactly the tolerance
+    # (scale 1), then one ulp over; the other periods' last pairs are far apart
+    for gap, verdict in ((CYCLE_MATCH_RTOL, True),
+                         (math.nextafter(CYCLE_MATCH_RTOL, 1.0), False)):
+        xs = head + [gap] + head[1 - period:] + [0.0]
+        assert len(xs) == 8 and xs[-1 - period] == gap
+        assert reference_detect_cycle(xs) is verdict
+        assert detect_cycle(xs) is verdict
 
 
 def test_period_four_span_counts_the_eighth_last_iterate():
@@ -252,3 +278,169 @@ def test_step_extras_fill_the_record():
         return cur.x / 2.0, (0.1, 2.0, -1.0, 1.0)
     out = iterate(step, fx, 1.0, 1.0, 1e-15, 3)
     assert out.trace[0] == IterationRecord(1, 0.5, 0.5, 0.1, 2.0, -1.0, 1.0)
+
+
+def test_records_are_immutable_named_tuples():
+    rec = IterationRecord(1, 0.5, 0.25)
+    assert rec == (1, 0.5, 0.25, None, None, None, None)
+    assert IterationRecord._fields == ("k", "x", "y", "delta", "n_used", "y_minus", "y_plus")
+    with pytest.raises(AttributeError):
+        rec.x = 1.0
+
+
+# ---------------------------------------------------------------------------
+# Replay of exact repeats, against a driver that calls every step
+# ---------------------------------------------------------------------------
+
+def reference_iterate(step, fx, x0, y0, tolerance, max_iter, prev=None, note=""):
+    """The driver's rule with no replay and the shortcut-free cycle test."""
+    cur = IterationRecord(0, x0, y0)
+    trace = []
+    accepted = []
+    strikes = 0
+    status = Status.MAX_ITERATIONS
+    for _ in range(max_iter):
+        try:
+            x_new, extras = step(cur, prev)
+        except StepError as err:
+            strikes += 1
+            if err.status is not None or strikes >= MAX_CONSECUTIVE_DOMAIN_ERRORS:
+                status = err.status or Status.DIVERGED
+                note = note or str(err)
+                break
+            continue
+
+        y_new = fx(x_new) if math.isfinite(x_new) else None
+        rec = IterationRecord(len(trace) + 1, x_new,
+                              math.nan if y_new is None else y_new, *extras)
+        trace.append(rec)
+        if y_new is None:
+            strikes += 1
+            if not math.isfinite(x_new) or strikes >= MAX_CONSECUTIVE_DOMAIN_ERRORS:
+                status = Status.DIVERGED
+                note = note or f"iterate left the domain at x={x_new!r}"
+                break
+            continue
+        strikes = 0
+
+        if abs(x_new - cur.x) + abs(y_new) < tolerance:
+            return SolveOutcome(Status.CONVERGED, x_new, len(trace), tuple(trace), note)
+        if abs(x_new) > DIVERGENCE_BOUND:
+            status = Status.DIVERGED
+            break
+        accepted.append(x_new)
+        if reference_detect_cycle(accepted):
+            status = Status.OSCILLATING
+            break
+        prev, cur = cur, rec
+
+    return SolveOutcome(status, best_iterate(x0, y0, trace), len(trace), tuple(trace), note)
+
+
+def basin_runs(per_problem, seed):
+    """(problem id, method, start) for seeded starts in [root - 6, root + 6]."""
+    rng = random.Random(seed)
+    for problem in builtin_suite():
+        root = problem.reference_roots[0]
+        for _ in range(per_problem):
+            x0 = rng.uniform(root - 6.0, root + 6.0)
+            for method in SOLVERS:
+                yield problem, method, x0
+
+
+def test_all_methods_match_the_driver_without_replay(monkeypatch):
+    runs = list(basin_runs(per_problem=20, seed=2024))
+    fast = [outcome_digest(SOLVERS[m](p.expression, x0)) for p, m, x0 in runs]
+    monkeypatch.setattr(lsqroots.lsq3, "iterate", reference_iterate)
+    monkeypatch.setattr(lsqroots.baselines, "iterate", reference_iterate)
+    slow = [outcome_digest(SOLVERS[m](p.expression, x0)) for p, m, x0 in runs]
+    mismatched = [(p.id, m, x0) for (p, m, x0), a, b in zip(runs, fast, slow) if a != b]
+    assert not mismatched
+    assert len(runs) == 14 * 20 * 4
+
+
+def test_a_stuck_newton_run_replays_its_fixed_point(monkeypatch):
+    # Newton from -6.0 sits at x = 3.2375629840239215 for about 490 steps
+    f = parse("sin(x) * exp(x) + ln(x^2 + 1)")
+    real = lsqroots.baselines.evaluate
+    calls = []
+
+    def counting(expr, x):
+        calls.append(x)
+        return real(expr, x)
+
+    monkeypatch.setattr(lsqroots.baselines, "evaluate", counting)
+    out = SOLVERS["newton"](f, -6.0)
+    assert out.status is Status.MAX_ITERATIONS
+    assert len(out.trace) == out.iterations == 500
+    assert out.trace[-1].x == 3.2375629840239215
+    assert len(calls) <= 30
+    calls.clear()
+    monkeypatch.setattr(lsqroots.baselines, "iterate", reference_iterate)
+    assert outcome_digest(SOLVERS["newton"](f, -6.0)) == outcome_digest(out)
+    assert len(calls) == 1 + 2 * 500
+
+
+def test_a_state_differing_only_in_the_sign_of_a_zero_is_not_replayed():
+    # Each step flips the sign of the zero in y_minus; nothing else moves.
+    def step(cur, prev):
+        step.calls += 1
+        flip = -math.copysign(0.0, 1.0 if cur.y_minus is None else cur.y_minus)
+        return 2.0, (None, None, flip, None)
+    step.calls = 0
+    out = iterate(step, fx, 2.0, 2.0, 1e-15, 20)
+    assert out.status is Status.MAX_ITERATIONS
+    assert [math.copysign(1.0, rec.y_minus) for rec in out.trace] == [-1.0, 1.0] * 10
+    # (none, start), (start, -0), (-0, +0) and (+0, -0) are new states; from
+    # then on (-0, +0) and (+0, -0) recur exactly and are replayed
+    assert step.calls == 4
+    assert outcome_digest(reference_iterate(step, fx, 2.0, 2.0, 1e-15, 20)) == outcome_digest(out)
+
+
+def test_strikes_are_never_replayed():
+    # a pure step that strikes from the start: each strike is computed afresh
+    for move in (-1.0, StepError("no step")):
+        def step(cur, prev):
+            step.calls += 1
+            if isinstance(move, Exception):
+                raise move
+            return move, ()
+        step.calls = 0
+        out = run(step, max_iter=10)
+        assert out.status is Status.DIVERGED
+        assert step.calls == MAX_CONSECUTIVE_DOMAIN_ERRORS
+
+
+def pure_table_step(seed):
+    """A pure step: its move is drawn from a seeded table keyed by the bits
+    of every field of (cur, prev) but k, so +0.0 and -0.0 lead apart."""
+    moves = [0.0, -0.0, 1.0, 2.0, 3.0, 3.0, 2.5, -1.0, StepError("no step")]
+    zeros = [0.0, -0.0, None]
+
+    def step(cur, prev):
+        step.calls += 1
+        fields = cur[1:] + (() if prev is None else prev[1:])
+        rng = random.Random(f"{seed}:" + ",".join(map(_bits, fields)))
+        move = rng.choice(moves)
+        if isinstance(move, Exception):
+            raise move
+        return move, (None, None, rng.choice(zeros), None)
+    step.calls = 0
+    return step
+
+
+def test_pure_steps_on_a_small_state_space_match_the_driver_without_replay():
+    statuses = set()
+    calls = {iterate: 0, reference_iterate: 0}
+    for seed in range(300):
+        x0 = [0.0, -0.0, 2.0][seed % 3]
+        outs = {}
+        for driver in calls:
+            step = pure_table_step(seed)
+            outs[driver] = driver(step, fx, x0, fx(x0), 1e-15, 60)
+            calls[driver] += step.calls
+        assert outcome_digest(outs[iterate]) == outcome_digest(outs[reference_iterate]), seed
+        statuses.add(outs[iterate].status)
+    assert statuses == {Status.CONVERGED, Status.OSCILLATING, Status.DIVERGED,
+                        Status.MAX_ITERATIONS}
+    assert calls[iterate] < calls[reference_iterate]
