@@ -52,7 +52,7 @@ def _build_parser() -> _Parser:
                            help="second start (secant only; default x0 + 0.1)")
         p.add_argument("--method", required=True,
                        choices=("newton", "secant", "lsq3"))
-        p.add_argument("--n", default="fixed:1",
+        p.add_argument("--n", default=None,
                        help="lsq3 power: 'variable' or 'fixed:<real>' (default fixed:1)")
         p.add_argument("--delta0", type=float, default=None,
                        help="initial probe spacing for lsq3 (default 0.1)")
@@ -105,13 +105,13 @@ def _run_solver(args) -> SolveOutcome:
     x1 = getattr(args, "x1", None)
     if x1 is not None and args.method != "secant":
         raise _UsageError("lsqroots: --x1 applies to --method secant only")
-    if args.method != "lsq3" and args.n != "fixed:1":
+    if args.method != "lsq3" and args.n is not None:
         raise _UsageError("lsqroots: --n applies to --method lsq3 only")
     if args.method != "lsq3" and args.delta0 is not None:
         raise _UsageError("lsqroots: --delta0 applies to --method lsq3 only")
     try:
         if args.method == "lsq3":
-            mode, n_value = _parse_power(args.n)
+            mode, n_value = _parse_power("fixed:1" if args.n is None else args.n)
             delta0 = SolverConfig.delta0 if args.delta0 is None else args.delta0
             config = SolverConfig(mode=mode, n_value=n_value, delta0=delta0,
                                   tolerance=args.tol, max_iter=args.max_iter)
@@ -157,8 +157,8 @@ def _cmd_rate(args, out) -> int:
 
 
 def _cmd_bench(args) -> int:
-    report = run_benchmark(builtin_suite())
-    text = emit_report(report, args.format)
+    suite = builtin_suite()
+    text = emit_report(run_benchmark(suite), args.format, suite)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)

@@ -9,7 +9,10 @@ like-for-like by construction.
 A step is a pure function of the last two accepted records (every field
 but ``k``), so when that pair recurs bit for bit the driver replays the
 step it took then instead of recomputing it: a stuck run's trace is
-unchanged but costs far fewer evaluations.  Records are immutable
+unchanged but costs far fewer evaluations.  From that recurrence on the
+run is periodic, so after :data:`CHECKED_REPLAYS` checked passes, when no
+check can end it any more, the driver writes the rest of the trace as
+copies of the record one period back.  Records are immutable
 :class:`IterationRecord` named tuples.
 """
 
@@ -87,6 +90,20 @@ CYCLE_MIN_DIAMETER = 1e-3
 
 MAX_CONSECUTIVE_DOMAIN_ERRORS = 3
 DIVERGENCE_BOUND = 1e12
+
+# Passes, the first replay included, that :func:`iterate` still checks once
+# a state recurs.  Say the state made trace[first] and recurs at
+# len(trace) == first + p: trace[t] then repeats trace[t - p] for every
+# t >= first + p, and the run has had no strikes, so the accepted iterates
+# are the trace's x values.  detect_cycle is False on fewer than
+# CYCLE_MIN_INDEX iterates and otherwise reads only the last
+# 2 * CYCLE_MAX_PERIOD, so from length
+# N0 = max(CYCLE_MIN_INDEX, first + 2 * CYCLE_MAX_PERIOD) on, its verdict
+# repeats with period p: once lengths N0 .. N0 + p - 1 pass, none later can
+# fire.  N0 + p - 1 is at most first + p + CHECKED_REPLAYS.  A repeated
+# record meets the stopping rule and the bound with the values that the
+# record it repeats passed.
+CHECKED_REPLAYS = max(CYCLE_MIN_INDEX, 2 * CYCLE_MAX_PERIOD) - 1
 
 
 class StepError(Exception):
@@ -181,15 +198,27 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     ``step`` nor ``fx``; the replayed record goes through every check
     below and into the trace like a computed one.  Only accepted steps are
     replayed: a strike is recomputed.
+
+    A strike repeats exactly, so a run that strikes never accepts again: a
+    run that reaches a recurring state has had no strikes, and every
+    record since the state first occurred was accepted.  With ``p`` the
+    distance from the record the state first produced, every later record
+    equals the one ``p`` before it.  After :data:`CHECKED_REPLAYS` checked
+    passes no check can end the run (the argument is at that constant),
+    so the rest of the ``max_iter`` passes are written as copies of the
+    record ``p`` back, and the run ends max-iterations with the best
+    iterate of the records before the copies.
     """
     cur = IterationRecord(0, x0, y0)
     trace: list[IterationRecord] = []
     accepted: list[float] = []
-    # cur.x -> [(prev, cur, (x_new, extras, y_new))] of the accepted steps
+    # cur.x -> [(prev, cur, (x_new, extras, y_new, trace index of its record))]
+    # of the accepted steps
     seen: dict[float, list] = {}
     strikes = 0
+    period = fill_at = 0
     status = Status.MAX_ITERATIONS
-    for _ in range(max_iter):
+    for passes in range(1, max_iter + 1):
         replayed = None
         for seen_prev, seen_cur, result in seen.get(cur.x, ()):
             if _same_fields(seen_cur, cur) and _same_fields(seen_prev, prev):
@@ -207,7 +236,10 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
                 continue
             y_new = fx(x_new) if math.isfinite(x_new) else None
         else:
-            x_new, extras, y_new = replayed
+            x_new, extras, y_new, first = replayed
+            if not period:
+                period = len(trace) - first
+                fill_at = len(trace) + CHECKED_REPLAYS
 
         rec = IterationRecord(len(trace) + 1, x_new,
                               math.nan if y_new is None else y_new, *extras)
@@ -230,8 +262,18 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
         if detect_cycle(accepted):
             status = Status.OSCILLATING
             break
+        if len(trace) == fill_at:
+            # No check can end the run from here on (see CHECKED_REPLAYS):
+            # write the rest of the pass budget as copies of the record one
+            # period back.  A copy is never strictly better than the record
+            # it copies, so the best iterate is already in the trace.
+            root = best_iterate(x0, y0, trace)
+            for _ in range(max_iter - passes):
+                trace.append(IterationRecord(len(trace) + 1, *trace[-period][1:]))
+            return SolveOutcome(Status.MAX_ITERATIONS, root, len(trace), tuple(trace), note)
         if replayed is None:
-            seen.setdefault(cur.x, []).append((prev, cur, (x_new, extras, y_new)))
+            seen.setdefault(cur.x, []).append(
+                (prev, cur, (x_new, extras, y_new, len(trace) - 1)))
         prev, cur = cur, rec
 
     return SolveOutcome(status, best_iterate(x0, y0, trace), len(trace), tuple(trace), note)

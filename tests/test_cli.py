@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import pytest
 
+import lsqroots.bench
+import lsqroots.cli
 from lsqroots.cli import main
 
 
@@ -113,6 +117,29 @@ def test_delta0_rejected_for_baselines(capsys, command, method, delta0):
     assert err == "lsqroots: --delta0 applies to --method lsq3 only\n"
 
 
+@pytest.mark.parametrize("method", ["newton", "secant"])
+@pytest.mark.parametrize("command", ["solve", "rate"])
+@pytest.mark.parametrize("n", ["fixed:1", "fixed:1.0", "variable"])
+def test_n_rejected_for_baselines(capsys, command, method, n):
+    # "fixed:1" is lsq3's default power, but given to a baseline it is
+    # still a flag that does not apply
+    code, out, err = run_cli(
+        capsys, command, "--expr", "x - 1", "--x0", "3",
+        "--method", method, "--n", n,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "lsqroots: --n applies to --method lsq3 only\n"
+
+
+def test_lsq3_power_defaults_to_fixed_one(capsys):
+    argv = ("solve", "--expr", "x^3 - 2*x - 5", "--x0", "3", "--method", "lsq3", "--trace")
+    code, default, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, "--n", "fixed:1") == (0, default, "")
+    assert default.splitlines()[1].split(",")[4] == "1"
+
+
 def test_fncurve_argmin_near_two(capsys):
     code, out, _ = run_cli(
         capsys, "fncurve", "--E", "1e-22", "--from", "1", "--to", "4", "--step", "0.01",
@@ -161,6 +188,23 @@ def test_bench_markdown_to_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert "### cubic-poly" in target.read_text()
+
+
+@pytest.mark.parametrize("fmt, name", [("csv", "bench.csv"), ("markdown", "bench.md")])
+def test_bench_builds_the_suite_once_and_prints_the_golden_report(monkeypatch, capsys, fmt, name):
+    real = lsqroots.bench.builtin_suite
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(lsqroots.bench, "builtin_suite", counting)
+    monkeypatch.setattr(lsqroots.cli, "builtin_suite", counting)
+    code, out, err = run_cli(capsys, "bench", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out.encode() == (Path(__file__).parent / "golden" / name).read_bytes()
+    assert len(builds) == 1
 
 
 def test_timing_goes_to_stderr_only(capsys):

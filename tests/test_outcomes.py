@@ -6,7 +6,8 @@ without replay.
 match first and span second, with no shortcut; ``detect_cycle`` must give
 the same verdict on every sequence.  ``reference_iterate`` calls the step
 for every iteration; ``iterate``, which replays exact repeats, must give
-the same outcome, trace included, bit for bit.
+the same outcome, trace included, bit for bit, also where it writes the
+tail of a periodic run without checking it.
 """
 
 import math
@@ -18,9 +19,13 @@ from hypothesis import strategies as st
 
 import lsqroots.baselines
 import lsqroots.lsq3
+import lsqroots.outcomes
+from lsqroots.baselines import BaselineConfig, solve_baseline
 from lsqroots.bench import SOLVERS, builtin_suite
 from lsqroots.expressions import parse
+from lsqroots.lsq3 import SolverConfig, solve
 from lsqroots.outcomes import (
+    CHECKED_REPLAYS,
     CYCLE_MATCH_RTOL,
     CYCLE_MAX_PERIOD,
     CYCLE_MIN_DIAMETER,
@@ -348,33 +353,60 @@ def basin_runs(per_problem, seed):
                 yield problem, method, x0
 
 
+def solvers_with_max_iter(max_iter):
+    """The method table with every config spelt out, at ``max_iter``."""
+    baseline = BaselineConfig(max_iter=max_iter)
+    fixed = SolverConfig(mode="fixed", n_value=1.0, max_iter=max_iter)
+    variable = SolverConfig(mode="variable", max_iter=max_iter)
+    return {
+        "newton": lambda f, x0: solve_baseline("newton", f, x0, None, baseline),
+        "secant": lambda f, x0: solve_baseline("secant", f, x0, None, baseline),
+        "lsq3-fixed": lambda f, x0: solve(f, x0, fixed),
+        "lsq3-variable": lambda f, x0: solve(f, x0, variable),
+    }
+
+
 def test_all_methods_match_the_driver_without_replay(monkeypatch):
-    runs = list(basin_runs(per_problem=20, seed=2024))
-    fast = [outcome_digest(SOLVERS[m](p.expression, x0)) for p, m, x0 in runs]
+    tables = {max_iter: solvers_with_max_iter(max_iter) for max_iter in (9, 37, 500)}
+    assert all(table.keys() == SOLVERS.keys() for table in tables.values())
+    runs = [(max_iter, p, m, x0) for max_iter in tables
+            for p, m, x0 in basin_runs(per_problem=20, seed=2024)]
+    fast = [outcome_digest(tables[n][m](p.expression, x0)) for n, p, m, x0 in runs]
     monkeypatch.setattr(lsqroots.lsq3, "iterate", reference_iterate)
     monkeypatch.setattr(lsqroots.baselines, "iterate", reference_iterate)
-    slow = [outcome_digest(SOLVERS[m](p.expression, x0)) for p, m, x0 in runs]
-    mismatched = [(p.id, m, x0) for (p, m, x0), a, b in zip(runs, fast, slow) if a != b]
+    slow = [outcome_digest(tables[n][m](p.expression, x0)) for n, p, m, x0 in runs]
+    mismatched = [(n, p.id, m, x0) for (n, p, m, x0), a, b in zip(runs, fast, slow) if a != b]
     assert not mismatched
-    assert len(runs) == 14 * 20 * 4
+    assert len(runs) == 3 * 14 * 20 * 4
 
 
 def test_a_stuck_newton_run_replays_its_fixed_point(monkeypatch):
-    # Newton from -6.0 sits at x = 3.2375629840239215 for about 490 steps
+    # Newton from -6.0 sits at x = 3.2375629840239215 for about 490 steps:
+    # replay saves the evaluations, the fill after the checked replays
+    # saves the cycle tests
     f = parse("sin(x) * exp(x) + ln(x^2 + 1)")
     real = lsqroots.baselines.evaluate
+    real_detect_cycle = lsqroots.outcomes.detect_cycle
     calls = []
+    cycle_tests = []
 
     def counting(expr, x):
         calls.append(x)
         return real(expr, x)
 
+    def counting_detect_cycle(xs):
+        cycle_tests.append(len(xs))
+        return real_detect_cycle(xs)
+
     monkeypatch.setattr(lsqroots.baselines, "evaluate", counting)
+    monkeypatch.setattr(lsqroots.outcomes, "detect_cycle", counting_detect_cycle)
     out = SOLVERS["newton"](f, -6.0)
     assert out.status is Status.MAX_ITERATIONS
     assert len(out.trace) == out.iterations == 500
     assert out.trace[-1].x == 3.2375629840239215
     assert len(calls) <= 30
+    assert len(cycle_tests) <= 30
+    assert cycle_tests == list(range(1, len(cycle_tests) + 1))
     calls.clear()
     monkeypatch.setattr(lsqroots.baselines, "iterate", reference_iterate)
     assert outcome_digest(SOLVERS["newton"](f, -6.0)) == outcome_digest(out)
@@ -444,3 +476,100 @@ def test_pure_steps_on_a_small_state_space_match_the_driver_without_replay():
     assert statuses == {Status.CONVERGED, Status.OSCILLATING, Status.DIVERGED,
                         Status.MAX_ITERATIONS}
     assert calls[iterate] < calls[reference_iterate]
+
+
+# ---------------------------------------------------------------------------
+# Fast-forward of a periodic run, against the driver without replay
+# ---------------------------------------------------------------------------
+
+def periodic_step(prefix, cycle):
+    """A pure step that plays ``prefix`` once, then ``cycle`` for ever.
+
+    Each record carries its position in the plan as ``delta``, so a state
+    recurs when the plan does, not merely when an x value does: a cycle
+    may repeat x values within its period.  The first state to recur is
+    the cycle's first two records, and the pass that replays it appends
+    ``trace[len(prefix) + p + 2]``.
+    """
+    plan = list(prefix) + list(cycle)
+
+    def step(cur, prev):
+        step.calls += 1
+        pos = 0 if cur.delta is None else int(cur.delta) + 1
+        if pos == len(plan):
+            pos = len(prefix)
+        return plan[pos], (float(pos), None, None, None)
+    step.calls = 0
+    return step
+
+
+def test_periodic_runs_match_the_driver_without_replay():
+    rng = random.Random("fast-forward")
+    seen = set()
+    roots = set()
+    calls = {iterate: 0, reference_iterate: 0}
+    for period in range(1, 31):
+        for _ in range(4):
+            prefix = [rng.uniform(1.0, 10.0) for _ in range(rng.randint(0, 6))]
+            span = rng.choice([0.1 * CYCLE_MIN_DIAMETER, 0.9 * CYCLE_MIN_DIAMETER, 0.5, 3.0])
+            base = rng.uniform(1.0, 5.0)
+            if rng.random() < 0.5:
+                # a small alphabet: shorter repeats within the period, so the
+                # oscillation verdict can fire on some phases only
+                alphabet = [base + span * rng.random() for _ in range(3)]
+                cycle = [rng.choice(alphabet) for _ in range(period)]
+            else:
+                cycle = [base + span * rng.random() for _ in range(period)]
+            replay_pass = len(prefix) + period + 3
+            budgets = {1, 60, 200} | {replay_pass + d for d in range(-2, CHECKED_REPLAYS + 3)}
+            for max_iter in sorted(budgets):
+                outs = {}
+                for driver in calls:
+                    step = periodic_step(prefix, cycle)
+                    outs[driver] = driver(step, fx, 20.0, 20.0, 1e-15, max_iter)
+                    calls[driver] += step.calls
+                out = outs[iterate]
+                assert outcome_digest(out) == outcome_digest(outs[reference_iterate]), \
+                    (prefix, cycle, max_iter)
+                roots.add(out.root in cycle)
+                if out.status is Status.OSCILLATING:
+                    seen.add(("oscillating", out.iterations >= replay_pass, period <= 4))
+                else:
+                    assert out.status is Status.MAX_ITERATIONS
+                    seen.add(("max-iterations", max_iter > replay_pass + CHECKED_REPLAYS))
+    # verdicts before the recurrence and after it, on short and long periods,
+    # and filled tails
+    assert {("oscillating", False, True), ("oscillating", True, True),
+            ("oscillating", True, False), ("max-iterations", True),
+            ("max-iterations", False)} <= seen
+    # the best iterate lies in the cycle on some runs, before it on others
+    assert roots == {False, True}
+    assert calls[iterate] < calls[reference_iterate]
+
+
+def test_a_verdict_on_the_last_checked_replay_still_fires():
+    # Period 9 through the start state itself, so the first recurrence is
+    # at len(trace) == 9.  The only period-2 window, a b a b, ends at the
+    # 7th iterate, below CYCLE_MIN_INDEX, and next at the 16th: the last
+    # pass the driver checks before it would fill.
+    a, b = 2.0, 3.0
+    head = [5.0, 6.0, 7.0, a, b, a, b]
+    c4, c5 = 8.0, 9.0
+
+    def step(cur, prev):
+        if cur.delta is None:          # the untagged records c4 and c5
+            return (c5, ()) if cur.x == c4 else (head[0], (0.0, None, None, None))
+        pos = int(cur.delta) + 1
+        if pos == len(head):
+            return c4, ()
+        return head[pos], (float(pos), None, None, None)
+
+    start = IterationRecord(0, c4, fx(c4))
+    assert CYCLE_MIN_INDEX + 9 - 1 == 9 + CHECKED_REPLAYS
+    for max_iter in (15, 16, 17, 500):
+        out = iterate(step, fx, c5, fx(c5), 1e-15, max_iter, prev=start)
+        ref = reference_iterate(step, fx, c5, fx(c5), 1e-15, max_iter, prev=start)
+        assert outcome_digest(out) == outcome_digest(ref)
+        assert out.status is (Status.MAX_ITERATIONS if max_iter < 16 else Status.OSCILLATING)
+        assert out.iterations == min(max_iter, 16)
+
