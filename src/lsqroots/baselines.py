@@ -77,7 +77,7 @@ def solve_baseline(method: str, f: Expr, x0: float,
 
     y0 = evaluate(f, x0)
     if y0 is None:
-        return SolveOutcome(Status.DOMAIN_ERROR, x0, 0, (), note="f undefined at starting point")
+        return SolveOutcome(Status.DOMAIN_ERROR, x0, (), note="f undefined at starting point")
 
     note = ""
     prev = None
@@ -95,7 +95,7 @@ def solve_baseline(method: str, f: Expr, x0: float,
             note = f"secant second start defaulted to x1={x1!r}"
         y1 = evaluate(f, x1)
         if y1 is None:
-            return SolveOutcome(Status.DOMAIN_ERROR, x0, 0, (),
+            return SolveOutcome(Status.DOMAIN_ERROR, x0, (),
                                 note=f"f undefined at second start x1={x1!r}")
         prev = IterationRecord(0, x0, y0)
         x0, y0 = x1, y1

@@ -44,12 +44,11 @@ def _build_parser() -> _Parser:
                         help="print wall time to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_solver_flags(p, with_x1: bool):
+    def add_solver_flags(p):
         p.add_argument("--expr", required=True, help="expression in x")
         p.add_argument("--x0", required=True, type=float, help="starting point")
-        if with_x1:
-            p.add_argument("--x1", type=float, default=None,
-                           help="second start (secant only; default x0 + 0.1)")
+        p.add_argument("--x1", type=float, default=None,
+                       help="second start (secant only; default x0 + 0.1)")
         p.add_argument("--method", required=True,
                        choices=("newton", "secant", "lsq3"))
         p.add_argument("--n", default=None,
@@ -60,7 +59,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--max-iter", type=int, default=500)
 
     p_solve = sub.add_parser("solve", help="find one root")
-    add_solver_flags(p_solve, with_x1=True)
+    add_solver_flags(p_solve)
     p_solve.add_argument("--trace", action="store_true",
                          help="print one line per iteration record")
 
@@ -69,7 +68,7 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--out", default=None, help="write to file instead of stdout")
 
     p_rate = sub.add_parser("rate", help="per-step convergence rates of one run")
-    add_solver_flags(p_rate, with_x1=True)
+    add_solver_flags(p_rate)
     p_rate.add_argument("--root", type=float, default=None,
                         help="reference root (default: the root found)")
 
@@ -102,8 +101,7 @@ def _run_solver(args) -> SolveOutcome:
         raise _UsageError(f"lsqroots: bad --expr: {err}")
     if not math.isfinite(args.x0):
         raise _UsageError(f"lsqroots: --x0 must be finite, got {args.x0!r}")
-    x1 = getattr(args, "x1", None)
-    if x1 is not None and args.method != "secant":
+    if args.x1 is not None and args.method != "secant":
         raise _UsageError("lsqroots: --x1 applies to --method secant only")
     if args.method != "lsq3" and args.n is not None:
         raise _UsageError("lsqroots: --n applies to --method lsq3 only")
@@ -121,7 +119,7 @@ def _run_solver(args) -> SolveOutcome:
         raise _UsageError(f"lsqroots: bad solver flags: {err}") from None
     if args.method == "lsq3":
         return solve(expr, args.x0, config)
-    return solve_baseline(args.method, expr, args.x0, x1, config)
+    return solve_baseline(args.method, expr, args.x0, args.x1, config)
 
 
 def _cmd_solve(args, out) -> int:

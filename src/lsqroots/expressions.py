@@ -531,10 +531,11 @@ def differentiate(e: Expr) -> Expr:
 def render(e: Expr) -> str:
     """Unambiguous text form; parse(render(e)) evaluates identically to e."""
     if isinstance(e, Constant):
-        v = e.value
-        if v == int(v) and abs(v) < 1e16:
-            return str(int(v))
-        return repr(v)
+        # The grammar has no negative literals: a set sign bit (-0.0
+        # included) renders as a parenthesised unary minus.
+        v = abs(e.value)
+        text = str(int(v)) if v == int(v) and v < 1e16 else repr(v)
+        return f"(-{text})" if math.copysign(1.0, e.value) < 0.0 else text
     if isinstance(e, Variable):
         return "x"
     if isinstance(e, Unary):

@@ -121,17 +121,21 @@ def estimate_power(y_minus: float, y0: float, y_plus: float, delta: float) -> fl
     cautious steps, respectively a deliberate step reversal), while the
     band in between and anything outside the clamp range falls back to
     the straight-line fit N = 1.  Degenerate data (vanishing
-    denominator, non-finite values, second difference below the
-    cancellation noise of the samples) also falls back to 1.
+    denominator, a ``delta`` whose square underflows, non-finite values,
+    second difference below the cancellation noise of the samples) also
+    falls back to 1.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
+    dd = delta * delta
+    if dd == 0.0:               # delta below ~1.5e-162 squares to zero
+        return 1.0
     s = (y_plus - y_minus) / (2.0 * delta)
-    d2 = (y_minus - 2.0 * y0 + y_plus) / (delta * delta)
+    d2 = (y_minus - 2.0 * y0 + y_plus) / dd
     # Central second differences below the cancellation floor of the three
     # samples carry no information; treating them as zero keeps the
     # straight-line answer exact on straight lines.
-    noise = 4.0 * _EPS * max(abs(y_minus), abs(y0), abs(y_plus)) / (delta * delta)
+    noise = 4.0 * _EPS * max(abs(y_minus), abs(y0), abs(y_plus)) / dd
     if abs(d2) <= noise:
         d2 = 0.0
     s2 = s * s
@@ -220,7 +224,7 @@ def solve(f: Expr, x0: float, config: Optional[SolverConfig] = None) -> SolveOut
         raise ValueError("x0 must be finite")
     y0 = evaluate(f, x0)
     if y0 is None:
-        return SolveOutcome(Status.DOMAIN_ERROR, x0, 0, (), note="f undefined at starting point")
+        return SolveOutcome(Status.DOMAIN_ERROR, x0, (), note="f undefined at starting point")
 
     variable = config.mode == "variable"
     ratio = _DELTA_SCALE_RATIO_VARIABLE if variable else _DELTA_SCALE_RATIO_FIXED

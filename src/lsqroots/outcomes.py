@@ -7,12 +7,9 @@ through the same :class:`SolveOutcome`: benchmark comparisons are
 like-for-like by construction.
 
 A step is a pure function of the last two accepted records (every field
-but ``k``), so when that pair recurs bit for bit the driver replays the
-step it took then instead of recomputing it: a stuck run's trace is
-unchanged but costs far fewer evaluations.  From that recurrence on the
-run is periodic, so after :data:`CHECKED_REPLAYS` checked passes, when no
-check can end it any more, the driver writes the rest of the trace as
-copies of the record one period back.  Records are immutable
+but ``k``), so once that pair recurs bit for bit the run is periodic: the
+driver writes the rest of the trace as copies of the record one period
+back instead of computing it.  Records are immutable
 :class:`IterationRecord` named tuples.
 """
 
@@ -67,9 +64,12 @@ class IterationRecord(NamedTuple):
 class SolveOutcome:
     status: Status
     root: float
-    iterations: int
     trace: Tuple[IterationRecord, ...]
     note: str = ""
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
     @property
     def converged(self) -> bool:
@@ -91,18 +91,17 @@ CYCLE_MIN_DIAMETER = 1e-3
 MAX_CONSECUTIVE_DOMAIN_ERRORS = 3
 DIVERGENCE_BOUND = 1e12
 
-# Passes, the first replay included, that :func:`iterate` still checks once
-# a state recurs.  Say the state made trace[first] and recurs at
-# len(trace) == first + p: trace[t] then repeats trace[t - p] for every
-# t >= first + p, and the run has had no strikes, so the accepted iterates
-# are the trace's x values.  detect_cycle is False on fewer than
-# CYCLE_MIN_INDEX iterates and otherwise reads only the last
-# 2 * CYCLE_MAX_PERIOD, so from length
+# Copies that :func:`iterate` still checks once a state recurs.  Say the
+# state made trace[first] and recurs at len(trace) == first + p: the copy
+# appended at length t repeats trace[t - p], and the run has had no
+# strikes, so the accepted iterates are the trace's x values.  detect_cycle
+# is False on fewer than CYCLE_MIN_INDEX iterates and otherwise reads only
+# the last 2 * CYCLE_MAX_PERIOD, so from length
 # N0 = max(CYCLE_MIN_INDEX, first + 2 * CYCLE_MAX_PERIOD) on, its verdict
 # repeats with period p: once lengths N0 .. N0 + p - 1 pass, none later can
-# fire.  N0 + p - 1 is at most first + p + CHECKED_REPLAYS.  A repeated
-# record meets the stopping rule and the bound with the values that the
-# record it repeats passed.
+# fire.  N0 + p - 1 is at most first + p + CHECKED_REPLAYS.  A copy meets
+# the stopping rule and the bound with the values that the record it
+# copies passed, so neither is tested on a copy.
 CHECKED_REPLAYS = max(CYCLE_MIN_INDEX, 2 * CYCLE_MAX_PERIOD) - 1
 
 
@@ -192,54 +191,49 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     classifies it, unless ``note`` was already set.
 
     Contract: ``step`` and ``fx`` are pure, so a step's result depends only
-    on the fields of ``cur`` and ``prev`` other than ``k``.  When a state
-    ``(prev, cur)`` recurs bit for bit, the driver replays the iterate, the
-    extras and f's value that followed it the first time, calling neither
-    ``step`` nor ``fx``; the replayed record goes through every check
-    below and into the trace like a computed one.  Only accepted steps are
-    replayed: a strike is recomputed.
-
-    A strike repeats exactly, so a run that strikes never accepts again: a
-    run that reaches a recurring state has had no strikes, and every
-    record since the state first occurred was accepted.  With ``p`` the
-    distance from the record the state first produced, every later record
-    equals the one ``p`` before it.  After :data:`CHECKED_REPLAYS` checked
-    passes no check can end the run (the argument is at that constant),
-    so the rest of the ``max_iter`` passes are written as copies of the
-    record ``p`` back, and the run ends max-iterations with the best
-    iterate of the records before the copies.
+    on the fields of ``cur`` and ``prev`` other than ``k``.  A strike then
+    repeats exactly, so a run that strikes never accepts again, and a run
+    whose state ``(prev, cur)`` recurs bit for bit has had no strikes.
+    With ``p`` the distance from the record the state first produced, every
+    later record equals the one ``p`` before it.  So at the first
+    recurrence the driver stops calling ``step`` and ``fx`` and writes the
+    rest of the ``max_iter`` passes as copies of the record ``p`` back.
+    Only the cycle test can end the run on a copy, and only on the first
+    :data:`CHECKED_REPLAYS` (the argument is at that constant); if it does
+    not, the run ends max-iterations.  A copy is never strictly better than
+    the record it copies, so the best iterate comes from before the copies.
     """
     cur = IterationRecord(0, x0, y0)
     trace: list[IterationRecord] = []
     accepted: list[float] = []
-    # cur.x -> [(prev, cur, (x_new, extras, y_new, trace index of its record))]
+    # cur.x -> [(prev, cur, trace index of the record the state produced)]
     # of the accepted steps
     seen: dict[float, list] = {}
     strikes = 0
-    period = fill_at = 0
     status = Status.MAX_ITERATIONS
     for passes in range(1, max_iter + 1):
-        replayed = None
-        for seen_prev, seen_cur, result in seen.get(cur.x, ()):
+        for seen_prev, seen_cur, first in seen.get(cur.x, ()):
             if _same_fields(seen_cur, cur) and _same_fields(seen_prev, prev):
-                replayed = result
-                break
-        if replayed is None:
-            try:
-                x_new, extras = step(cur, prev)
-            except StepError as err:
-                strikes += 1
-                if err.status is not None or strikes >= MAX_CONSECUTIVE_DOMAIN_ERRORS:
-                    status = err.status or Status.DIVERGED
-                    note = note or str(err)
-                    break
-                continue
-            y_new = fx(x_new) if math.isfinite(x_new) else None
-        else:
-            x_new, extras, y_new, first = replayed
-            if not period:
+                # The periodic tail (see the docstring).
                 period = len(trace) - first
-                fill_at = len(trace) + CHECKED_REPLAYS
+                root = best_iterate(x0, y0, trace)
+                for copy in range(max_iter - passes + 1):
+                    trace.append(IterationRecord(len(trace) + 1, *trace[-period][1:]))
+                    if copy < CHECKED_REPLAYS:
+                        accepted.append(trace[-1].x)
+                        if detect_cycle(accepted):
+                            return SolveOutcome(Status.OSCILLATING, root, tuple(trace), note)
+                return SolveOutcome(Status.MAX_ITERATIONS, root, tuple(trace), note)
+        try:
+            x_new, extras = step(cur, prev)
+        except StepError as err:
+            strikes += 1
+            if err.status is not None or strikes >= MAX_CONSECUTIVE_DOMAIN_ERRORS:
+                status = err.status or Status.DIVERGED
+                note = note or str(err)
+                break
+            continue
+        y_new = fx(x_new) if math.isfinite(x_new) else None
 
         rec = IterationRecord(len(trace) + 1, x_new,
                               math.nan if y_new is None else y_new, *extras)
@@ -254,7 +248,7 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
         strikes = 0
 
         if abs(x_new - cur.x) + abs(y_new) < tolerance:
-            return SolveOutcome(Status.CONVERGED, x_new, len(trace), tuple(trace), note)
+            return SolveOutcome(Status.CONVERGED, x_new, tuple(trace), note)
         if abs(x_new) > DIVERGENCE_BOUND:
             status = Status.DIVERGED
             break
@@ -262,18 +256,7 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
         if detect_cycle(accepted):
             status = Status.OSCILLATING
             break
-        if len(trace) == fill_at:
-            # No check can end the run from here on (see CHECKED_REPLAYS):
-            # write the rest of the pass budget as copies of the record one
-            # period back.  A copy is never strictly better than the record
-            # it copies, so the best iterate is already in the trace.
-            root = best_iterate(x0, y0, trace)
-            for _ in range(max_iter - passes):
-                trace.append(IterationRecord(len(trace) + 1, *trace[-period][1:]))
-            return SolveOutcome(Status.MAX_ITERATIONS, root, len(trace), tuple(trace), note)
-        if replayed is None:
-            seen.setdefault(cur.x, []).append(
-                (prev, cur, (x_new, extras, y_new, len(trace) - 1)))
+        seen.setdefault(cur.x, []).append((prev, cur, len(trace) - 1))
         prev, cur = cur, rec
 
-    return SolveOutcome(status, best_iterate(x0, y0, trace), len(trace), tuple(trace), note)
+    return SolveOutcome(status, best_iterate(x0, y0, trace), tuple(trace), note)

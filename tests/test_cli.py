@@ -63,6 +63,18 @@ def test_solve_outcome_statuses_exit_zero(capsys):
     assert "status diverged" in out
 
 
+@pytest.mark.parametrize("expr, x0", [
+    ("x*1e259", "1"), ("x*1e259", "-3"), ("x/1e-300", "1"), ("1e300*x", "-3"),
+])
+def test_variable_power_on_a_steep_line_exits_cleanly(capsys, expr, x0):
+    # the probe spacing shrinks until its square underflows to zero
+    code, out, _ = run_cli(
+        capsys, "solve", "--expr", expr, "--x0", x0, "--method", "lsq3", "--n", "variable",
+    )
+    assert code == 0
+    assert any(line.startswith("status ") for line in out.splitlines())
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, out, err = run_cli(
         capsys, "solve", "--expr", "x", "--x0", "1", "--method", "newton", "--bogus",

@@ -27,6 +27,7 @@ from lsqroots.expressions import (
     differentiate,
     evaluate,
     parse,
+    render,
 )
 
 
@@ -143,6 +144,9 @@ points = st.lists(st.one_of(numbers, st.sampled_from([math.inf, -math.inf, math.
 def test_random_trees_match_reference(e, xs):
     assert_parity(e, xs)
     assert_parity(differentiate(e), xs)
+    again = parse(render(e))
+    for x in xs:
+        assert bits(evaluate(again, x)) == bits(reference_evaluate(e, x)), (render(e), x)
 
 
 def test_suite_expressions_and_derivatives_match_reference():

@@ -248,6 +248,16 @@ def test_render_constant():
     assert render(Constant(2.0)) == "2"
 
 
+def test_render_keeps_the_sign_of_a_negative_constant():
+    # "-2 ^ x" would parse as -(2^x)
+    e = Binary("^", Constant(-2.0), Variable())
+    assert render(e) == "((-2) ^ x)"
+    assert evaluate(parse(render(e)), 2.0) == evaluate(e, 2.0) == 4.0
+    zero = evaluate(parse(render(Constant(-0.0))), 1.0)
+    assert zero == 0.0 and math.copysign(1.0, zero) == -1.0
+    assert render(Constant(-2.5)) == "(-2.5)"
+
+
 def test_render_binary():
     assert render(Binary("+", Variable(), Constant(1.0))) == "(x + 1)"
 

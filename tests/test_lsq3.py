@@ -134,6 +134,18 @@ def test_power_falls_back_to_one_when_value_is_zero():
     assert estimate_power(-0.1, 0.0, 0.1, 0.1) == 1.0
 
 
+def test_power_falls_back_to_one_when_delta_squared_underflows():
+    # below ~1.5e-162 delta * delta is 0.0; the power must not divide by it
+    for delta in (1e-170, 1.5e-162, 5e-324):
+        assert delta * delta == 0.0
+        assert estimate_power(-1.0, 0.5, 3.0, delta) == 1.0
+    # just above the underflow the square is a subnormal and the
+    # straight-line answer still holds
+    delta = 1e-161
+    assert delta * delta != 0.0
+    assert estimate_power(-1.0, 0.0, 1.0, delta) == 1.0
+
+
 def test_power_approaches_three_on_cubics():
     delta = 1e-4
     f = lambda t: (t - 0.5) ** 3

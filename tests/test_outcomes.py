@@ -1,13 +1,12 @@
 """``detect_cycle`` against a direct statement of its rule, and the
 iteration driver ``iterate`` on scripted steps and against a driver
-without replay.
+without the periodic tail.
 
 ``reference_detect_cycle`` checks every period's full window, pairwise
 match first and span second, with no shortcut; ``detect_cycle`` must give
 the same verdict on every sequence.  ``reference_iterate`` calls the step
-for every iteration; ``iterate``, which replays exact repeats, must give
-the same outcome, trace included, bit for bit, also where it writes the
-tail of a periodic run without checking it.
+for every iteration; ``iterate``, which copies the tail of a run once a
+state recurs, must give the same outcome, trace included, bit for bit.
 """
 
 import math
@@ -294,11 +293,11 @@ def test_records_are_immutable_named_tuples():
 
 
 # ---------------------------------------------------------------------------
-# Replay of exact repeats, against a driver that calls every step
+# The periodic tail, against a driver that calls every step
 # ---------------------------------------------------------------------------
 
 def reference_iterate(step, fx, x0, y0, tolerance, max_iter, prev=None, note=""):
-    """The driver's rule with no replay and the shortcut-free cycle test."""
+    """The driver's rule with no periodic tail and the shortcut-free cycle test."""
     cur = IterationRecord(0, x0, y0)
     trace = []
     accepted = []
@@ -329,7 +328,7 @@ def reference_iterate(step, fx, x0, y0, tolerance, max_iter, prev=None, note="")
         strikes = 0
 
         if abs(x_new - cur.x) + abs(y_new) < tolerance:
-            return SolveOutcome(Status.CONVERGED, x_new, len(trace), tuple(trace), note)
+            return SolveOutcome(Status.CONVERGED, x_new, tuple(trace), note)
         if abs(x_new) > DIVERGENCE_BOUND:
             status = Status.DIVERGED
             break
@@ -339,7 +338,7 @@ def reference_iterate(step, fx, x0, y0, tolerance, max_iter, prev=None, note="")
             break
         prev, cur = cur, rec
 
-    return SolveOutcome(status, best_iterate(x0, y0, trace), len(trace), tuple(trace), note)
+    return SolveOutcome(status, best_iterate(x0, y0, trace), tuple(trace), note)
 
 
 def basin_runs(per_problem, seed):
@@ -382,8 +381,8 @@ def test_all_methods_match_the_driver_without_replay(monkeypatch):
 
 def test_a_stuck_newton_run_replays_its_fixed_point(monkeypatch):
     # Newton from -6.0 sits at x = 3.2375629840239215 for about 490 steps:
-    # replay saves the evaluations, the fill after the checked replays
-    # saves the cycle tests
+    # the copied tail saves the evaluations, and all but its first checked
+    # copies save the cycle tests
     f = parse("sin(x) * exp(x) + ln(x^2 + 1)")
     real = lsqroots.baselines.evaluate
     real_detect_cycle = lsqroots.outcomes.detect_cycle
@@ -423,8 +422,8 @@ def test_a_state_differing_only_in_the_sign_of_a_zero_is_not_replayed():
     out = iterate(step, fx, 2.0, 2.0, 1e-15, 20)
     assert out.status is Status.MAX_ITERATIONS
     assert [math.copysign(1.0, rec.y_minus) for rec in out.trace] == [-1.0, 1.0] * 10
-    # (none, start), (start, -0), (-0, +0) and (+0, -0) are new states; from
-    # then on (-0, +0) and (+0, -0) recur exactly and are replayed
+    # (none, start), (start, -0), (-0, +0) and (+0, -0) are new states; then
+    # (-0, +0) recurs exactly and the rest is copied
     assert step.calls == 4
     assert outcome_digest(reference_iterate(step, fx, 2.0, 2.0, 1e-15, 20)) == outcome_digest(out)
 
@@ -479,7 +478,7 @@ def test_pure_steps_on_a_small_state_space_match_the_driver_without_replay():
 
 
 # ---------------------------------------------------------------------------
-# Fast-forward of a periodic run, against the driver without replay
+# Periodic runs of every length, against the driver without the tail
 # ---------------------------------------------------------------------------
 
 def periodic_step(prefix, cycle):
@@ -488,8 +487,8 @@ def periodic_step(prefix, cycle):
     Each record carries its position in the plan as ``delta``, so a state
     recurs when the plan does, not merely when an x value does: a cycle
     may repeat x values within its period.  The first state to recur is
-    the cycle's first two records, and the pass that replays it appends
-    ``trace[len(prefix) + p + 2]``.
+    the cycle's first two records, and the pass where it recurs appends
+    the first copy, ``trace[len(prefix) + p + 2]``.
     """
     plan = list(prefix) + list(cycle)
 
@@ -538,7 +537,7 @@ def test_periodic_runs_match_the_driver_without_replay():
                     assert out.status is Status.MAX_ITERATIONS
                     seen.add(("max-iterations", max_iter > replay_pass + CHECKED_REPLAYS))
     # verdicts before the recurrence and after it, on short and long periods,
-    # and filled tails
+    # and copied tails
     assert {("oscillating", False, True), ("oscillating", True, True),
             ("oscillating", True, False), ("max-iterations", True),
             ("max-iterations", False)} <= seen
@@ -551,7 +550,7 @@ def test_a_verdict_on_the_last_checked_replay_still_fires():
     # Period 9 through the start state itself, so the first recurrence is
     # at len(trace) == 9.  The only period-2 window, a b a b, ends at the
     # 7th iterate, below CYCLE_MIN_INDEX, and next at the 16th: the last
-    # pass the driver checks before it would fill.
+    # copy the driver checks.
     a, b = 2.0, 3.0
     head = [5.0, 6.0, 7.0, a, b, a, b]
     c4, c5 = 8.0, 9.0

@@ -7,11 +7,13 @@ gets the same status and the same note whichever method meets it.
 import math
 
 import pytest
+from hypothesis import example, given, settings
 
 from lsqroots import bench
 from lsqroots.baselines import solve_baseline
 from lsqroots.expressions import parse
 from lsqroots.outcomes import Status
+from test_evaluate_parity import numbers, trees
 
 # The benchmark's solvers, with secant's second start given explicitly
 # (a defaulted one is recorded in the note, which then stays).
@@ -43,3 +45,24 @@ def test_defaulted_second_start_note_outlives_an_off_domain_failure():
     out = solve_baseline("secant", parse("x*ln(x) - 1"), 0.1)
     assert out.status is Status.DIVERGED
     assert out.note == "secant second start defaulted to x1=0.2"
+
+
+# ---------------------------------------------------------------------------
+# Every method on random expressions
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(trees, numbers)
+@example(parse("x*1e259"), 1.0)
+@example(parse("x/1e-300"), 1.0)
+def test_every_method_returns_a_finite_root_and_meets_its_stopping_rule(f, x0):
+    for method, solver in bench.SOLVERS.items():
+        out = solver(f, x0)
+        assert math.isfinite(out.root), method
+        if out.converged:
+            # the last record against the accepted point it was computed from
+            start = x0 + 0.1 if method == "secant" else x0
+            before = [rec.x for rec in out.trace[:-1] if math.isfinite(rec.y)]
+            last = out.trace[-1]
+            assert abs(last.x - (before[-1] if before else start)) + abs(last.y) < 1e-15, method
+            assert out.root == last.x, method
