@@ -10,8 +10,7 @@ x0 + 0.1 when none is given (recorded in the outcome note).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .expressions import Expr, differentiate, evaluate
 from .outcomes import IterationRecord, SolveOutcome, Status, StepError, iterate
@@ -33,16 +32,28 @@ class FlatSecantError(StepError):
     """Secant step through two points with equal function values."""
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
+class _BaselineFields(NamedTuple):
     tolerance: float = 1e-15
     max_iter: int = 500
 
-    def __post_init__(self):
+
+class BaselineConfig(_BaselineFields):
+    """Settings of :func:`solve_baseline` (an immutable named tuple),
+    checked when built, by ``_replace`` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def newton_step(x: float, y: float, dy: float) -> float:

@@ -9,18 +9,13 @@ import time
 from typing import List, Optional
 
 from .baselines import BaselineConfig, solve_baseline
-from .bench import (
-    builtin_suite,
-    convergence_rates,
-    emit_report,
-    f_n_curve,
-    final_rate,
-    n_grid,
-    run_benchmark,
-)
 from .expressions import ParseError, parse
 from .lsq3 import SolverConfig, solve
 from .outcomes import SolveOutcome, Status
+
+# The bench, rate and fncurve handlers import .bench themselves: solve
+# never needs it, and loading it (with csv and dataclasses) would add to
+# every cold start.
 
 
 class _UsageError(Exception):
@@ -110,7 +105,8 @@ def _run_solver(args) -> SolveOutcome:
     try:
         if args.method == "lsq3":
             mode, n_value = _parse_power("fixed:1" if args.n is None else args.n)
-            delta0 = SolverConfig.delta0 if args.delta0 is None else args.delta0
+            delta0 = (SolverConfig._field_defaults["delta0"] if args.delta0 is None
+                      else args.delta0)
             config = SolverConfig(mode=mode, n_value=n_value, delta0=delta0,
                                   tolerance=args.tol, max_iter=args.max_iter)
         else:
@@ -140,6 +136,7 @@ def _cmd_solve(args, out) -> int:
 
 
 def _cmd_rate(args, out) -> int:
+    from .bench import convergence_rates, final_rate
     outcome = _run_solver(args)
     if outcome.status is Status.DOMAIN_ERROR:
         print(f"status {outcome.status.value}", file=out)
@@ -155,6 +152,7 @@ def _cmd_rate(args, out) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import builtin_suite, emit_report, run_benchmark
     suite = builtin_suite()
     text = emit_report(run_benchmark(suite), args.format, suite)
     if args.out:
@@ -166,6 +164,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_fncurve(args, out) -> int:
+    from .bench import f_n_curve, n_grid
     try:
         points = f_n_curve(args.E, n_grid(args.n_from, args.n_to, args.step))
     except (ValueError, OverflowError) as err:

@@ -28,9 +28,8 @@ pickling see only the tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 
 class ParseError(ValueError):
@@ -42,12 +41,43 @@ class ParseError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# AST nodes.  Frozen dataclasses: expression trees are immutable and can be
-# shared between threads or solver runs freely.
+# AST nodes.  Immutable: expression trees can be shared between threads or
+# solver runs freely.  Each class lists its fields in ``_fields`` and
+# writes them straight into ``__dict__`` (``__setattr__`` refuses), and
+# compares, hashes and prints by them like a frozen dataclass would.  They
+# are not dataclasses because importing ``dataclasses`` (about 4 ms) and
+# building the classes with it slowed every cold start of the CLI.
 # --------------------------------------------------------------------------
 
 class _Node:
-    """Base of the node classes: holds the compiled form of a root node."""
+    """Base of the node classes: value semantics over ``_fields``, and the
+    compiled form of a root node."""
+
+    _fields: Tuple[str, ...] = ()
+    __match_args__: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple(d[name] for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        d = self.__dict__
+        fields = ", ".join(f"{name}={d[name]!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def _compiled(self) -> Callable[[float], float]:
@@ -60,33 +90,43 @@ class _Node:
         return state
 
 
-@dataclass(frozen=True)
 class Constant(_Node):
-    value: float
+    _fields = __match_args__ = ("value",)
+
+    def __init__(self, value: float):
+        self.__dict__["value"] = value
 
 
-@dataclass(frozen=True)
 class Variable(_Node):
     pass
 
 
-@dataclass(frozen=True)
 class Unary(_Node):
-    op: str  # only '-'
-    operand: "Expr"
+    _fields = __match_args__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expr):  # op is only '-'
+        d = self.__dict__
+        d["op"] = op
+        d["operand"] = operand
 
 
-@dataclass(frozen=True)
 class Binary(_Node):
-    op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
+    _fields = __match_args__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):  # op in + - * / ^
+        d = self.__dict__
+        d["op"] = op
+        d["left"] = left
+        d["right"] = right
 
 
-@dataclass(frozen=True)
 class Call(_Node):
-    name: str
-    arg: "Expr"
+    _fields = __match_args__ = ("name", "arg")
+
+    def __init__(self, name: str, arg: Expr):
+        d = self.__dict__
+        d["name"] = name
+        d["arg"] = arg
 
 
 Expr = Union[Constant, Variable, Unary, Binary, Call]
@@ -529,8 +569,14 @@ def differentiate(e: Expr) -> Expr:
 # --------------------------------------------------------------------------
 
 def render(e: Expr) -> str:
-    """Unambiguous text form; parse(render(e)) evaluates identically to e."""
+    """Unambiguous text form; parse(render(e)) evaluates identically to e.
+
+    The grammar has no inf or nan, so a non-finite constant, which is
+    off the domain at every x, renders as ``(0 / 0)``, which is too.
+    """
     if isinstance(e, Constant):
+        if not math.isfinite(e.value):
+            return "(0 / 0)"
         # The grammar has no negative literals: a set sign bit (-0.0
         # included) renders as a parenthesised unary minus.
         v = abs(e.value)

@@ -22,8 +22,7 @@ spacing (:func:`select_delta` has the whole rule).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .expressions import Expr, evaluate
 from .outcomes import SolveOutcome, Status, StepError, iterate
@@ -76,15 +75,22 @@ class ProbeDomainError(StepError):
     """f(x +/- delta) stayed outside the domain for every adjusted delta."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class _SolverFields(NamedTuple):
     mode: str = "fixed"                 # "fixed" or "variable"
     n_value: float = 1.0                # power used in fixed mode
     delta0: float = 0.1                 # first-step probe spacing, in (0, 1)
     tolerance: float = 1e-15
     max_iter: int = 500
 
-    def __post_init__(self):
+
+class SolverConfig(_SolverFields):
+    """Settings of :func:`solve` (an immutable named tuple), checked when
+    built, by ``_replace`` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in ("fixed", "variable"):
             raise ValueError(f"mode must be 'fixed' or 'variable', got {self.mode!r}")
         if not 0.0 < self.delta0 < 1.0:
@@ -95,6 +101,11 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if self.mode == "fixed" and self.n_value == 0.0:
             raise ValueError("fixed power must be nonzero")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def lsq3_step(x: float, y_minus: float, y0: float, y_plus: float,

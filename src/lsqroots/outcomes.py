@@ -9,14 +9,13 @@ like-for-like by construction.
 A step is a pure function of the last two accepted records (every field
 but ``k``), so once that pair recurs bit for bit the run is periodic: the
 driver writes the rest of the trace as copies of the record one period
-back instead of computing it.  Records are immutable
-:class:`IterationRecord` named tuples.
+back instead of computing it.  Records (:class:`IterationRecord`) and
+outcomes are immutable named tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
@@ -60,8 +59,10 @@ class IterationRecord(NamedTuple):
     y_plus: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
+    """How a solve ended (an immutable named tuple): the status, the
+    reported root, one record per iteration, and a free-text note."""
+
     status: Status
     root: float
     trace: Tuple[IterationRecord, ...]

@@ -104,6 +104,9 @@ def test_config_validation():
         BaselineConfig(tolerance=-1.0)
     with pytest.raises(ValueError):
         BaselineConfig(max_iter=0)
+    with pytest.raises(ValueError):
+        BaselineConfig()._replace(tolerance=math.inf)
+    assert BaselineConfig._fields == ("tolerance", "max_iter")
 
 
 def test_straight_line_fit_tracks_newton():

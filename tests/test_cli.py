@@ -212,7 +212,6 @@ def test_bench_builds_the_suite_once_and_prints_the_golden_report(monkeypatch, c
         return real()
 
     monkeypatch.setattr(lsqroots.bench, "builtin_suite", counting)
-    monkeypatch.setattr(lsqroots.cli, "builtin_suite", counting)
     code, out, err = run_cli(capsys, "bench", "--format", fmt)
     assert (code, err) == (0, "")
     assert out.encode() == (Path(__file__).parent / "golden" / name).read_bytes()

@@ -12,6 +12,7 @@ import copy
 import math
 import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -178,3 +179,17 @@ def test_evaluated_expression_pickles_copies_and_compares_as_fresh():
     assert used == fresh
     assert hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
+    # the frozen-dataclass forms: repr, no writes, positional match
+    assert repr(parse("x + 1")) == "Binary(op='+', left=Variable(), right=Constant(value=1.0))"
+    for node, field in ((used, "op"), (used.left, "left"), (Constant(1.0), "value"),
+                        (Variable(), "value")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+    assert used == fresh
+    match used:
+        case Binary("+", Binary("*", Call("sin", Variable()), _), Call(name, _)):
+            assert name == "ln"
+        case _:
+            pytest.fail(f"no positional match for {used!r}")

@@ -258,6 +258,14 @@ def test_render_keeps_the_sign_of_a_negative_constant():
     assert render(Constant(-2.5)) == "(-2.5)"
 
 
+def test_render_non_finite_constant_parses_off_domain():
+    for value in (math.inf, -math.inf, math.nan):
+        e = Binary("+", Variable(), Constant(value))
+        again = parse(render(e))
+        for x in (-1.0, 0.0, 2.5):
+            assert evaluate(again, x) is evaluate(e, x) is None
+
+
 def test_render_binary():
     assert render(Binary("+", Variable(), Constant(1.0))) == "(x + 1)"
 

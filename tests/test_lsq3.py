@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -306,8 +305,10 @@ def test_config_validation():
         SolverConfig(mode="fixed", n_value=0.0)
     with pytest.raises(ValueError):
         SolverConfig(mode="newton")
+    with pytest.raises(ValueError):
+        SolverConfig()._replace(delta0=1.5)
     # the clamp, the beta series and the floor are constants, not settings
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "mode", "n_value", "delta0", "tolerance", "max_iter"]
+    assert SolverConfig._fields == (
+        "mode", "n_value", "delta0", "tolerance", "max_iter")
     with pytest.raises(TypeError):
         SolverConfig(n_clamp=(2.0, 3.0))
