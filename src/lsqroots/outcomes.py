@@ -89,13 +89,12 @@ CYCLE_MATCH_RTOL = 1e-8
 # be classified as oscillation.
 CYCLE_MIN_DIAMETER = 1e-3
 
-MAX_CONSECUTIVE_DOMAIN_ERRORS = 3
 DIVERGENCE_BOUND = 1e12
 
 # Copies that :func:`iterate` still checks once a state recurs.  Say the
 # state made trace[first] and recurs at len(trace) == first + p: the copy
-# appended at length t repeats trace[t - p], and the run has had no
-# strikes, so the accepted iterates are the trace's x values.  detect_cycle
+# appended at length t repeats trace[t - p], and every record was
+# accepted, so the accepted iterates are the trace's x values.  detect_cycle
 # is False on fewer than CYCLE_MIN_INDEX iterates and otherwise reads only
 # the last 2 * CYCLE_MAX_PERIOD, so from length
 # N0 = max(CYCLE_MIN_INDEX, first + 2 * CYCLE_MAX_PERIOD) on, its verdict
@@ -109,9 +108,8 @@ CHECKED_REPLAYS = max(CYCLE_MIN_INDEX, 2 * CYCLE_MAX_PERIOD) - 1
 class StepError(Exception):
     """A method could not take its step from the current iterate.
 
-    By default this counts as a domain error step (three in a row classify
-    the run as Diverged); a subclass with a ``status`` ends the run at once
-    with that status.
+    It ends the run at once: Diverged by default, or with the ``status``
+    of a subclass that sets one.
     """
 
     status: Optional[Status] = None
@@ -186,23 +184,22 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     ``step(cur, prev)`` gets the current and the previous accepted point as
     records (the start is ``k=0``; ``prev`` starts as given) and returns the
     next iterate with the extra fields of its record, or raises
-    :class:`StepError`.  ``fx`` evaluates f, ``None`` off the domain.  An
-    off-domain iterate is recorded but not accepted: the next step starts
-    from the same point.  A failure's note comes from the break that
-    classifies it, unless ``note`` was already set.
+    :class:`StepError`, which ends the run (see :class:`StepError`).
+    ``fx`` evaluates f, ``None`` off the domain; an off-domain iterate is
+    recorded and ends the run Diverged.  A failure's note comes from the
+    break that classifies it, unless ``note`` was already set.
 
     Contract: ``step`` and ``fx`` are pure, so a step's result depends only
-    on the fields of ``cur`` and ``prev`` other than ``k``.  A strike then
-    repeats exactly, so a run that strikes never accepts again, and a run
-    whose state ``(prev, cur)`` recurs bit for bit has had no strikes.
-    With ``p`` the distance from the record the state first produced, every
-    later record equals the one ``p`` before it.  So at the first
-    recurrence the driver stops calling ``step`` and ``fx`` and writes the
-    rest of the ``max_iter`` passes as copies of the record ``p`` back.
-    Only the cycle test can end the run on a copy, and only on the first
-    :data:`CHECKED_REPLAYS` (the argument is at that constant); if it does
-    not, the run ends max-iterations.  A copy is never strictly better than
-    the record it copies, so the best iterate comes from before the copies.
+    on the fields of ``cur`` and ``prev`` other than ``k``.  Once the state
+    ``(prev, cur)`` recurs bit for bit, with ``p`` the distance from the
+    record the state first produced, every later record equals the one
+    ``p`` before it.  So at the first recurrence the driver stops calling
+    ``step`` and ``fx`` and writes the rest of the ``max_iter`` records as
+    copies of the record ``p`` back.  Only the cycle test can end the run
+    on a copy, and only on the first :data:`CHECKED_REPLAYS` (the argument
+    is at that constant); if it does not, the run ends max-iterations.  A
+    copy is never strictly better than the record it copies, so the best
+    iterate comes from before the copies.
     """
     cur = IterationRecord(0, x0, y0)
     trace: list[IterationRecord] = []
@@ -210,15 +207,14 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     # cur.x -> [(prev, cur, trace index of the record the state produced)]
     # of the accepted steps
     seen: dict[float, list] = {}
-    strikes = 0
     status = Status.MAX_ITERATIONS
-    for passes in range(1, max_iter + 1):
+    while len(trace) < max_iter:
         for seen_prev, seen_cur, first in seen.get(cur.x, ()):
             if _same_fields(seen_cur, cur) and _same_fields(seen_prev, prev):
                 # The periodic tail (see the docstring).
                 period = len(trace) - first
                 root = best_iterate(x0, y0, trace)
-                for copy in range(max_iter - passes + 1):
+                for copy in range(max_iter - len(trace)):
                     trace.append(IterationRecord(len(trace) + 1, *trace[-period][1:]))
                     if copy < CHECKED_REPLAYS:
                         accepted.append(trace[-1].x)
@@ -228,25 +224,18 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
         try:
             x_new, extras = step(cur, prev)
         except StepError as err:
-            strikes += 1
-            if err.status is not None or strikes >= MAX_CONSECUTIVE_DOMAIN_ERRORS:
-                status = err.status or Status.DIVERGED
-                note = note or str(err)
-                break
-            continue
+            status = err.status or Status.DIVERGED
+            note = note or str(err)
+            break
         y_new = fx(x_new) if math.isfinite(x_new) else None
 
         rec = IterationRecord(len(trace) + 1, x_new,
                               math.nan if y_new is None else y_new, *extras)
         trace.append(rec)
         if y_new is None:
-            strikes += 1
-            if not math.isfinite(x_new) or strikes >= MAX_CONSECUTIVE_DOMAIN_ERRORS:
-                status = Status.DIVERGED
-                note = note or f"iterate left the domain at x={x_new!r}"
-                break
-            continue
-        strikes = 0
+            status = Status.DIVERGED
+            note = note or f"iterate left the domain at x={x_new!r}"
+            break
 
         if abs(x_new - cur.x) + abs(y_new) < tolerance:
             return SolveOutcome(Status.CONVERGED, x_new, tuple(trace), note)

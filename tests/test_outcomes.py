@@ -30,7 +30,6 @@ from lsqroots.outcomes import (
     CYCLE_MIN_DIAMETER,
     CYCLE_MIN_INDEX,
     DIVERGENCE_BOUND,
-    MAX_CONSECUTIVE_DOMAIN_ERRORS,
     IterationRecord,
     SolveOutcome,
     Status,
@@ -223,28 +222,25 @@ def test_non_finite_iterate_diverges_at_once(x_new):
     assert out.root == 5.0
 
 
-def test_three_off_domain_iterates_diverge():
-    out = run(scripted(-1.0, -2.0, -3.0, 1.0))
+def test_one_off_domain_iterate_diverges():
+    step = scripted(4.0, -1.0, 1.0)
+    out = run(step)
+    assert len(step.calls) == 2
     assert out.status is Status.DIVERGED
-    assert out.iterations == 3
-    assert out.note == "iterate left the domain at x=-3.0"
+    assert [rec.x for rec in out.trace] == [4.0, -1.0]
+    assert math.isnan(out.trace[-1].y)
+    assert out.root == 4.0
+    assert out.note == "iterate left the domain at x=-1.0"
 
 
-def test_three_step_errors_diverge_without_records():
-    out = run(scripted(StepError("a"), StepError("b"), StepError("c"), 1.0))
+def test_one_step_error_diverges_without_a_record():
+    step = scripted(StepError("a"), 1.0)
+    out = run(step)
+    assert len(step.calls) == 1
     assert out.status is Status.DIVERGED
     assert out.iterations == 0
     assert out.root == 5.0
-    assert out.note == "c"
-
-
-def test_strikes_of_both_kinds_add_up_and_an_accepted_step_resets_them():
-    out = run(scripted(-1.0, StepError("a"), 4.0,
-                       StepError("b"), -2.0, 3.0,
-                       -1.0, -1.0, StepError("c")))
-    assert out.status is Status.DIVERGED
-    assert [rec.x for rec in out.trace] == [-1.0, 4.0, -2.0, 3.0, -1.0, -1.0]
-    assert out.note == "c"
+    assert out.note == "a"
 
 
 def test_step_error_with_a_status_ends_the_run_at_once():
@@ -256,25 +252,35 @@ def test_step_error_with_a_status_ends_the_run_at_once():
 
 
 def test_a_note_set_before_the_run_is_kept():
-    for moves in [(-1.0, -1.0, -1.0), (Stall("flat"),),
-                  (StepError("a"),) * 3, (0.0, 0.0), (2.0, 3.0, 4.0)]:
+    for moves in [(-1.0,), (Stall("flat"),),
+                  (StepError("a"),), (0.0, 0.0), (2.0, 3.0, 4.0)]:
         assert run(scripted(*moves), max_iter=3, note="given").note == "given"
 
 
 def test_only_the_classifying_break_sets_the_note():
-    out = run(scripted(StepError("a"), -1.0, 2.0, 1.0), max_iter=4)
-    assert out.status is Status.MAX_ITERATIONS
-    assert out.note == ""
+    # a step error or an off-domain iterate names itself; the other endings
+    # leave the note empty
+    for moves, status, note in [
+        ((2.0, 3.0, 1.0, 4.0), Status.MAX_ITERATIONS, ""),
+        ((2.0, 2 * DIVERGENCE_BOUND), Status.DIVERGED, ""),
+        ((2.0, 3.0, -1.0), Status.DIVERGED, "iterate left the domain at x=-1.0"),
+        ((2.0, 3.0, StepError("a")), Status.DIVERGED, "a"),
+    ]:
+        out = run(scripted(*moves), max_iter=4)
+        assert (out.status, out.note) == (status, note)
 
 
 def test_step_sees_the_last_two_accepted_points():
     start = IterationRecord(0, 9.0, 9.0)
-    step = scripted(-1.0, 4.0, -2.0, 3.0, 2.0)
-    out = run(step, max_iter=5, prev=start)
+    step = scripted(4.0, 3.0, 2.0, 1.0)
+    out = run(step, max_iter=4, prev=start)
     xs = [(cur.x, prev.x) for cur, prev in step.calls]
-    assert xs == [(5.0, 9.0), (5.0, 9.0), (4.0, 5.0), (4.0, 5.0), (3.0, 4.0)]
-    # the current point is the accepted record itself
-    assert step.calls[2][0] is out.trace[1]
+    assert xs == [(5.0, 9.0), (4.0, 5.0), (3.0, 4.0), (2.0, 3.0)]
+    # the first previous point is the one given, and the current point is
+    # the accepted record itself
+    assert step.calls[0][1] is start
+    assert step.calls[1][0] is out.trace[0]
+    assert step.calls[2][1] is out.trace[0]
 
 
 def test_step_extras_fill_the_record():
@@ -301,31 +307,23 @@ def reference_iterate(step, fx, x0, y0, tolerance, max_iter, prev=None, note="")
     cur = IterationRecord(0, x0, y0)
     trace = []
     accepted = []
-    strikes = 0
     status = Status.MAX_ITERATIONS
     for _ in range(max_iter):
         try:
             x_new, extras = step(cur, prev)
         except StepError as err:
-            strikes += 1
-            if err.status is not None or strikes >= MAX_CONSECUTIVE_DOMAIN_ERRORS:
-                status = err.status or Status.DIVERGED
-                note = note or str(err)
-                break
-            continue
+            status = err.status or Status.DIVERGED
+            note = note or str(err)
+            break
 
         y_new = fx(x_new) if math.isfinite(x_new) else None
         rec = IterationRecord(len(trace) + 1, x_new,
                               math.nan if y_new is None else y_new, *extras)
         trace.append(rec)
         if y_new is None:
-            strikes += 1
-            if not math.isfinite(x_new) or strikes >= MAX_CONSECUTIVE_DOMAIN_ERRORS:
-                status = Status.DIVERGED
-                note = note or f"iterate left the domain at x={x_new!r}"
-                break
-            continue
-        strikes = 0
+            status = Status.DIVERGED
+            note = note or f"iterate left the domain at x={x_new!r}"
+            break
 
         if abs(x_new - cur.x) + abs(y_new) < tolerance:
             return SolveOutcome(Status.CONVERGED, x_new, tuple(trace), note)
@@ -428,8 +426,8 @@ def test_a_state_differing_only_in_the_sign_of_a_zero_is_not_replayed():
     assert outcome_digest(reference_iterate(step, fx, 2.0, 2.0, 1e-15, 20)) == outcome_digest(out)
 
 
-def test_strikes_are_never_replayed():
-    # a pure step that strikes from the start: each strike is computed afresh
+def test_a_failing_step_is_taken_once():
+    # a pure step that fails from the start: the first failure ends the run
     for move in (-1.0, StepError("no step")):
         def step(cur, prev):
             step.calls += 1
@@ -439,7 +437,8 @@ def test_strikes_are_never_replayed():
         step.calls = 0
         out = run(step, max_iter=10)
         assert out.status is Status.DIVERGED
-        assert step.calls == MAX_CONSECUTIVE_DOMAIN_ERRORS
+        assert step.calls == 1
+        assert out.iterations <= 1
 
 
 def pure_table_step(seed):
