@@ -10,10 +10,11 @@ x0 + 0.1 when none is given (recorded in the outcome note).
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple, Optional
 
 from .expressions import Expr, differentiate, evaluate
-from .outcomes import IterationRecord, SolveOutcome, Status, StepError, iterate
+from .outcomes import MAX_ITER_CAP, IterationRecord, SolveOutcome, Status, StepError, iterate
 # Only ``outcomes`` calls these; they stay module globals here because the
 # benchmark's probes rebind them by module.
 from .outcomes import best_iterate, detect_cycle  # noqa: F401
@@ -47,8 +48,8 @@ class BaselineConfig(_BaselineFields):
         self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not 1 <= operator.index(self.max_iter) <= MAX_ITER_CAP:
+            raise ValueError(f"max_iter must be at least 1 and at most {MAX_ITER_CAP}")
         return self
 
     @classmethod
@@ -75,9 +76,9 @@ def solve_baseline(method: str, f: Expr, x0: float,
                    config: Optional[BaselineConfig] = None) -> SolveOutcome:
     """Run Newton or secant from x0 and classify the outcome.
 
-    Failures are statuses, never exceptions; a persistently zero
-    derivative or off-domain iterate counts as a domain-error step, and
-    three in a row classify as Diverged.
+    Failures are statuses, never exceptions; a zero or undefined
+    derivative, a flat chord or an off-domain iterate ends the run as
+    Diverged.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")

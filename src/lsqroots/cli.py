@@ -137,6 +137,8 @@ def _cmd_solve(args, out) -> int:
 
 def _cmd_rate(args, out) -> int:
     from .bench import convergence_rates, final_rate
+    if args.root is not None and not math.isfinite(args.root):
+        raise _UsageError(f"lsqroots: --root must be finite, got {args.root!r}")
     outcome = _run_solver(args)
     if outcome.status is Status.DOMAIN_ERROR:
         print(f"status {outcome.status.value}", file=out)
@@ -156,8 +158,11 @@ def _cmd_bench(args) -> int:
     suite = builtin_suite()
     text = emit_report(run_benchmark(suite), args.format, suite)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise _UsageError(f"lsqroots: cannot write {args.out}: {err.strerror or err}")
     else:
         sys.stdout.write(text)
     return 0

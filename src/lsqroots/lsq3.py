@@ -22,10 +22,11 @@ spacing (:func:`select_delta` has the whole rule).
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple, Optional, Tuple
 
 from .expressions import Expr, evaluate
-from .outcomes import SolveOutcome, Status, StepError, iterate
+from .outcomes import MAX_ITER_CAP, SolveOutcome, Status, StepError, iterate
 # Only ``outcomes`` calls these; they stay module globals here because the
 # benchmark's probes rebind them by module.
 from .outcomes import best_iterate, detect_cycle  # noqa: F401
@@ -97,8 +98,8 @@ class SolverConfig(_SolverFields):
             raise ValueError("delta0 must lie in (0, 1)")
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not 1 <= operator.index(self.max_iter) <= MAX_ITER_CAP:
+            raise ValueError(f"max_iter must be at least 1 and at most {MAX_ITER_CAP}")
         if self.mode == "fixed" and self.n_value == 0.0:
             raise ValueError("fixed power must be nonzero")
         return self
@@ -225,9 +226,9 @@ def solve(f: Expr, x0: float, config: Optional[SolverConfig] = None) -> SolveOut
     |x_k - x_{k-1}| + |y_k| < tolerance holds or a failure is classified.
 
     Failures come back as statuses, never exceptions: Diverged (iterate
-    beyond the divergence bound, or three consecutive steps hitting
-    domain errors), Oscillating (a period 2..4 cycle), SymmetricStall,
-    DomainError (f undefined at x0), or MaxIterations.
+    beyond the divergence bound, off the domain, or probes that stay off
+    it), Oscillating (a period 2..4 cycle), SymmetricStall, DomainError
+    (f undefined at x0), or MaxIterations.
     """
     if config is None:
         config = SolverConfig()

@@ -91,6 +91,10 @@ CYCLE_MIN_DIAMETER = 1e-3
 
 DIVERGENCE_BOUND = 1e12
 
+# The largest ``max_iter`` a solver config accepts: a stuck run fills its
+# trace with up to ``max_iter`` records of about 150 bytes each.
+MAX_ITER_CAP = 1_000_000
+
 # Copies that :func:`iterate` still checks once a state recurs.  Say the
 # state made trace[first] and recurs at len(trace) == first + p: the copy
 # appended at length t repeats trace[t - p], and every record was

@@ -11,7 +11,7 @@ from lsqroots.baselines import (
     solve_baseline,
 )
 from lsqroots.expressions import parse
-from lsqroots.outcomes import Status
+from lsqroots.outcomes import MAX_ITER_CAP, Status
 
 
 def test_newton_step_hand_value():
@@ -104,6 +104,12 @@ def test_config_validation():
         BaselineConfig(tolerance=-1.0)
     with pytest.raises(ValueError):
         BaselineConfig(max_iter=0)
+    # the same cap as the three-point solver's
+    assert BaselineConfig(max_iter=MAX_ITER_CAP).max_iter == MAX_ITER_CAP
+    with pytest.raises(ValueError, match="at most 1000000"):
+        BaselineConfig(max_iter=MAX_ITER_CAP + 1)
+    with pytest.raises(TypeError):
+        BaselineConfig(max_iter=50.5)
     with pytest.raises(ValueError):
         BaselineConfig()._replace(tolerance=math.inf)
     assert BaselineConfig._fields == ("tolerance", "max_iter")

@@ -202,6 +202,27 @@ def test_bench_markdown_to_file(tmp_path, capsys):
     assert "### cubic-poly" in target.read_text()
 
 
+@pytest.mark.parametrize("parts", [("missing", "report.csv"), ()])
+def test_bench_to_an_unwritable_path_is_one_line_error(tmp_path, capsys, parts):
+    # a file in a missing directory, and a directory itself
+    target = tmp_path.joinpath(*parts)
+    code, out, err = run_cli(capsys, "bench", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"lsqroots: cannot write {target}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("root", ["nan", "inf", "-inf"])
+def test_rate_non_finite_root_is_usage_error(capsys, root):
+    code, out, err = run_cli(
+        capsys, "rate", "--expr", "x - 1", "--x0", "3", "--method", "newton", f"--root={root}",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("lsqroots: ") and err.count("\n") == 1
+    assert "--root must be finite" in err
+
+
 @pytest.mark.parametrize("fmt, name", [("csv", "bench.csv"), ("markdown", "bench.md")])
 def test_bench_builds_the_suite_once_and_prints_the_golden_report(monkeypatch, capsys, fmt, name):
     real = lsqroots.bench.builtin_suite
@@ -247,6 +268,7 @@ def test_solve_prints_the_off_domain_note(capsys):
     (("--x0", "1", "--method", "newton", "--tol", "inf"), "tolerance must be positive"),
     (("--x0", "1", "--method", "lsq3", "--max-iter", "0"), "max_iter must be at least 1"),
     (("--x0", "1", "--method", "lsq3", "--n", "fixed:0"), "fixed power must be nonzero"),
+    (("--x0", "1", "--method", "newton", "--max-iter", "1000001"), "at most 1000000"),
 ])
 @pytest.mark.parametrize("command", ["solve", "rate"])
 def test_invalid_numeric_flag_is_one_line_usage_error(capsys, command, flags, message):

@@ -5,9 +5,12 @@ does not: each record's probe spacing, power and side values, the note,
 and the exact bits of every float.  One line per ``lsqroots bench`` run:
 ``problem,start,method,<sha256 of the outcome>``.
 
-Regenerate (only for a deliberate change of behaviour) with
+Regenerate all three golden files (only for a deliberate change of
+behaviour, in a commit of its own that names the moved rows) with
 
     PYTHONPATH=src python tests/test_golden_traces.py > tests/golden/traces.txt
+    PYTHONPATH=src python -m lsqroots.cli bench > tests/golden/bench.csv
+    PYTHONPATH=src python -m lsqroots.cli bench --format markdown > tests/golden/bench.md
 """
 
 import hashlib

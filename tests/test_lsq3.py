@@ -15,7 +15,7 @@ from lsqroots.lsq3 import (
     select_delta,
     solve,
 )
-from lsqroots.outcomes import Status
+from lsqroots.outcomes import MAX_ITER_CAP, Status
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +301,12 @@ def test_config_validation():
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    # the trace of a stuck run holds max_iter records, so the budget is capped
+    assert SolverConfig(max_iter=MAX_ITER_CAP).max_iter == MAX_ITER_CAP == 1_000_000
+    with pytest.raises(ValueError, match="at most 1000000"):
+        SolverConfig(max_iter=MAX_ITER_CAP + 1)
+    with pytest.raises(TypeError):
+        SolverConfig(max_iter=50.5)
     with pytest.raises(ValueError):
         SolverConfig(mode="fixed", n_value=0.0)
     with pytest.raises(ValueError):
