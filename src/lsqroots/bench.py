@@ -250,6 +250,9 @@ def f_n_curve(E: float, n_grid: Iterable[float]) -> List[Tuple[float, float]]:
 def n_grid(start: float, stop: float, step: float) -> List[float]:
     """Inclusive arithmetic grid, computed without drift, of at most
     :data:`MAX_GRID_POINTS` points."""
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"grid {name} must be finite, got {value!r}")
     if step <= 0.0:
         raise ValueError("step must be positive")
     count = int(round((stop - start) / step))

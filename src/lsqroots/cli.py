@@ -29,6 +29,33 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
+# The flags that take a real number.  argparse reads only -<digits> and
+# -<digits>.<digits> as negative numbers, so it takes a value like -1e-3
+# or -inf after one of these for a flag; main joins such a value to its
+# flag (--x0=-1e-3), which argparse reads as the flag's value.
+_NUMBER_FLAGS = frozenset(("--x0", "--x1", "--root", "--delta0", "--tol",
+                           "--from", "--to", "--E", "--step"))
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_numbers(argv: List[str]) -> List[str]:
+    joined: List[str] = []
+    for arg in argv:
+        if (joined and joined[-1] in _NUMBER_FLAGS and arg.startswith("-")
+                and _is_number(arg)):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def _fmt(v: float) -> str:
     return format(v, ".15g")
 
@@ -94,8 +121,9 @@ def _run_solver(args) -> SolveOutcome:
         expr = parse(args.expr)
     except ParseError as err:
         raise _UsageError(f"lsqroots: bad --expr: {err}")
-    if not math.isfinite(args.x0):
-        raise _UsageError(f"lsqroots: --x0 must be finite, got {args.x0!r}")
+    for flag, value in (("--x0", args.x0), ("--x1", args.x1)):
+        if value is not None and not math.isfinite(value):
+            raise _UsageError(f"lsqroots: {flag} must be finite, got {value!r}")
     if args.x1 is not None and args.method != "secant":
         raise _UsageError("lsqroots: --x1 applies to --method secant only")
     if args.method != "lsq3" and args.n is not None:
@@ -184,7 +212,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     started = time.perf_counter()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _join_negative_numbers(sys.argv[1:] if argv is None else argv))
         if args.command == "solve":
             code = _cmd_solve(args, sys.stdout)
         elif args.command == "rate":

@@ -19,15 +19,22 @@ real domain (ln of a non-positive value, division by zero, fractional
 power of a negative base, overflow to inf, nan) makes the whole
 evaluation return ``None`` instead of a number, so callers can classify
 off-domain iterates without catching exceptions.  An expression is
-compiled once, on its first ``evaluate``, into a chain of closures (one
-per node), and the chain is cached on the expression's root node; the
-cache is not part of the node's value, so equality, hashing, copying and
-pickling see only the tree.
+compiled once, on its first ``evaluate``, into closures, and they are
+cached on the expression's root node.  A node reads a Variable or finite
+Constant operand inline and calls the closure of any other operand.  A
+value that is not finite stays so through ``+ - *`` and unary minus, so
+finiteness is checked only where it could be lost: the divisor of ``/``,
+both operands of ``^`` and the argument of a call.  ``evaluate`` checks
+the final value once and turns the domain errors that the math raises
+into ``None``.  ``differentiate`` caches its result on the root node
+too.  The caches are not part of a node's value, so equality, hashing,
+copying and pickling see only the tree.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
 from typing import Callable, Optional, Tuple, Union
 
@@ -83,10 +90,15 @@ class _Node:
     def _compiled(self) -> Callable[[float], float]:
         return _compile(self)
 
+    @cached_property
+    def _derivative(self) -> Expr:
+        return _differentiate(self)
+
     def __getstate__(self):
-        # The compiled closures cannot be pickled and are rebuilt on demand.
+        # The caches are rebuilt on demand; the closures cannot be pickled.
         state = dict(self.__dict__)
         state.pop("_compiled", None)
+        state.pop("_derivative", None)
         return state
 
 
@@ -339,88 +351,121 @@ def parse(text: str) -> Expr:
 # Evaluation
 # --------------------------------------------------------------------------
 
-class _DomainError(Exception):
-    pass
+# A binary node, by how it reads its operands ``a`` and ``b``: "f" calls
+# the operand's closure, "x" reads the variable and "c" a finite constant.
+_PAIRS = {
+    "ff": lambda op, a, b: lambda x: op(a(x), b(x)),
+    "fx": lambda op, a, b: lambda x: op(a(x), x),
+    "fc": lambda op, a, b: lambda x: op(a(x), b),
+    "xf": lambda op, a, b: lambda x: op(x, b(x)),
+    "xx": lambda op, a, b: lambda x: op(x, x),
+    "xc": lambda op, a, b: lambda x: op(x, b),
+    "cf": lambda op, a, b: lambda x: op(a, b(x)),
+    "cx": lambda op, a, b: lambda x: op(a, x),
+    "cc": lambda op, a, b: lambda x: op(a, b),
+}
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": math.pow}
+
+
+def _checked(pair: str, op, a, b) -> Callable[[float], float]:
+    """The ``_PAIRS[pair]`` node, raising ValueError where the value of a
+    closure operand is not finite."""
+    if pair == "ff":
+        def node(x: float) -> float:
+            u = a(x)
+            v = b(x)
+            if math.isfinite(u) and math.isfinite(v):
+                return op(u, v)
+            raise ValueError
+    elif pair == "fx":
+        def node(x: float) -> float:
+            u = a(x)
+            if math.isfinite(u):
+                return op(u, x)
+            raise ValueError
+    elif pair == "fc":
+        def node(x: float) -> float:
+            u = a(x)
+            if math.isfinite(u):
+                return op(u, b)
+            raise ValueError
+    elif pair == "xf":
+        def node(x: float) -> float:
+            v = b(x)
+            if math.isfinite(v):
+                return op(x, v)
+            raise ValueError
+    else:  # "cf"
+        def node(x: float) -> float:
+            v = b(x)
+            if math.isfinite(v):
+                return op(a, v)
+            raise ValueError
+    return node
+
+
+def _operand(e: Expr) -> Tuple[str, object]:
+    """How a parent reads ``e``: ``("x", None)``, ``("c", value)`` for a
+    finite constant, or ``("f", closure)``."""
+    if isinstance(e, Variable):
+        return "x", None
+    if isinstance(e, Constant) and math.isfinite(e.value):
+        return "c", e.value
+    return "f", _compile(e)
 
 
 def _compile(e: Expr) -> Callable[[float], float]:
-    """One closure per node, computing the node's value at ``x``.
+    """A closure computing ``e`` at a finite ``x`` with the tree's IEEE
+    operations, left operand before right.
 
-    Each closure applies its node's IEEE operation to its children's
-    values, left before right, and raises _DomainError wherever the
-    result leaves the real domain or is not finite.
+    A node reads a Variable or finite Constant operand inline and calls
+    the closure of any other operand.  A non-finite value stays
+    non-finite through ``+ - *`` and unary minus, so only a node that
+    could map it to a finite value checks its closure operands: the
+    divisor of ``/`` (a/inf = 0), both operands of ``^`` (inf^0 = 1) and
+    the argument of a call (arctan(inf) = pi/2).  A ``/`` node that
+    calls both operands checks the dividend too, which is harmless: a
+    non-finite dividend over a finite divisor is not finite.  Off the
+    domain a closure raises ZeroDivisionError, ValueError or
+    OverflowError, or returns a value that is not finite.
     """
-    if isinstance(e, Constant):
-        c = e.value
-        if not math.isfinite(c):
-            # The parser rejects these, but a tree built directly or a
-            # constant folded by differentiate can still hold one.
-            def off_domain(x: float) -> float:
-                raise _DomainError
-            return off_domain
-        return lambda x: c
-    if isinstance(e, Variable):
-        return lambda x: x
-    if isinstance(e, Unary):
-        f = _compile(e.operand)
-        return lambda x: -f(x)
+    if isinstance(e, Binary):
+        ka, a = _operand(e.left)
+        kb, b = _operand(e.right)
+        pair = ka + kb
+        if "f" in pair and (e.op == "^" or e.op == "/" and kb == "f"):
+            return _checked(pair, _BINARY[e.op], a, b)
+        return _PAIRS[pair](_BINARY[e.op], a, b)
     if isinstance(e, Call):
-        f, fn = _compile(e.arg), _CALLS[e.name]
+        fn = _CALLS[e.name]
+        kind, a = _operand(e.arg)
+        if kind == "x":
+            return fn
+        if kind == "c":
+            return lambda x: fn(a)
 
         def call(x: float) -> float:
-            u = f(x)
-            try:
-                v = fn(u)
-            except (ValueError, OverflowError):
-                raise _DomainError from None
-            if math.isfinite(v):
-                return v
-            raise _DomainError
+            u = a(x)
+            if math.isfinite(u):
+                return fn(u)
+            raise ValueError
         return call
-
-    fa, fb = _compile(e.left), _compile(e.right)
-    op = e.op
-    if op == "+":
-        def binary(x: float) -> float:
-            v = fa(x) + fb(x)
-            if math.isfinite(v):
-                return v
-            raise _DomainError
-    elif op == "-":
-        def binary(x: float) -> float:
-            v = fa(x) - fb(x)
-            if math.isfinite(v):
-                return v
-            raise _DomainError
-    elif op == "*":
-        def binary(x: float) -> float:
-            v = fa(x) * fb(x)
-            if math.isfinite(v):
-                return v
-            raise _DomainError
-    elif op == "/":
-        def binary(x: float) -> float:
-            a = fa(x)
-            b = fb(x)
-            if b == 0.0:
-                raise _DomainError
-            v = a / b
-            if math.isfinite(v):
-                return v
-            raise _DomainError
-    else:  # '^'
-        def binary(x: float) -> float:
-            a = fa(x)
-            b = fb(x)
-            try:
-                v = math.pow(a, b)
-            except (ValueError, OverflowError):
-                # negative base with fractional exponent, 0^negative, overflow
-                raise _DomainError from None
-            if math.isfinite(v):
-                return v
-            raise _DomainError
-    return binary
+    if isinstance(e, Unary):
+        kind, a = _operand(e.operand)
+        if kind == "x":
+            return operator.neg
+        if kind == "c":
+            return lambda x: -a
+        return lambda x: -a(x)
+    if isinstance(e, Variable):
+        return lambda x: x
+    # A non-finite constant (the parser rejects them, but a tree built
+    # directly or folded by differentiate can hold one) is read through
+    # this closure, so the checks above and in evaluate see it.
+    c = e.value
+    return lambda x: c
 
 
 def evaluate(e: Expr, x: float) -> Optional[float]:
@@ -434,9 +479,10 @@ def evaluate(e: Expr, x: float) -> Optional[float]:
     if not math.isfinite(x):
         return None
     try:
-        return e._compiled(x)
-    except _DomainError:
+        v = e._compiled(x)
+    except (ZeroDivisionError, ValueError, OverflowError):
         return None
+    return v if math.isfinite(v) else None
 
 
 # --------------------------------------------------------------------------
@@ -509,16 +555,25 @@ def _pow(a: Expr, b: Expr) -> Expr:
 
 
 def differentiate(e: Expr) -> Expr:
-    """Return the symbolic derivative of ``e`` with respect to ``x``."""
+    """Return the symbolic derivative of ``e`` with respect to ``x``.
+
+    The first call builds it and caches it on ``e``, so a solver that
+    differentiates the same expression again gets the same tree, compiled
+    on its first evaluation.
+    """
+    return e._derivative
+
+
+def _differentiate(e: Expr) -> Expr:
     if isinstance(e, Constant):
         return _const(0.0)
     if isinstance(e, Variable):
         return _const(1.0)
     if isinstance(e, Unary):
-        return _sub(_const(0.0), differentiate(e.operand))
+        return _sub(_const(0.0), _differentiate(e.operand))
     if isinstance(e, Binary):
         u, v = e.left, e.right
-        du, dv = differentiate(u), differentiate(v)
+        du, dv = _differentiate(u), _differentiate(v)
         if e.op == "+":
             return _add(du, dv)
         if e.op == "-":
@@ -538,7 +593,7 @@ def differentiate(e: Expr) -> Expr:
         )
     # Call
     u = e.arg
-    du = differentiate(u)
+    du = _differentiate(u)
     name = e.name
     if name == "sin":
         outer: Expr = Call("cos", u)

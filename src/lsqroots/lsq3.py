@@ -100,6 +100,8 @@ class SolverConfig(_SolverFields):
             raise ValueError("tolerance must be positive and finite")
         if not 1 <= operator.index(self.max_iter) <= MAX_ITER_CAP:
             raise ValueError(f"max_iter must be at least 1 and at most {MAX_ITER_CAP}")
+        if not math.isfinite(self.n_value):
+            raise ValueError(f"power must be finite, got {self.n_value!r}")
         if self.mode == "fixed" and self.n_value == 0.0:
             raise ValueError("fixed power must be nonzero")
         return self

@@ -201,9 +201,10 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     ``step`` and ``fx`` and writes the rest of the ``max_iter`` records as
     copies of the record ``p`` back.  Only the cycle test can end the run
     on a copy, and only on the first :data:`CHECKED_REPLAYS` (the argument
-    is at that constant); if it does not, the run ends max-iterations.  A
-    copy is never strictly better than the record it copies, so the best
-    iterate comes from before the copies.
+    is at that constant); if it does not, the run ends max-iterations,
+    and the copies after those are written in one bulk extend of the
+    trace.  A copy is never strictly better than the record it copies, so
+    the best iterate comes from before the copies.
     """
     cur = IterationRecord(0, x0, y0)
     trace: list[IterationRecord] = []
@@ -218,12 +219,17 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
                 # The periodic tail (see the docstring).
                 period = len(trace) - first
                 root = best_iterate(x0, y0, trace)
-                for copy in range(max_iter - len(trace)):
+                for _ in range(min(CHECKED_REPLAYS, max_iter - len(trace))):
                     trace.append(IterationRecord(len(trace) + 1, *trace[-period][1:]))
-                    if copy < CHECKED_REPLAYS:
-                        accepted.append(trace[-1].x)
-                        if detect_cycle(accepted):
-                            return SolveOutcome(Status.OSCILLATING, root, tuple(trace), note)
+                    accepted.append(trace[-1].x)
+                    if detect_cycle(accepted):
+                        return SolveOutcome(Status.OSCILLATING, root, tuple(trace), note)
+                # The unchecked rest in one write, each copy built straight
+                # from its k and the fields of the record a period back.
+                start = len(trace)
+                rests = [rec[1:] for rec in trace[-period:]] * ((max_iter - start) // period + 1)
+                trace.extend([tuple.__new__(IterationRecord, (k,) + rest)
+                              for k, rest in zip(range(start + 1, max_iter + 1), rests)])
                 return SolveOutcome(Status.MAX_ITERATIONS, root, tuple(trace), note)
         try:
             x_new, extras = step(cur, prev)

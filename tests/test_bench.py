@@ -144,6 +144,15 @@ def test_grid_size_is_capped_before_allocation(monkeypatch):
         n_grid(1.0, 2.0, 1e-12)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((math.nan, 2.0, 0.5), "start"), ((1.0, math.inf, 0.5), "stop"),
+    ((1.0, 2.0, math.nan), "step"), ((1.0, 2.0, math.inf), "step"),
+])
+def test_grid_names_a_non_finite_argument(args, name):
+    with pytest.raises(ValueError, match=f"grid {name} must be finite"):
+        n_grid(*args)
+
+
 def test_error_curve_domain_checks():
     with pytest.raises(ValueError):
         f_n_curve(0.0, [2.0])

@@ -269,6 +269,10 @@ def test_solve_prints_the_off_domain_note(capsys):
     (("--x0", "1", "--method", "lsq3", "--max-iter", "0"), "max_iter must be at least 1"),
     (("--x0", "1", "--method", "lsq3", "--n", "fixed:0"), "fixed power must be nonzero"),
     (("--x0", "1", "--method", "newton", "--max-iter", "1000001"), "at most 1000000"),
+    (("--x0", "0", "--method", "lsq3", "--n", "fixed:inf"), "power must be finite, got inf"),
+    (("--x0", "0", "--method", "lsq3", "--n", "fixed:nan"), "power must be finite, got nan"),
+    (("--x0", "0", "--method", "secant", "--x1", "inf"), "--x1 must be finite, got inf"),
+    (("--x0", "0", "--method", "secant", "--x1", "nan"), "--x1 must be finite, got nan"),
 ])
 @pytest.mark.parametrize("command", ["solve", "rate"])
 def test_invalid_numeric_flag_is_one_line_usage_error(capsys, command, flags, message):
@@ -297,3 +301,62 @@ def test_fncurve_oversized_grid_is_usage_error(capsys):
     assert out == ""
     assert err.startswith("lsqroots: ") and err.count("\n") == 1
     assert "exceeds" in err
+
+
+# Each numeric flag with the other flags its command needs.
+NUMERIC_FLAGS = {
+    "--x0": ("solve", "--expr", "x + 0.001", "--method", "newton"),
+    "--x1": ("solve", "--expr", "x + 0.001", "--x0", "1", "--method", "secant"),
+    "--root": ("rate", "--expr", "x + 0.001", "--x0", "1", "--method", "newton"),
+    "--delta0": ("solve", "--expr", "x + 0.001", "--x0", "1", "--method", "lsq3"),
+    "--tol": ("solve", "--expr", "x + 0.001", "--x0", "1", "--method", "newton"),
+    "--from": ("fncurve", "--E", "0.5", "--to", "2", "--step", "0.5"),
+    "--to": ("fncurve", "--E", "0.5", "--from", "1", "--step", "0.5"),
+    "--E": ("fncurve", "--from", "1", "--to", "2", "--step", "0.5"),
+    "--step": ("fncurve", "--E", "0.5", "--from", "1", "--to", "2"),
+}
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1.5e2", "-2E+1"])
+@pytest.mark.parametrize("flag", sorted(NUMERIC_FLAGS))
+def test_negative_number_with_an_exponent_is_the_flag_value(capsys, flag, value):
+    spaced = run_cli(capsys, *NUMERIC_FLAGS[flag], flag, value)
+    joined = run_cli(capsys, *NUMERIC_FLAGS[flag], f"{flag}={value}")
+    assert "expected one argument" not in spaced[2]
+    assert spaced == joined
+
+
+def test_negative_start_with_an_exponent_solves(capsys):
+    code, out, err = run_cli(
+        capsys, "solve", "--expr", "x+0.001", "--x0", "-1e-3", "--method", "newton",
+    )
+    assert (code, err) == (0, "")
+    assert "status converged\nroot -0.001\n" in out
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--x0", "--x0 must be finite, got -inf"),
+    ("--x1", "--x1 must be finite, got -inf"),
+    ("--root", "--root must be finite, got -inf"),
+    ("--delta0", "delta0 must lie in (0, 1)"),
+    ("--tol", "tolerance must be positive"),
+    ("--from", "grid start must be finite, got -inf"),
+    ("--to", "grid stop must be finite, got -inf"),
+    ("--E", "E must lie strictly between 0 and 1"),
+    ("--step", "grid step must be finite, got -inf"),
+])
+def test_negative_infinity_is_a_non_finite_usage_error(capsys, flag, message):
+    code, out, err = run_cli(capsys, *NUMERIC_FLAGS[flag], flag, "-inf")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("lsqroots: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("flag, name", [("--from", "start"), ("--to", "stop"),
+                                        ("--step", "step")])
+def test_fncurve_nan_grid_argument_is_named(capsys, flag, name):
+    code, out, err = run_cli(capsys, *NUMERIC_FLAGS[flag], flag, "nan")
+    assert code == 1
+    assert out == ""
+    assert err == f"lsqroots: grid {name} must be finite, got nan\n"

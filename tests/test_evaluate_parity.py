@@ -163,6 +163,73 @@ def test_suite_expressions_and_derivatives_match_reference():
 
 
 # ---------------------------------------------------------------------------
+# Where the evaluator checks finiteness, and where it relies on non-finite
+# values staying non-finite
+# ---------------------------------------------------------------------------
+
+XS = [-10.0, -9.0, -2.0, -1.0, -0.5, -0.0, 0.0, 1e-300, 0.5, 1.0, 2.0, 3.0, 9.0, 10.0,
+      1e300, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("text", [
+    "arctan(x*1e308*10)",             # a call maps inf to a finite value
+    "1/(x*1e308*10)",                 # a/inf = 0
+    "(x*1e308*10)^0",                 # inf^0 = 1
+    "exp(-(x*1e308*10))",             # exp(-inf) = 0
+    "0*(x*1e308*10)",                 # 0*inf is nan: no check needed
+    "(x*1e308*10)-(x*1e308*10)",      # inf-inf is nan: no check needed
+    "-(x*1e308*10)",                  # -inf stays infinite
+    "1/(x-x)",                        # ZeroDivisionError
+    "(x-9)^(1/3)",                    # ValueError: fractional power of a negative base
+    "exp(1000*x)",                    # OverflowError
+])
+def test_finiteness_checks_match_reference(text):
+    assert_parity(parse(text), XS)
+
+
+# Operands by how a parent reads them: the variable, finite constants, and
+# closures, one of which overflows to inf for |x| > 1.8.
+OPERANDS = [
+    Variable(),
+    Constant(0.0), Constant(-0.0), Constant(0.5), Constant(2.0), Constant(-3.0),
+    Binary("*", Variable(), Constant(1e308)),
+    Binary("-", Variable(), Constant(1.0)),
+    Call("ln", Variable()),
+    Unary("-", Variable()),
+]
+
+
+@pytest.mark.parametrize("op", "+-*/^")
+def test_every_operand_pair_matches_reference(op):
+    for left in OPERANDS:
+        for right in OPERANDS:
+            assert_parity(Binary(op, left, right), XS)
+
+
+@pytest.mark.parametrize("operand", OPERANDS, ids=repr)
+def test_unary_minus_and_calls_match_reference(operand):
+    assert_parity(Unary("-", operand), XS)
+    for name in FUNCTIONS:
+        assert_parity(Call(name, operand), XS)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_constant_anywhere_is_off_domain(value):
+    bad = Constant(value)
+    trees = [bad, Unary("-", bad)] + [Call(name, bad) for name in FUNCTIONS]
+    for op in "+-*/^":
+        for other in OPERANDS:
+            trees += [Binary(op, bad, other), Binary(op, other, bad)]
+    # and below nodes that would hide it without a check
+    trees += [Binary("^", Binary("+", bad, Variable()), Constant(0.0)),
+              Binary("/", Constant(1.0), Binary("*", Variable(), bad)),
+              Call("arctan", Unary("-", bad))]
+    for e in trees:
+        assert_parity(e, XS)
+        assert all(evaluate(e, x) is None for x in XS), e
+
+
+# ---------------------------------------------------------------------------
 # An evaluated expression is still a plain value
 # ---------------------------------------------------------------------------
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -206,6 +208,29 @@ def test_eval_overflow_is_domain_error():
 def test_domain_error_propagates_through_subexpressions():
     assert evaluate(parse("1 + 0*ln(x)"), -1.0) is None
     assert evaluate(parse("sin(x) + sqrt(x)"), -2.0) is None
+
+
+def test_derivative_is_built_once_per_expression():
+    e = parse("x^3 + 4*x^2 - 10")
+    d = differentiate(e)
+    assert differentiate(e) is d
+    assert differentiate(parse("x^3 + 4*x^2 - 10")) is not d
+    assert differentiate(d) is differentiate(d)
+
+
+def test_differentiated_expression_pickles_copies_and_compares_as_fresh():
+    text = "sin(x) * exp(x) + ln(x^2 + 1)"
+    fresh = parse(text)
+    used = parse(text)
+    d = differentiate(used)
+    assert evaluate(d, 0.5) is not None
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert pickle.dumps(used) == pickle.dumps(fresh)
+    for clone in (pickle.loads(pickle.dumps(used)), copy.deepcopy(used), copy.copy(used)):
+        assert clone == fresh and hash(clone) == hash(fresh)
+        assert differentiate(clone) == d
+        assert differentiate(clone) is not d
+        assert evaluate(differentiate(clone), 0.5) == evaluate(d, 0.5)
 
 
 def test_derivative_of_sin_matches_cos():

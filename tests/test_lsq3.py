@@ -309,6 +309,10 @@ def test_config_validation():
         SolverConfig(max_iter=50.5)
     with pytest.raises(ValueError):
         SolverConfig(mode="fixed", n_value=0.0)
+    for mode in ("fixed", "variable"):
+        for n in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="power must be finite"):
+                SolverConfig(mode=mode, n_value=n)
     with pytest.raises(ValueError):
         SolverConfig(mode="newton")
     with pytest.raises(ValueError):
