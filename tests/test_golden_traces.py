@@ -3,7 +3,10 @@
 ``tests/golden/bench.csv`` pins what the report prints; this pins what it
 does not: each record's probe spacing, power and side values, the note,
 and the exact bits of every float.  One line per ``lsqroots bench`` run:
-``problem,start,method,<sha256 of the outcome>``.
+``problem,start,method,<sha256 of the outcome>``.  ``golden/basin.txt``
+pins the same digests beyond the suite: for each (problem, method), one
+sha256 over the outcomes of ``basin_runs(per_problem=20, seed=2024)`` (from
+``test_outcomes``) at ``max_iter`` 500, in the order of the starts.
 
 Regenerate all three golden files (only for a deliberate change of
 behaviour, in a commit of its own that names the moved rows) with
@@ -11,15 +14,18 @@ behaviour, in a commit of its own that names the moved rows) with
     PYTHONPATH=src python tests/test_golden_traces.py > tests/golden/traces.txt
     PYTHONPATH=src python -m lsqroots.cli bench > tests/golden/bench.csv
     PYTHONPATH=src python -m lsqroots.cli bench --format markdown > tests/golden/bench.md
+    PYTHONPATH=src python tests/test_golden_traces.py basin > tests/golden/basin.txt
 """
 
 import hashlib
 import struct
+import sys
 from pathlib import Path
 
 from lsqroots.bench import METHOD_ORDER, SOLVERS, builtin_suite
 
 GOLDEN = Path(__file__).parent / "golden" / "traces.txt"
+BASIN_GOLDEN = Path(__file__).parent / "golden" / "basin.txt"
 
 
 def _bits(v):
@@ -44,6 +50,19 @@ def trace_lines():
                 yield f"{problem.id},{start!r},{method},{outcome_digest(outcome)}"
 
 
+def basin_lines():
+    # imported here: test_outcomes imports this module
+    from test_outcomes import basin_runs, solvers_with_max_iter
+    solvers = solvers_with_max_iter(500)
+    digests = {}
+    for problem, method, x0 in basin_runs(per_problem=20, seed=2024):
+        outcome = solvers[method](problem.expression, x0)
+        digests.setdefault((problem.id, method), []).append(outcome_digest(outcome))
+    for (problem_id, method), group in digests.items():
+        joined = hashlib.sha256("\n".join(group).encode()).hexdigest()
+        yield f"{problem_id},{method},{joined}"
+
+
 def test_every_run_matches_its_golden_trace():
     expected = GOLDEN.read_text().splitlines()
     got = list(trace_lines())
@@ -52,6 +71,14 @@ def test_every_run_matches_its_golden_trace():
     assert not mismatched, mismatched
 
 
+def test_every_basin_group_matches_its_golden_digest():
+    expected = BASIN_GOLDEN.read_text().splitlines()
+    got = list(basin_lines())
+    assert len(got) == len(expected) == 14 * 4
+    mismatched = [g for g, e in zip(got, expected) if g != e]
+    assert not mismatched, mismatched
+
+
 if __name__ == "__main__":
-    for line in trace_lines():
+    for line in basin_lines() if sys.argv[1:] == ["basin"] else trace_lines():
         print(line)
