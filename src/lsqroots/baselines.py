@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import partial
 from typing import NamedTuple, Optional
 
 from .expressions import Expr, differentiate, evaluate
@@ -78,7 +79,8 @@ def solve_baseline(method: str, f: Expr, x0: float,
 
     Failures are statuses, never exceptions; a zero or undefined
     derivative, a flat chord or an off-domain iterate ends the run as
-    Diverged.
+    Diverged.  A non-finite ``x0`` or ``x1`` is an argument error and
+    raises ``ValueError``.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -86,6 +88,8 @@ def solve_baseline(method: str, f: Expr, x0: float,
         config = BaselineConfig()
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")
+    if x1 is not None and not math.isfinite(x1):
+        raise ValueError("x1 must be finite")
 
     y0 = evaluate(f, x0)
     if y0 is None:
@@ -94,10 +98,10 @@ def solve_baseline(method: str, f: Expr, x0: float,
     note = ""
     prev = None
     if method == "newton":
-        dfdx = differentiate(f)
+        dfx = partial(evaluate, differentiate(f))
 
         def step(cur, prev):
-            dy = evaluate(dfdx, cur.x)
+            dy = dfx(cur.x)
             if dy is None:
                 raise ZeroDerivativeError(f"derivative undefined at x={cur.x!r}")
             return newton_step(cur.x, cur.y, dy), ()
@@ -115,5 +119,5 @@ def solve_baseline(method: str, f: Expr, x0: float,
         def step(cur, prev):
             return secant_step(prev.x, prev.y, cur.x, cur.y), ()
 
-    return iterate(step, lambda x: evaluate(f, x), x0, y0,
+    return iterate(step, partial(evaluate, f), x0, y0,
                    config.tolerance, config.max_iter, prev, note)

@@ -31,8 +31,9 @@ class _Parser(argparse.ArgumentParser):
 
 # The flags that take a real number.  argparse reads only -<digits> and
 # -<digits>.<digits> as negative numbers, so it takes a value like -1e-3
-# or -inf after one of these for a flag; main joins such a value to its
-# flag (--x0=-1e-3), which argparse reads as the flag's value.
+# or -inf after one of these, or an expression like -x+1 after --expr, for
+# a flag; main joins such a value to its flag (--x0=-1e-3, --expr=-x+1),
+# which argparse reads as the flag's value.
 _NUMBER_FLAGS = frozenset(("--x0", "--x1", "--root", "--delta0", "--tol",
                            "--from", "--to", "--E", "--step"))
 
@@ -45,11 +46,11 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _join_negative_numbers(argv: List[str]) -> List[str]:
+def _join_negative_values(argv: List[str]) -> List[str]:
     joined: List[str] = []
     for arg in argv:
-        if (joined and joined[-1] in _NUMBER_FLAGS and arg.startswith("-")
-                and _is_number(arg)):
+        if joined and arg.startswith("-") and (joined[-1] == "--expr" or (
+                joined[-1] in _NUMBER_FLAGS and _is_number(arg))):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)
@@ -213,7 +214,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     started = time.perf_counter()
     try:
         args = parser.parse_args(
-            _join_negative_numbers(sys.argv[1:] if argv is None else argv))
+            _join_negative_values(sys.argv[1:] if argv is None else argv))
         if args.command == "solve":
             code = _cmd_solve(args, sys.stdout)
         elif args.command == "rate":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import partial
 from typing import NamedTuple, Optional, Tuple
 
 from .expressions import Expr, evaluate
@@ -149,23 +150,21 @@ def estimate_power(y_minus: float, y0: float, y_plus: float, delta: float) -> fl
     # Central second differences below the cancellation floor of the three
     # samples carry no information; treating them as zero keeps the
     # straight-line answer exact on straight lines.
-    noise = 4.0 * _EPS * max(abs(y_minus), abs(y0), abs(y_plus)) / dd
-    if abs(d2) <= noise:
+    big = abs(y_minus)
+    big = abs(y0) if abs(y0) > big else big
+    big = abs(y_plus) if abs(y_plus) > big else big
+    if abs(d2) <= 4.0 * _EPS * big / dd:
         d2 = 0.0
     s2 = s * s
     den = s2 - y0 * d2
-    if not math.isfinite(den) or abs(den) < 1e-300 or not math.isfinite(s2):
+    # An infinite s2 leaves den infinite or NaN.
+    if not 1e-300 <= abs(den) < math.inf:
         return 1.0
+    # n is finite: where s2 - y0*d2 cancels, |den| >= s2 * 2**-54.
     n = s2 / den
-    if not math.isfinite(n):
+    if n < N_CLAMP[0] or _STRONG_POLE_LIMIT < n <= _MILD_NEGATIVE_LIMIT or -1e-6 < n < 1e-6:
         return 1.0
-    lo, hi = N_CLAMP
-    if n < lo or _STRONG_POLE_LIMIT < n <= _MILD_NEGATIVE_LIMIT:
-        return 1.0
-    n = min(n, hi)
-    if abs(n) < 1e-6:
-        return 1.0
-    return n
+    return n if n <= N_CLAMP[1] else N_CLAMP[1]
 
 
 def select_delta(x_k: float, x_prev: float, delta_prev: float, ratio: float) -> float:
@@ -180,15 +179,17 @@ def select_delta(x_k: float, x_prev: float, delta_prev: float, ratio: float) -> 
     (x_k - x_prev)^2), which after a step of 1e6 or more exceeds 1.
     """
     dx = x_k - x_prev
-    floor = max(_DELTA_FLOOR_ULP * abs(x_k), ratio * min(abs(dx), abs(x_k)), 1e-300)
+    ax, adx = abs(x_k), abs(dx)
+    floor, scaled = _DELTA_FLOOR_ULP * ax, ratio * (ax if ax < adx else adx)
+    floor = scaled if scaled > floor else floor
+    floor = 1e-300 if 1e-300 > floor else floor
     dx2 = dx ** 2
     for beta in _BETAS:
         delta = beta * dx2
         if delta < 1.0 and delta <= delta_prev:
-            if delta >= floor:
-                return delta
-            break
-    return max(floor, _BETAS[-1] * dx2)
+            return delta if delta >= floor else floor
+    # The loop ended on the last beta, so this is its spacing.
+    return delta if delta > floor else floor
 
 
 def adjust_delta(f: Expr, x: float, delta: float) -> Tuple[float, float, float]:
@@ -204,20 +205,19 @@ def adjust_delta(f: Expr, x: float, delta: float) -> Tuple[float, float, float]:
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    d = delta
     failure = None
     for _ in range(8):
-        y_minus = evaluate(f, x - d)
-        y_plus = evaluate(f, x + d)
+        y_minus = evaluate(f, x - delta)
+        y_plus = evaluate(f, x + delta)
         if y_minus is None or y_plus is None:
             failure = "domain"
-            d = d / 2.0
+            delta = delta / 2.0
             continue
         if y_minus == y_plus:
             failure = "symmetric"
-            d = d * 1.5
+            delta = delta * 1.5
             continue
-        return d, y_minus, y_plus
+        return delta, y_minus, y_plus
     if failure == "domain":
         raise ProbeDomainError(f"no valid probes around x={x!r}")
     raise SymmetricStallError(f"y(x+delta) = y(x-delta) for all adjusted deltas at x={x!r}")
@@ -240,21 +240,19 @@ def solve(f: Expr, x0: float, config: Optional[SolverConfig] = None) -> SolveOut
     if y0 is None:
         return SolveOutcome(Status.DOMAIN_ERROR, x0, (), note="f undefined at starting point")
 
-    variable = config.mode == "variable"
-    ratio = _DELTA_SCALE_RATIO_VARIABLE if variable else _DELTA_SCALE_RATIO_FIXED
+    delta0, n = config.delta0, config.n_value      # the variable step finds its own n
+    if config.mode == "variable":
+        def step(cur, prev):
+            x, y = cur.x, cur.y
+            delta, y_minus, y_plus = adjust_delta(f, x, delta0 if prev is None else select_delta(
+                x, prev.x, cur.delta, _DELTA_SCALE_RATIO_VARIABLE))
+            n = estimate_power(y_minus, y, y_plus, delta)
+            return lsq3_step(x, y_minus, y, y_plus, delta, n), (delta, n, y_minus, y_plus)
+    else:
+        def step(cur, prev):
+            x, y = cur.x, cur.y
+            delta, y_minus, y_plus = adjust_delta(f, x, delta0 if prev is None else select_delta(
+                x, prev.x, cur.delta, _DELTA_SCALE_RATIO_FIXED))
+            return lsq3_step(x, y_minus, y, y_plus, delta, n), (delta, n, y_minus, y_plus)
 
-    def step(cur, prev):
-        x = cur.x
-        if prev is None:
-            delta_try = config.delta0
-        else:
-            delta_try = select_delta(x, prev.x, cur.delta, ratio)
-        delta, y_minus, y_plus = adjust_delta(f, x, delta_try)
-        if variable:
-            n = estimate_power(y_minus, cur.y, y_plus, delta)
-        else:
-            n = config.n_value
-        return lsq3_step(x, y_minus, cur.y, y_plus, delta, n), (delta, n, y_minus, y_plus)
-
-    return iterate(step, lambda x: evaluate(f, x), x0, y0,
-                   config.tolerance, config.max_iter)
+    return iterate(step, partial(evaluate, f), x0, y0, config.tolerance, config.max_iter)

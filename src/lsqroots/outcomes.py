@@ -130,7 +130,7 @@ def detect_cycle(xs: Sequence[float]) -> bool:
     if len(xs) < CYCLE_MIN_INDEX:
         return False
     last = xs[-1]
-    scale = max(1.0, abs(last))
+    scale = abs(last) if abs(last) > 1.0 else 1.0      # max(1.0, |last|)
     tol = CYCLE_MATCH_RTOL * scale
     # Every period's match below includes the pair (xs[-1-period], last).
     # A NaN fails every comparison and falls through to the full tests.
@@ -187,8 +187,9 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
 
     ``step(cur, prev)`` gets the current and the previous accepted point as
     records (the start is ``k=0``; ``prev`` starts as given) and returns the
-    next iterate with the extra fields of its record, or raises
-    :class:`StepError`, which ends the run (see :class:`StepError`).
+    next iterate with its record's extra fields, all four or ``()`` for
+    none, or raises :class:`StepError`, which ends the run.  Records are
+    built by ``tuple.__new__``, past the named tuple's slower constructor.
     ``fx`` evaluates f, ``None`` off the domain; an off-domain iterate is
     recorded and ends the run Diverged.  A failure's note comes from the
     break that classifies it, unless ``note`` was already set.
@@ -207,19 +208,20 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     the best iterate comes from before the copies.
     """
     cur = IterationRecord(0, x0, y0)
+    x, k = x0, 0                        # cur.x and len(trace)
     trace: list[IterationRecord] = []
     accepted: list[float] = []
-    # cur.x -> [(prev, cur, trace index of the record the state produced)]
-    # of the accepted steps
-    seen: dict[float, list] = {}
+    # cur.x -> ((prev, cur, trace index of the record it produced), ...)
+    seen: dict[float, tuple] = {}
     status = Status.MAX_ITERATIONS
-    while len(trace) < max_iter:
-        for seen_prev, seen_cur, first in seen.get(cur.x, ()):
+    while k < max_iter:
+        states = seen.get(x, ())
+        for seen_prev, seen_cur, first in states:
             if _same_fields(seen_cur, cur) and _same_fields(seen_prev, prev):
                 # The periodic tail (see the docstring).
-                period = len(trace) - first
+                period = k - first
                 root = best_iterate(x0, y0, trace)
-                for _ in range(min(CHECKED_REPLAYS, max_iter - len(trace))):
+                for _ in range(min(CHECKED_REPLAYS, max_iter - k)):
                     trace.append(IterationRecord(len(trace) + 1, *trace[-period][1:]))
                     accepted.append(trace[-1].x)
                     if detect_cycle(accepted):
@@ -238,16 +240,16 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
             note = note or str(err)
             break
         y_new = fx(x_new) if math.isfinite(x_new) else None
-
-        rec = IterationRecord(len(trace) + 1, x_new,
-                              math.nan if y_new is None else y_new, *extras)
+        k += 1
+        rec = tuple.__new__(IterationRecord, (k, x_new, math.nan if y_new is None else y_new)
+                            + (extras or (None, None, None, None)))
         trace.append(rec)
         if y_new is None:
             status = Status.DIVERGED
             note = note or f"iterate left the domain at x={x_new!r}"
             break
 
-        if abs(x_new - cur.x) + abs(y_new) < tolerance:
+        if abs(x_new - x) + abs(y_new) < tolerance:
             return SolveOutcome(Status.CONVERGED, x_new, tuple(trace), note)
         if abs(x_new) > DIVERGENCE_BOUND:
             status = Status.DIVERGED
@@ -256,7 +258,7 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
         if detect_cycle(accepted):
             status = Status.OSCILLATING
             break
-        seen.setdefault(cur.x, []).append((prev, cur, len(trace) - 1))
-        prev, cur = cur, rec
+        seen[x] = states + ((prev, cur, k - 1),)
+        prev, cur, x = cur, rec, x_new
 
     return SolveOutcome(status, best_iterate(x0, y0, trace), tuple(trace), note)

@@ -82,6 +82,17 @@ def test_newton_rejected_methods_and_starts():
         solve_baseline("newton", parse("x"), math.nan)
 
 
+@pytest.mark.parametrize("x1", [math.inf, -math.inf, math.nan])
+def test_non_finite_second_start_raises_like_the_first(x1):
+    with pytest.raises(ValueError, match="x1 must be finite"):
+        solve_baseline("secant", parse("x - 1"), 0.0, x1=x1)
+    with pytest.raises(ValueError, match="x1 must be finite"):
+        solve_baseline("newton", parse("x - 1"), 0.0, x1=x1)
+    # a finite second start where f is undefined is still a status
+    out = solve_baseline("secant", parse("ln(x)"), 1.0, x1=-1.0)
+    assert out.status is Status.DOMAIN_ERROR
+
+
 def test_newton_domain_error_at_start():
     out = solve_baseline("newton", parse("ln(x)"), -2.0)
     assert out.status is Status.DOMAIN_ERROR

@@ -326,6 +326,23 @@ def test_negative_number_with_an_exponent_is_the_flag_value(capsys, flag, value)
     assert spaced == joined
 
 
+@pytest.mark.parametrize("command", [("solve",), ("rate", "--root", "1")])
+@pytest.mark.parametrize("expr", ["-x+1", "-(x - 1)^3", "--x+1"])
+def test_expression_with_a_leading_minus_is_the_flag_value(capsys, command, expr):
+    rest = ("--x0", "0", "--method", "newton")
+    spaced = run_cli(capsys, *command, "--expr", expr, *rest)
+    joined = run_cli(capsys, *command, f"--expr={expr}", *rest)
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[2] == ""
+
+
+def test_leading_minus_expression_solves(capsys):
+    code, out, err = run_cli(capsys, "solve", "--expr", "-x+1", "--x0", "0",
+                             "--method", "newton")
+    assert (code, err) == (0, "")
+    assert out.startswith("status converged\nroot 1\n")
+
+
 def test_negative_start_with_an_exponent_solves(capsys):
     code, out, err = run_cli(
         capsys, "solve", "--expr", "x+0.001", "--x0", "-1e-3", "--method", "newton",
