@@ -336,13 +336,6 @@ def test_expression_with_a_leading_minus_is_the_flag_value(capsys, command, expr
     assert spaced[0] == 0 and spaced[2] == ""
 
 
-def test_leading_minus_expression_solves(capsys):
-    code, out, err = run_cli(capsys, "solve", "--expr", "-x+1", "--x0", "0",
-                             "--method", "newton")
-    assert (code, err) == (0, "")
-    assert out.startswith("status converged\nroot 1\n")
-
-
 def test_negative_start_with_an_exponent_solves(capsys):
     code, out, err = run_cli(
         capsys, "solve", "--expr", "x+0.001", "--x0", "-1e-3", "--method", "newton",
