@@ -33,7 +33,8 @@ class _Parser(argparse.ArgumentParser):
 # -<digits>.<digits> as negative numbers, so it takes a value like -1e-3
 # or -inf after one of these, or an expression like -x+1 after --expr, for
 # a flag; main joins such a value to its flag (--x0=-1e-3, --expr=-x+1),
-# which argparse reads as the flag's value.
+# which argparse reads as the flag's value.  A word that starts with -- is
+# left alone: after --expr it is the next flag of a missing expression.
 _NUMBER_FLAGS = frozenset(("--x0", "--x1", "--root", "--delta0", "--tol",
                            "--from", "--to", "--E", "--step"))
 
@@ -49,8 +50,9 @@ def _is_number(text: str) -> bool:
 def _join_negative_values(argv: List[str]) -> List[str]:
     joined: List[str] = []
     for arg in argv:
-        if joined and arg.startswith("-") and (joined[-1] == "--expr" or (
-                joined[-1] in _NUMBER_FLAGS and _is_number(arg))):
+        if joined and arg.startswith("-") and (
+                joined[-1] == "--expr" and not arg.startswith("--")
+                or joined[-1] in _NUMBER_FLAGS and _is_number(arg)):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)

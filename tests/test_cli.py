@@ -327,13 +327,20 @@ def test_negative_number_with_an_exponent_is_the_flag_value(capsys, flag, value)
 
 
 @pytest.mark.parametrize("command", [("solve",), ("rate", "--root", "1")])
-@pytest.mark.parametrize("expr", ["-x+1", "-(x - 1)^3", "--x+1"])
+@pytest.mark.parametrize("expr", ["-x+1", "-(x - 1)^3", "-x^3+1"])
 def test_expression_with_a_leading_minus_is_the_flag_value(capsys, command, expr):
     rest = ("--x0", "0", "--method", "newton")
     spaced = run_cli(capsys, *command, "--expr", expr, *rest)
     joined = run_cli(capsys, *command, f"--expr={expr}", *rest)
     assert spaced == joined
     assert spaced[0] == 0 and spaced[2] == ""
+
+
+def test_a_missing_expression_is_still_named(capsys):
+    # the flag after a bare --expr is not taken for its value
+    code, out, err = run_cli(capsys, "solve", "--expr", "--x0", "0", "--method", "newton")
+    assert (code, out) == (1, "")
+    assert "argument --expr: expected one argument" in err
 
 
 def test_negative_start_with_an_exponent_solves(capsys):
