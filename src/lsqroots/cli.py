@@ -51,8 +51,8 @@ def _join_negative_values(argv: List[str]) -> List[str]:
     joined: List[str] = []
     for arg in argv:
         if joined and arg.startswith("-") and (
-                joined[-1] == "--expr" and not arg.startswith("--")
-                or joined[-1] in _NUMBER_FLAGS and _is_number(arg)):
+                (joined[-1] == "--expr" and not arg.startswith("--"))
+                or (joined[-1] in _NUMBER_FLAGS and _is_number(arg))):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)

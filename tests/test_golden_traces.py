@@ -8,7 +8,7 @@ pins the same digests beyond the suite: for each (problem, method), one
 sha256 over the outcomes of ``basin_runs(per_problem=20, seed=2024)`` (from
 ``test_outcomes``) at ``max_iter`` 500, in the order of the starts.
 
-Regenerate all three golden files (only for a deliberate change of
+Regenerate the golden files (only for a deliberate change of
 behaviour, in a commit of its own that names the moved rows) with
 
     PYTHONPATH=src python tests/test_golden_traces.py > tests/golden/traces.txt
