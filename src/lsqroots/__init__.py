@@ -2,7 +2,7 @@
 and secant baselines and a table-reproduction benchmark harness.
 
 The benchmark names resolve on first use, so ``import lsqroots`` does not
-load :mod:`lsqroots.bench` (and its ``csv`` and ``dataclasses``).
+load :mod:`lsqroots.bench`.
 """
 
 from .baselines import BaselineConfig, solve_baseline

@@ -20,8 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .baselines import solve_baseline
 from .expressions import Expr, evaluate, parse
@@ -59,8 +58,7 @@ ROOT_MATCH_ATOL = 1e-9
 RATE_TRUST_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class Problem:
+class _ProblemFields(NamedTuple):
     id: str
     source: str
     expression: Expr
@@ -70,17 +68,29 @@ class Problem:
     expected: Dict[float, Dict[str, Expected]]
     table: int
 
-    def __post_init__(self):
+
+class Problem(_ProblemFields):
+    """One suite problem (an immutable named tuple), checked when built,
+    by ``_replace`` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for r in self.reference_roots:
             y = evaluate(self.expression, r)
             if y is None or abs(y) >= 1e-9:
                 raise ValueError(f"{self.id}: stored root {r!r} gives f(r)={y!r}")
         if not self.starts:
             raise ValueError(f"{self.id}: needs at least one start")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RunRow:
+class RunRow(NamedTuple):
     problem: str
     start: float
     method: str
@@ -92,9 +102,10 @@ class RunRow:
     deviation: str
 
 
-@dataclass(frozen=True)
-class BenchReport:
+class BenchReport(NamedTuple):
     rows: Tuple[RunRow, ...]
+    #: the problems that were run, in row order
+    suite: Tuple[Problem, ...]
 
     def summary(self) -> Dict[str, int]:
         counts: Dict[str, int] = {"runs": len(self.rows)}
@@ -273,8 +284,7 @@ def run_benchmark(suite: Optional[Sequence[Problem]] = None,
     not within 1e-9 of any stored reference root carries the deviation
     flag ``WRONG_ROOT``.
     """
-    if suite is None:
-        suite = builtin_suite()
+    suite = builtin_suite() if suite is None else tuple(suite)
     if methods is None:
         methods = METHOD_ORDER
     else:
@@ -289,7 +299,7 @@ def run_benchmark(suite: Optional[Sequence[Problem]] = None,
             for method in methods:
                 outcome = SOLVERS[method](problem.expression, start)
                 rows.append(_make_row(problem, start, method, outcome))
-    return BenchReport(tuple(rows))
+    return BenchReport(tuple(rows), suite)
 
 
 def _make_row(problem: Problem, start: float, method: str,
@@ -333,13 +343,12 @@ def _fmt(v: Optional[float]) -> str:
     return "" if v is None else format(v, ".15g")
 
 
-def emit_report(report: BenchReport, format: str = "csv",
-                suite: Optional[Sequence[Problem]] = None) -> str:
+def emit_report(report: BenchReport, format: str = "csv") -> str:
     """Render the report as RFC-4180 CSV or per-problem Markdown tables."""
     if format == "csv":
         return _emit_csv(report)
     if format == "markdown":
-        return _emit_markdown(report, suite if suite is not None else builtin_suite())
+        return _emit_markdown(report)
     raise ValueError(f"unknown format {format!r}")
 
 
@@ -373,10 +382,10 @@ def _cell(row: RunRow) -> str:
     return text
 
 
-def _emit_markdown(report: BenchReport, suite: Sequence[Problem]) -> str:
+def _emit_markdown(report: BenchReport) -> str:
     by_key = {(r.problem, r.start, r.method): r for r in report.rows}
     lines: List[str] = []
-    for problem in suite:
+    for problem in report.suite:
         cells_present = any((problem.id, s, m) in by_key
                             for s in problem.starts for m in TABLE_COLUMNS)
         if not cells_present:

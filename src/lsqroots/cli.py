@@ -14,8 +14,7 @@ from .lsq3 import SolverConfig, solve
 from .outcomes import SolveOutcome, Status
 
 # The bench, rate and fncurve handlers import .bench themselves: solve
-# never needs it, and loading it (with csv and dataclasses) would add to
-# every cold start.
+# never needs it, and loading it would add to every cold start.
 
 
 class _UsageError(Exception):
@@ -185,9 +184,8 @@ def _cmd_rate(args, out) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .bench import builtin_suite, emit_report, run_benchmark
-    suite = builtin_suite()
-    text = emit_report(run_benchmark(suite), args.format, suite)
+    from .bench import emit_report, run_benchmark
+    text = emit_report(run_benchmark(), args.format)
     if args.out:
         try:
             with open(args.out, "w", newline="") as fh:

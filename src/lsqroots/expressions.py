@@ -492,17 +492,13 @@ def evaluate(e: Expr, x: float) -> Optional[float]:
 # Smart constructors fold constants and drop additive/multiplicative
 # identities so derivative trees stay readable.  No deeper simplification.
 
-def _const(v: float) -> Constant:
-    return Constant(v)
-
-
 def _is_const(e: Expr, v: Optional[float] = None) -> bool:
     return isinstance(e, Constant) and (v is None or e.value == v)
 
 
 def _add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Constant) and isinstance(b, Constant):
-        return _const(a.value + b.value)
+        return Constant(a.value + b.value)
     if _is_const(a, 0.0):
         return b
     if _is_const(b, 0.0):
@@ -512,7 +508,7 @@ def _add(a: Expr, b: Expr) -> Expr:
 
 def _sub(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Constant) and isinstance(b, Constant):
-        return _const(a.value - b.value)
+        return Constant(a.value - b.value)
     if _is_const(b, 0.0):
         return a
     if _is_const(a, 0.0):
@@ -524,9 +520,9 @@ def _mul(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Constant) and isinstance(b, Constant):
         v = a.value * b.value
         if math.isfinite(v):
-            return _const(v)
+            return Constant(v)
     if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return _const(0.0)
+        return Constant(0.0)
     if _is_const(a, 1.0):
         return b
     if _is_const(b, 1.0):
@@ -536,13 +532,13 @@ def _mul(a: Expr, b: Expr) -> Expr:
 
 def _div(a: Expr, b: Expr) -> Expr:
     if _is_const(a, 0.0):
-        return _const(0.0)
+        return Constant(0.0)
     if _is_const(b, 1.0):
         return a
     if isinstance(a, Constant) and isinstance(b, Constant) and b.value != 0.0:
         v = a.value / b.value
         if math.isfinite(v):
-            return _const(v)
+            return Constant(v)
     return Binary("/", a, b)
 
 
@@ -550,7 +546,7 @@ def _pow(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 1.0):
         return a
     if _is_const(b, 0.0):
-        return _const(1.0)
+        return Constant(1.0)
     return Binary("^", a, b)
 
 
@@ -566,11 +562,11 @@ def differentiate(e: Expr) -> Expr:
 
 def _differentiate(e: Expr) -> Expr:
     if isinstance(e, Constant):
-        return _const(0.0)
+        return Constant(0.0)
     if isinstance(e, Variable):
-        return _const(1.0)
+        return Constant(1.0)
     if isinstance(e, Unary):
-        return _sub(_const(0.0), _differentiate(e.operand))
+        return _sub(Constant(0.0), _differentiate(e.operand))
     if isinstance(e, Binary):
         u, v = e.left, e.right
         du, dv = _differentiate(u), _differentiate(v)
@@ -581,11 +577,11 @@ def _differentiate(e: Expr) -> Expr:
         if e.op == "*":
             return _add(_mul(du, v), _mul(u, dv))
         if e.op == "/":
-            return _div(_sub(_mul(du, v), _mul(u, dv)), _pow(v, _const(2.0)))
+            return _div(_sub(_mul(du, v), _mul(u, dv)), _pow(v, Constant(2.0)))
         # u^v
         if isinstance(v, Constant):
             # power rule: c * u^(c-1) * u'
-            return _mul(_mul(v, _pow(u, _const(v.value - 1.0))), du)
+            return _mul(_mul(v, _pow(u, Constant(v.value - 1.0))), du)
         # general case: u^v * (v' ln u + v u'/u)
         return _mul(
             _pow(u, v),
@@ -600,22 +596,22 @@ def _differentiate(e: Expr) -> Expr:
     elif name == "cos":
         outer = Unary("-", Call("sin", u))
     elif name == "tan":
-        outer = _div(_const(1.0), _pow(Call("cos", u), _const(2.0)))
+        outer = _div(Constant(1.0), _pow(Call("cos", u), Constant(2.0)))
     elif name == "arctan":
-        outer = _div(_const(1.0), _add(_const(1.0), _pow(u, _const(2.0))))
+        outer = _div(Constant(1.0), _add(Constant(1.0), _pow(u, Constant(2.0))))
     elif name == "exp":
         outer = Call("exp", u)
     elif name in ("ln", "log"):
-        outer = _div(_const(1.0), u)
+        outer = _div(Constant(1.0), u)
     elif name == "log10":
-        outer = _div(_const(1.0), _mul(u, _const(math.log(10.0))))
+        outer = _div(Constant(1.0), _mul(u, Constant(math.log(10.0))))
     elif name == "abs":
         # d|u| = u/|u| * u'; undefined at u=0, surfaces as a domain error there
         outer = _div(u, Call("abs", u))
     elif name == "cbrt":
-        outer = _div(_const(1.0), _mul(_const(3.0), _pow(Call("cbrt", u), _const(2.0))))
+        outer = _div(Constant(1.0), _mul(Constant(3.0), _pow(Call("cbrt", u), Constant(2.0))))
     else:  # sqrt
-        outer = _div(_const(1.0), _mul(_const(2.0), Call("sqrt", u)))
+        outer = _div(Constant(1.0), _mul(Constant(2.0), Call("sqrt", u)))
     return _mul(outer, du)
 
 

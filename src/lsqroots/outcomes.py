@@ -147,11 +147,14 @@ def detect_cycle(xs: Sequence[float]) -> bool:
         if abs(xs[-1 - period] - last) > tol:
             continue
         window = xs[-2 * period:]
-        if max(window) - min(window) > min_span and all(
-            abs(window[i] - window[i + period]) <= tol
-            for i in range(period)
-        ):
-            return True
+        if max(window) - min(window) > min_span:
+            # A plain loop, not all(...): a generator would make tol and
+            # window closure cells on every call.  A NaN fails the match.
+            for i in range(period):
+                if not abs(window[i] - window[i + period]) <= tol:
+                    break
+            else:
+                return True
     return False
 
 

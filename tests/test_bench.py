@@ -59,6 +59,19 @@ def test_problem_rejects_bad_root():
                 reference_roots=(2.0,), starts=(0.0,), expected={}, table=1)
 
 
+@pytest.mark.parametrize("change", [{"reference_roots": (2.0,)}, {"starts": ()}],
+                         ids=["bad-root", "no-starts"])
+def test_problem_checks_run_when_built_and_when_replaced(change):
+    fields = dict(id="line", source="x - 1", expression=parse("x - 1"),
+                  reference_roots=(1.0,), starts=(0.0,), expected={}, table=1)
+    good = Problem(**fields)
+    message = "stored root 2.0" if "reference_roots" in change else "at least one start"
+    with pytest.raises(ValueError, match=message):
+        Problem(**{**fields, **change})
+    with pytest.raises(ValueError, match=message):
+        good._replace(**change)
+
+
 def test_rates_exact_powers():
     trace = [record(1, 0.5), record(2, 1e-2), record(3, 1e-4)]
     rates = convergence_rates(trace, 0.0)
@@ -233,9 +246,26 @@ def test_markdown_layout():
     assert "summary:" in text
 
 
+def test_markdown_of_a_custom_suite_shows_its_table():
+    p = Problem(id="shifted-line", source="x - 2", expression=parse("x - 2"),
+                reference_roots=(2.0,), starts=(0.0,), expected={}, table=1)
+    report = run_benchmark(suite=[p], methods=("newton",))
+    assert emit_report(report, "markdown") == (
+        "### shifted-line: `x - 2` (table 1)\n"
+        "roots: 2\n"
+        "\n"
+        "| start | secant | Newton | 3-point N=1 | 3-point N=var |\n"
+        "|---|---|---|---|---|\n"
+        "| 0 | - | 2 | - | - |\n"
+        "\n"
+        "summary: converged=1, label-mismatch=0, runs=1, wrong-root=0\n"
+    )
+    assert report.suite == (p,)
+
+
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
-        emit_report(BenchReport(()), "yaml")
+        emit_report(BenchReport((), ()), "yaml")
 
 
 def test_wrong_root_flagging():

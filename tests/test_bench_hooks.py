@@ -9,7 +9,6 @@ that no longer exists, would silently change the benchmark's
 read-only.
 """
 
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -40,7 +39,7 @@ def test_every_rebound_name_exists():
 @pytest.mark.parametrize("method", EXPECTED)
 def test_solver_evaluations_are_counted(method):
     cubic = next(p for p in builtin_suite() if p.id == "cubic-poly")
-    problem = dataclasses.replace(cubic, starts=(0.5,))
+    problem = cubic._replace(starts=(0.5,))
     counts = probes.Counts()
     with counts.installed():
         report = run_benchmark([problem], [method])
@@ -73,7 +72,7 @@ LIVE_LAYERS = {
 
 def _counted_run(problem_id, start, method):
     problem = next(p for p in builtin_suite() if p.id == problem_id)
-    problem = dataclasses.replace(problem, starts=(start,))
+    problem = problem._replace(starts=(start,))
     counts = probes.Counts()
     with counts.installed():
         run_benchmark([problem], [method])

@@ -2,7 +2,8 @@
 
 ``lsqroots solve`` pays for every module ``import lsqroots.cli`` loads, at
 every cold start.  Neither the package nor the CLI may load
-``dataclasses`` or ``lsqroots.bench`` until a benchmark name is used.
+``lsqroots.bench`` until a benchmark name is used, and no module of the
+package loads ``dataclasses`` (nor, through it, ``inspect``).
 """
 
 import os
@@ -19,21 +20,34 @@ SRC = str(Path(lsqroots.__file__).resolve().parent.parent)
 PROBE = """\
 import sys
 before = set(sys.modules)
-import {module}
+{code}
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
-@pytest.mark.parametrize("module", ["lsqroots", "lsqroots.cli"])
-def test_import_loads_neither_dataclasses_nor_bench(module):
+def modules_added_by(code):
+    """Names that running ``code`` adds to ``sys.modules`` in a fresh
+    interpreter."""
     old = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + old if old else ""))
-    proc = subprocess.run([sys.executable, "-c", PROBE.format(module=module)],
+    proc = subprocess.run([sys.executable, "-c", PROBE.format(code=code)],
                           env=env, capture_output=True, text=True, check=True)
-    added = proc.stdout.split()
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("module", ["lsqroots", "lsqroots.cli"])
+def test_import_loads_neither_dataclasses_nor_bench(module):
+    added = modules_added_by(f"import {module}")
     assert module in added
     assert "dataclasses" not in added
     assert "lsqroots.bench" not in added
+
+
+def test_building_the_suite_loads_neither_dataclasses_nor_inspect():
+    added = modules_added_by("import lsqroots.bench\nlsqroots.builtin_suite()")
+    assert "lsqroots.bench" in added
+    assert "dataclasses" not in added
+    assert "inspect" not in added
 
 
 def test_every_exported_name_resolves():
