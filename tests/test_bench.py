@@ -180,6 +180,11 @@ def test_run_benchmark_empty_method_set():
     assert report.rows == ()
 
 
+def test_markdown_of_an_empty_run_is_the_summary_alone():
+    report = run_benchmark(methods=())
+    assert emit_report(report, "markdown") == "summary: label-mismatch=0, runs=0, wrong-root=0\n"
+
+
 def test_run_benchmark_rejects_unknown_method():
     with pytest.raises(ValueError):
         run_benchmark(methods=("bisection",))

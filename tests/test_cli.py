@@ -152,6 +152,20 @@ def test_lsq3_power_defaults_to_fixed_one(capsys):
     assert default.splitlines()[1].split(",")[4] == "1"
 
 
+def test_lsq3_fixed_power_without_a_value_is_fixed_one(capsys):
+    argv = ("solve", "--expr", "x^3 - 2*x - 5", "--x0", "3", "--method", "lsq3", "--trace")
+    code, fixed_one, _ = run_cli(capsys, *argv, "--n", "fixed:1")
+    assert code == 0
+    assert run_cli(capsys, *argv, "--n", "fixed") == (0, fixed_one, "")
+
+
+def test_rate_domain_error_prints_only_the_status(capsys):
+    code, out, err = run_cli(
+        capsys, "rate", "--expr", "ln(x)", "--x0", "-1", "--method", "newton",
+    )
+    assert (code, out, err) == (2, "status domain-error\n", "")
+
+
 def test_fncurve_argmin_near_two(capsys):
     code, out, _ = run_cli(
         capsys, "fncurve", "--E", "1e-22", "--from", "1", "--to", "4", "--step", "0.01",
@@ -273,6 +287,10 @@ def test_solve_prints_the_off_domain_note(capsys):
     (("--x0", "0", "--method", "lsq3", "--n", "fixed:nan"), "power must be finite, got nan"),
     (("--x0", "0", "--method", "secant", "--x1", "inf"), "--x1 must be finite, got inf"),
     (("--x0", "0", "--method", "secant", "--x1", "nan"), "--x1 must be finite, got nan"),
+    (("--x0", "1", "--method", "lsq3", "--n", "foo"),
+     "lsqroots: invalid --n value 'foo' (expected 'variable' or 'fixed:<real>')"),
+    (("--x0", "1", "--method", "lsq3", "--n", "fixed:abc"),
+     "lsqroots: invalid --n value 'fixed:abc' (expected 'variable' or 'fixed:<real>')"),
 ])
 @pytest.mark.parametrize("command", ["solve", "rate"])
 def test_invalid_numeric_flag_is_one_line_usage_error(capsys, command, flags, message):

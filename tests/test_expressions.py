@@ -90,11 +90,28 @@ def test_whitespace_and_scientific_notation():
     ("", 0),
     ("1e999", 0),           # a literal that overflows a double
     ("x + 2.5E+308", 4),
+    ("x)", 1),
+    ("1.2.3", 0),
+    ("2ex", 1),             # 'e' without digits is not an exponent
+    ("sin(" + "-" * MAX_DEPTH + "x)", 0),
 ])
 def test_syntax_error_carries_position(bad, pos):
     with pytest.raises(ParseError) as err:
         parse(bad)
     assert err.value.position == pos
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("x)", "unexpected character ')' (at position 1)"),
+    ("1.2.3", "invalid number '1.2.3' (at position 0)"),
+    ("2ex", "unexpected character 'e' (at position 1)"),
+    # the call's own depth check: the minuses alone are MAX_DEPTH deep
+    ("sin(" + "-" * MAX_DEPTH + "x)", f"nested deeper than {MAX_DEPTH} levels (at position 0)"),
+])
+def test_syntax_error_names_what_it_rejects(bad, message):
+    with pytest.raises(ParseError) as err:
+        parse(bad)
+    assert str(err.value).endswith(message)
 
 
 def test_power_exponent_minus_signs_fold_from_the_right():
@@ -114,6 +131,7 @@ NESTINGS = {
     "quotient chain": lambda n: "/".join(["x"] * (n + 1)),
     "negated groups": lambda n: "(-" * n + "x" + ")" * n,
     "power groups": lambda n: "x^(" * n + "x" + ")" * n,
+    "negated call": lambda n: "sin(" + "-" * (n - 1) + "x)",
     # each '^-' is two levels: the power and the minus on its exponent
     "negative exponents": lambda n: "-" * (n % 2) + "x^-" * (n // 2) + "x",
 }
@@ -208,6 +226,16 @@ def test_eval_overflow_is_domain_error():
 def test_domain_error_propagates_through_subexpressions():
     assert evaluate(parse("1 + 0*ln(x)"), -1.0) is None
     assert evaluate(parse("sin(x) + sqrt(x)"), -2.0) is None
+
+
+def test_nodes_of_different_classes_are_unequal():
+    assert (Constant(1.0) == Variable()) is False
+    assert Constant(1.0).__eq__(Variable()) is NotImplemented
+
+
+def test_derivative_folds_a_unit_power_to_a_constant():
+    # x^1 -> 1 * x^0 * 1, and x^0 folds to 1
+    assert differentiate(parse("x^1")) == Constant(1.0)
 
 
 def test_derivative_is_built_once_per_expression():

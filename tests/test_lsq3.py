@@ -226,6 +226,11 @@ def test_adjust_delta_halves_out_of_domain_probes():
     assert yp == math.log(0.05 + 0.025)
 
 
+def test_adjust_delta_rejects_a_non_positive_delta():
+    with pytest.raises(ValueError, match="delta must be positive"):
+        adjust_delta(parse("x"), 0.0, 0.0)
+
+
 def test_adjust_delta_gives_up_deep_inside_invalid_region():
     with pytest.raises(ProbeDomainError):
         adjust_delta(parse("sqrt(x)"), -100.0, 0.5)
