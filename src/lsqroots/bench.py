@@ -260,13 +260,21 @@ def f_n_curve(E: float, n_grid: Iterable[float]) -> List[Tuple[float, float]]:
 
 def n_grid(start: float, stop: float, step: float) -> List[float]:
     """Inclusive arithmetic grid, computed without drift, of at most
-    :data:`MAX_GRID_POINTS` points."""
+    :data:`MAX_GRID_POINTS` points.
+
+    A grid too large to count, whose number of steps overflows a float
+    (``n_grid(0, 1e308, 1e-308)``), is refused like any other oversized
+    grid, with ``ValueError``; reversed that far, it is empty.
+    """
     for name, value in (("start", start), ("stop", stop), ("step", step)):
         if not math.isfinite(value):
             raise ValueError(f"grid {name} must be finite, got {value!r}")
     if step <= 0.0:
         raise ValueError("step must be positive")
-    count = int(round((stop - start) / step))
+    steps = (stop - start) / step
+    if steps == math.inf:
+        raise ValueError(f"grid of more than 1e308 points exceeds {MAX_GRID_POINTS}")
+    count = int(round(max(steps, -1.0)))
     if count + 1 > MAX_GRID_POINTS:
         raise ValueError(f"grid of {count + 1} points exceeds {MAX_GRID_POINTS}")
     return [start + i * step for i in range(count + 1)]

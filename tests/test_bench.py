@@ -155,6 +155,10 @@ def test_grid_size_is_capped_before_allocation(monkeypatch):
     # 10^12 + 1 points: refused by the count alone
     with pytest.raises(ValueError, match="exceeds 10"):
         n_grid(1.0, 2.0, 1e-12)
+    # more steps than a float can hold: refused before int() overflows
+    with pytest.raises(ValueError, match="exceeds 10$"):
+        n_grid(0.0, 1e308, 1e-308)
+    assert n_grid(1e308, -1e308, 1e-308) == []
 
 
 @pytest.mark.parametrize("args, name", [

@@ -319,6 +319,12 @@ def test_fncurve_oversized_grid_is_usage_error(capsys):
     assert out == ""
     assert err.startswith("lsqroots: ") and err.count("\n") == 1
     assert "exceeds" in err
+    # too large to count: (to - from) / step overflows to inf
+    code, out, err = run_cli(
+        capsys, "fncurve", "--E", "0.5", "--from", "0", "--to", "1e308", "--step", "1e-308",
+    )
+    assert (code, out) == (1, "")
+    assert err == "lsqroots: grid of more than 1e308 points exceeds 1000000\n"
 
 
 # Each numeric flag with the other flags its command needs.
