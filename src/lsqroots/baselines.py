@@ -10,12 +10,11 @@ x0 + 0.1 when none is given (recorded in the outcome note).
 from __future__ import annotations
 
 import math
-import operator
 from functools import partial
 from typing import NamedTuple, Optional
 
 from .expressions import Expr, differentiate, evaluate
-from .outcomes import MAX_ITER_CAP, IterationRecord, SolveOutcome, Status, StepError, iterate
+from .outcomes import IterationRecord, SolveOutcome, Status, StepError, check_budget, iterate
 # Only ``outcomes`` calls these; they stay module globals here because the
 # benchmark's probes rebind them by module.
 from .outcomes import best_iterate, detect_cycle  # noqa: F401
@@ -47,10 +46,7 @@ class BaselineConfig(_BaselineFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be positive and finite")
-        if not 1 <= operator.index(self.max_iter) <= MAX_ITER_CAP:
-            raise ValueError(f"max_iter must be at least 1 and at most {MAX_ITER_CAP}")
+        check_budget(self.tolerance, self.max_iter)
         return self
 
     @classmethod

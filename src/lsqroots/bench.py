@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 from .baselines import solve_baseline
 from .expressions import Expr, evaluate, parse
 from .lsq3 import SolverConfig, solve
-from .outcomes import IterationRecord, SolveOutcome, Status, table_label
+from .outcomes import IterationRecord, SolveOutcome, Status
 
 Expected = Union[int, str]
 
@@ -49,6 +49,10 @@ METHOD_ORDER = tuple(SOLVERS)
 _TABLE_HEADERS = {"secant": "secant", "newton": "Newton",
                   "lsq3-fixed": "3-point N=1", "lsq3-variable": "3-point N=var"}
 TABLE_COLUMNS = tuple(_TABLE_HEADERS)
+
+#: Label of a failed run in the printed tables, by status; any other
+#: failure is "Fails".  A converged cell prints its iteration count.
+_TABLE_LABELS = {Status.OSCILLATING: "Oscillates", Status.DIVERGED: "Diverges"}
 
 ROOT_MATCH_ATOL = 1e-9
 
@@ -327,7 +331,8 @@ def _make_row(problem: Problem, start: float, method: str,
             deviation = "WRONG_ROOT"
     else:
         if isinstance(expected, str):
-            deviation = "match" if table_label(outcome.status) == expected else "mismatch"
+            label = _TABLE_LABELS.get(outcome.status, "Fails")
+            deviation = "match" if label == expected else "mismatch"
         elif expected is not None:
             deviation = "mismatch"  # the printed table expected convergence
     return RunRow(
@@ -384,7 +389,7 @@ def _cell(row: RunRow) -> str:
     if row.status is Status.CONVERGED:
         text = str(row.iterations)
     else:
-        text = table_label(row.status)
+        text = _TABLE_LABELS.get(row.status, "Fails")
     if row.deviation in ("mismatch", "WRONG_ROOT") and row.expected is not None:
         text += f" (expected {row.expected})"
     return text

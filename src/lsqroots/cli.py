@@ -83,20 +83,24 @@ def _build_parser() -> _Parser:
         p.add_argument("--max-iter", type=int, default=500)
 
     p_solve = sub.add_parser("solve", help="find one root")
+    p_solve.set_defaults(run=_cmd_solve)
     add_solver_flags(p_solve)
     p_solve.add_argument("--trace", action="store_true",
                          help="print one line per iteration record")
 
     p_bench = sub.add_parser("bench", help="run the built-in comparison suite")
+    p_bench.set_defaults(run=_cmd_bench)
     p_bench.add_argument("--format", choices=("csv", "markdown"), default="csv")
     p_bench.add_argument("--out", default=None, help="write to file instead of stdout")
 
     p_rate = sub.add_parser("rate", help="per-step convergence rates of one run")
+    p_rate.set_defaults(run=_cmd_rate)
     add_solver_flags(p_rate)
     p_rate.add_argument("--root", type=float, default=None,
                         help="reference root (default: the root found)")
 
     p_curve = sub.add_parser("fncurve", help="error-term curve f(n) over a grid")
+    p_curve.set_defaults(run=_cmd_fncurve)
     p_curve.add_argument("--E", required=True, type=float, help="error magnitude in (0, 1)")
     p_curve.add_argument("--from", dest="n_from", required=True, type=float)
     p_curve.add_argument("--to", dest="n_to", required=True, type=float)
@@ -148,38 +152,38 @@ def _run_solver(args) -> SolveOutcome:
     return solve_baseline(args.method, expr, args.x0, args.x1, config)
 
 
-def _cmd_solve(args, out) -> int:
+def _cmd_solve(args) -> int:
     outcome = _run_solver(args)
     if args.trace:
-        print("k,x,y,delta,n,y_minus,y_plus", file=out)
+        print("k,x,y,delta,n,y_minus,y_plus")
         for rec in outcome.trace:
             cells = [str(rec.k), _fmt(rec.x), _fmt(rec.y)]
             for v in (rec.delta, rec.n_used, rec.y_minus, rec.y_plus):
                 cells.append("" if v is None else _fmt(v))
-            print(",".join(cells), file=out)
-    print(f"status {outcome.status.value}", file=out)
-    print(f"root {_fmt(outcome.root)}", file=out)
-    print(f"iterations {outcome.iterations}", file=out)
+            print(",".join(cells))
+    print(f"status {outcome.status.value}")
+    print(f"root {_fmt(outcome.root)}")
+    print(f"iterations {outcome.iterations}")
     if outcome.note:
-        print(f"note {outcome.note}", file=out)
+        print(f"note {outcome.note}")
     return 2 if outcome.status is Status.DOMAIN_ERROR else 0
 
 
-def _cmd_rate(args, out) -> int:
+def _cmd_rate(args) -> int:
     from .bench import convergence_rates, final_rate
     if args.root is not None and not math.isfinite(args.root):
         raise _UsageError(f"lsqroots: --root must be finite, got {args.root!r}")
     outcome = _run_solver(args)
     if outcome.status is Status.DOMAIN_ERROR:
-        print(f"status {outcome.status.value}", file=out)
+        print(f"status {outcome.status.value}")
         return 2
     root = args.root if args.root is not None else outcome.root
     rates = convergence_rates(outcome.trace, root) if len(outcome.trace) >= 3 else []
-    print("step,rate", file=out)
+    print("step,rate")
     for k, rate in enumerate(rates, start=1):
-        print(f"{k},{_fmt(rate)}", file=out)
+        print(f"{k},{_fmt(rate)}")
     last = final_rate(outcome.trace, root)
-    print(f"final_rate,{'' if last is None else _fmt(last)}", file=out)
+    print(f"final_rate,{'' if last is None else _fmt(last)}")
     return 0
 
 
@@ -197,15 +201,15 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_fncurve(args, out) -> int:
+def _cmd_fncurve(args) -> int:
     from .bench import f_n_curve, n_grid
     try:
         points = f_n_curve(args.E, n_grid(args.n_from, args.n_to, args.step))
     except (ValueError, OverflowError) as err:
         raise _UsageError(f"lsqroots: {err}")
-    print("n,f", file=out)
+    print("n,f")
     for n, f in points:
-        print(f"{_fmt(n)},{_fmt(f)}", file=out)
+        print(f"{_fmt(n)},{_fmt(f)}")
     return 0
 
 
@@ -215,14 +219,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(
             _join_negative_values(sys.argv[1:] if argv is None else argv))
-        if args.command == "solve":
-            code = _cmd_solve(args, sys.stdout)
-        elif args.command == "rate":
-            code = _cmd_rate(args, sys.stdout)
-        elif args.command == "bench":
-            code = _cmd_bench(args)
-        else:
-            code = _cmd_fncurve(args, sys.stdout)
+        code = args.run(args)
     except _UsageError as err:
         print(str(err).rstrip(), file=sys.stderr)
         return 1

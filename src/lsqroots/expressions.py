@@ -171,6 +171,9 @@ FUNCTIONS = tuple(_CALLS)
 # rendering) well inside Python's default recursion limit.
 MAX_DEPTH = 100
 
+# The operators that _Parser._expr chains, by level, loosest first.
+_CHAINED = (("+", "-"), ("*", "/"))
+
 
 class _Parser:
     """Recursive descent; each rule returns ``(node, depth)``, where depth
@@ -187,7 +190,7 @@ class _Parser:
         self.groups = 0
 
     def parse(self) -> Expr:
-        node, _ = self._expr()
+        node, _ = self._expr(0)
         self._skip_ws()
         if self.pos != len(self.text):
             raise ParseError(f"unexpected character {self.text[self.pos]!r}", self.pos)
@@ -205,24 +208,18 @@ class _Parser:
     def _too_deep(position: int) -> ParseError:
         return ParseError(f"expression nested deeper than {MAX_DEPTH} levels", position)
 
-    def _expr(self):
-        node, depth = self._term()
-        while self._peek() in ("+", "-"):
+    def _expr(self, level: int):
+        """A left-associative chain of the level's operators: level 0
+        chains ``+ -`` over level-1 operands, level 1 chains ``* /`` over
+        :meth:`_unary` operands.  The operators are tuples, not strings:
+        :meth:`_peek` gives ``""`` at the end of the text, and ``""`` is
+        in every string."""
+        operators = _CHAINED[level]
+        node, depth = self._unary() if level else self._expr(1)
+        while self._peek() in operators:
             at = self.pos
             self.pos += 1
-            right, right_depth = self._term()
-            node = Binary(self.text[at], node, right)
-            depth = max(depth, right_depth) + 1
-            if depth > MAX_DEPTH:
-                raise self._too_deep(at)
-        return node, depth
-
-    def _term(self):
-        node, depth = self._unary()
-        while self._peek() in ("*", "/"):
-            at = self.pos
-            self.pos += 1
-            right, right_depth = self._unary()
+            right, right_depth = self._unary() if level else self._expr(1)
             node = Binary(self.text[at], node, right)
             depth = max(depth, right_depth) + 1
             if depth > MAX_DEPTH:
@@ -279,7 +276,7 @@ class _Parser:
         self.groups += 1
         if self.groups > MAX_DEPTH:
             raise self._too_deep(self.pos - 1)
-        result = self._expr()
+        result = self._expr(0)
         if self._peek() != ")":
             raise ParseError("missing ')'", self.pos)
         self.pos += 1

@@ -22,12 +22,11 @@ spacing (:func:`select_delta` has the whole rule).
 from __future__ import annotations
 
 import math
-import operator
 from functools import partial
 from typing import NamedTuple, Optional, Tuple
 
 from .expressions import Expr, evaluate
-from .outcomes import MAX_ITER_CAP, SolveOutcome, Status, StepError, iterate
+from .outcomes import SolveOutcome, Status, StepError, check_budget, iterate
 # Only ``outcomes`` calls these; they stay module globals here because the
 # benchmark's probes rebind them by module.
 from .outcomes import best_iterate, detect_cycle  # noqa: F401
@@ -97,10 +96,7 @@ class SolverConfig(_SolverFields):
             raise ValueError(f"mode must be 'fixed' or 'variable', got {self.mode!r}")
         if not 0.0 < self.delta0 < 1.0:
             raise ValueError("delta0 must lie in (0, 1)")
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be positive and finite")
-        if not 1 <= operator.index(self.max_iter) <= MAX_ITER_CAP:
-            raise ValueError(f"max_iter must be at least 1 and at most {MAX_ITER_CAP}")
+        check_budget(self.tolerance, self.max_iter)
         if not math.isfinite(self.n_value):
             raise ValueError(f"power must be finite, got {self.n_value!r}")
         if self.mode == "fixed" and self.n_value == 0.0:
@@ -240,19 +236,15 @@ def solve(f: Expr, x0: float, config: Optional[SolverConfig] = None) -> SolveOut
     if y0 is None:
         return SolveOutcome(Status.DOMAIN_ERROR, x0, (), note="f undefined at starting point")
 
-    delta0, n = config.delta0, config.n_value      # the variable step finds its own n
-    if config.mode == "variable":
-        def step(cur, prev):
-            x, y = cur.x, cur.y
-            delta, y_minus, y_plus = adjust_delta(f, x, delta0 if prev is None else select_delta(
-                x, prev.x, cur.delta, _DELTA_SCALE_RATIO_VARIABLE))
-            n = estimate_power(y_minus, y, y_plus, delta)
-            return lsq3_step(x, y_minus, y, y_plus, delta, n), (delta, n, y_minus, y_plus)
-    else:
-        def step(cur, prev):
-            x, y = cur.x, cur.y
-            delta, y_minus, y_plus = adjust_delta(f, x, delta0 if prev is None else select_delta(
-                x, prev.x, cur.delta, _DELTA_SCALE_RATIO_FIXED))
-            return lsq3_step(x, y_minus, y, y_plus, delta, n), (delta, n, y_minus, y_plus)
+    delta0, n_value = config.delta0, config.n_value
+    variable = config.mode == "variable"
+    ratio = _DELTA_SCALE_RATIO_VARIABLE if variable else _DELTA_SCALE_RATIO_FIXED
+
+    def step(cur, prev):
+        x, y = cur.x, cur.y
+        delta, y_minus, y_plus = adjust_delta(f, x, delta0 if prev is None else select_delta(
+            x, prev.x, cur.delta, ratio))
+        n = estimate_power(y_minus, y, y_plus, delta) if variable else n_value
+        return lsq3_step(x, y_minus, y, y_plus, delta, n), (delta, n, y_minus, y_plus)
 
     return iterate(step, partial(evaluate, f), x0, y0, config.tolerance, config.max_iter)

@@ -16,6 +16,7 @@ outcomes are immutable named tuples.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
@@ -27,17 +28,6 @@ class Status(Enum):
     DOMAIN_ERROR = "domain-error"
     SYMMETRIC_STALL = "symmetric-stall"
     MAX_ITERATIONS = "max-iterations"
-
-
-#: Outcome labels as printed by the benchmark tables.
-def table_label(status: Status) -> str:
-    if status is Status.CONVERGED:
-        return "Converges"
-    if status is Status.OSCILLATING:
-        return "Oscillates"
-    if status is Status.DIVERGED:
-        return "Diverges"
-    return "Fails"
 
 
 class IterationRecord(NamedTuple):
@@ -94,6 +84,20 @@ DIVERGENCE_BOUND = 1e12
 # The largest ``max_iter`` a solver config accepts: a stuck run fills its
 # trace with up to ``max_iter`` records of about 150 bytes each.
 MAX_ITER_CAP = 1_000_000
+
+
+def check_budget(tolerance: float, max_iter: int) -> None:
+    """The budget rule every solver config checks when built: a positive,
+    finite ``tolerance`` and an integer ``max_iter`` in 1 .. MAX_ITER_CAP.
+
+    Raises ``ValueError`` naming the first field that breaks it (a
+    ``max_iter`` that is no integer raises ``TypeError``).
+    """
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError("tolerance must be positive and finite")
+    if not 1 <= operator.index(max_iter) <= MAX_ITER_CAP:
+        raise ValueError(f"max_iter must be at least 1 and at most {MAX_ITER_CAP}")
+
 
 # Copies that :func:`iterate` still checks once a state recurs.  Say the
 # state made trace[first] and recurs at len(trace) == first + p: the copy
