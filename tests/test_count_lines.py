@@ -36,8 +36,3 @@ def test_sample_split(tmp_path):
     # blank: the rest
     assert count_lines.count(path) == (7, 6, 4)
     assert sum(count_lines.count(path)) == len(SAMPLE.splitlines())
-
-
-def test_every_package_line_is_counted_once():
-    for path in sorted(count_lines.PACKAGE.glob("*.py")):
-        assert sum(count_lines.count(path)) == len(path.read_text().splitlines())

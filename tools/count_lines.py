@@ -3,8 +3,8 @@
 A code line holds at least one token that is neither a comment nor part of
 a module, class or function docstring.  A documentation line is any other
 line that holds a comment or docstring text, a blank line inside a
-docstring included.  A blank line holds nothing but whitespace.  Uses the
-standard library only:
+docstring included.  Every other line is blank: it holds nothing but
+whitespace.  Uses the standard library only:
 
     python tools/count_lines.py [directory]
 """
@@ -12,6 +12,7 @@ standard library only:
 from __future__ import annotations
 
 import ast
+import io
 import sys
 import tokenize
 from pathlib import Path
@@ -20,7 +21,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lsqroots"
 
 # Tokens that hold no text of their own.
 _LAYOUT = {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
-           tokenize.ENCODING, tokenize.ENDMARKER}
+           tokenize.ENDMARKER}
 
 
 def _docstring_starts(tree: ast.Module) -> set:
@@ -41,14 +42,13 @@ def count(path: Path) -> tuple:
     source = path.read_text(encoding="utf-8")
     docstrings = _docstring_starts(ast.parse(source))
     code, doc = set(), set()
-    with path.open("rb") as fh:
-        for tok in tokenize.tokenize(fh.readline):
-            if tok.type in _LAYOUT:
-                continue
-            rows = range(tok.start[0], tok.end[0] + 1)
-            is_doc = tok.type == tokenize.COMMENT or (
-                tok.type == tokenize.STRING and tok.start in docstrings)
-            (doc if is_doc else code).update(rows)
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in _LAYOUT:
+            continue
+        rows = range(tok.start[0], tok.end[0] + 1)
+        is_doc = tok.type == tokenize.COMMENT or (
+            tok.type == tokenize.STRING and tok.start in docstrings)
+        (doc if is_doc else code).update(rows)
     lines = source.splitlines()
     doc -= code
     return len(code), len(doc), len(lines) - len(code) - len(doc)
