@@ -198,7 +198,9 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     none, or raises :class:`StepError`, which ends the run.  Records are
     built by ``tuple.__new__``, past the named tuple's slower constructor.
     ``fx`` evaluates f, ``None`` off the domain; an off-domain iterate is
-    recorded and ends the run Diverged.  A failure's note comes from the
+    recorded and ends the run Diverged.  A start whose ``y`` is exactly 0,
+    ``prev`` (checked first) or (x0, y0), is a root: the run converges
+    there with no step and an empty trace.  A failure's note comes from the
     break that classifies it, unless ``note`` was already set.
 
     Contract: ``step`` and ``fx`` are pure, so a step's result depends only
@@ -215,6 +217,9 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     the best iterate comes from before the copies.
     """
     cur = IterationRecord(0, x0, y0)
+    for start in (prev, cur):
+        if start is not None and start.y == 0.0:
+            return SolveOutcome(Status.CONVERGED, start.x, (), note)
     x, k = x0, 0                        # cur.x and len(trace)
     trace: list[IterationRecord] = []
     accepted: list[float] = []

@@ -23,6 +23,12 @@ def test_solve_cubic(capsys):
     assert "root 1.3652300134141" in out
 
 
+def test_solve_from_an_exact_root_converges_without_a_step(capsys):
+    code, out, err = run_cli(capsys, "solve", "--expr", "x^2", "--x0", "0",
+                             "--method", "lsq3")
+    assert (code, out, err) == (0, "status converged\nroot 0\niterations 0\n", "")
+
+
 def test_solve_fixed_power_syntax(capsys):
     # double root at 3 with an asymmetric cofactor; the power-2 fit applies
     code, out, _ = run_cli(

@@ -271,7 +271,8 @@ def test_solve_reports_domain_error_at_start():
 
 
 def test_solve_symmetric_stall_on_pure_square():
-    out = solve(parse("x^2"), 0.0)
+    # a peak of |f| that is not a root: every probe pair is symmetric
+    out = solve(parse("x^2 + 1"), 0.0)
     assert out.status is Status.SYMMETRIC_STALL
 
 

@@ -283,6 +283,35 @@ def test_step_sees_the_last_two_accepted_points():
     assert step.calls[2][1] is out.trace[0]
 
 
+def test_a_start_that_is_an_exact_root_converges_without_a_step():
+    for prev, x0, root in [(None, 0.0, 0.0), (IterationRecord(0, 0.0, 0.0), 3.0, 0.0),
+                           (IterationRecord(0, 2.0, 2.0), 0.0, 0.0),
+                           (IterationRecord(0, -0.0, -0.0), -0.0, -0.0)]:
+        step = scripted()
+        out = run(step, x0=x0, prev=prev, note="given")
+        assert step.calls == []
+        assert out == (Status.CONVERGED, root, (), "given")
+        assert math.copysign(1.0, out.root) == math.copysign(1.0, root)
+
+
+# The starts of the exact-root cases: each is a root of its expression, and
+# each made one method report a failure before the rule above.
+EXACT_ROOTS = [("(x-1)^2", 1.0), ("abs(x)", 0.0), ("x^2", 0.0), ("cos(x)-1", 0.0)]
+
+
+@pytest.mark.parametrize("method", list(SOLVERS))
+@pytest.mark.parametrize("source, x0", EXACT_ROOTS)
+def test_every_method_converges_at_once_from_an_exact_root(method, source, x0):
+    out = SOLVERS[method](parse(source), x0)
+    assert (out.status, out.root, out.trace) == (Status.CONVERGED, x0, ())
+
+
+def test_secant_converges_at_once_when_either_start_is_an_exact_root():
+    for x0, x1 in [(0.0, 0.5), (0.5, 0.0)]:
+        out = solve_baseline("secant", parse("x^2"), x0, x1)
+        assert (out.status, out.root, out.trace) == (Status.CONVERGED, 0.0, ())
+
+
 def test_step_extras_fill_the_record():
     def step(cur, prev):
         return cur.x / 2.0, (0.1, 2.0, -1.0, 1.0)
@@ -305,6 +334,9 @@ def test_records_are_immutable_named_tuples():
 def reference_iterate(step, fx, x0, y0, tolerance, max_iter, prev=None, note=""):
     """The driver's rule with no periodic tail and the shortcut-free cycle test."""
     cur = IterationRecord(0, x0, y0)
+    for start in (prev, cur):
+        if start is not None and start.y == 0.0:
+            return SolveOutcome(Status.CONVERGED, start.x, (), note)
     trace = []
     accepted = []
     status = Status.MAX_ITERATIONS
@@ -463,11 +495,13 @@ def test_pure_steps_on_a_small_state_space_match_the_driver_without_replay():
     statuses = set()
     calls = {iterate: 0, reference_iterate: 0}
     for seed in range(300):
-        x0 = [0.0, -0.0, 2.0][seed % 3]
+        # a start with y = 0 is an exact root and takes no step, so the
+        # signed-zero starts carry y = 1
+        x0, y0 = [(0.0, 1.0), (-0.0, 1.0), (2.0, 2.0)][seed % 3]
         outs = {}
         for driver in calls:
             step = pure_table_step(seed)
-            outs[driver] = driver(step, fx, x0, fx(x0), 1e-15, 60)
+            outs[driver] = driver(step, fx, x0, y0, 1e-15, 60)
             calls[driver] += step.calls
         assert outcome_digest(outs[iterate]) == outcome_digest(outs[reference_iterate]), seed
         statuses.add(outs[iterate].status)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 
 from lsqroots import bench
 from lsqroots.baselines import solve_baseline
-from lsqroots.expressions import parse
+from lsqroots.expressions import evaluate, parse
 from lsqroots.outcomes import Status
 from test_evaluate_parity import numbers, trees
 
@@ -59,9 +59,12 @@ def test_every_method_returns_a_finite_root_and_meets_its_stopping_rule(f, x0):
     for method, solver in bench.SOLVERS.items():
         out = solver(f, x0)
         assert math.isfinite(out.root), method
-        if out.converged:
+        start = x0 + 0.1 if method == "secant" else x0
+        if out.converged and not out.trace:
+            # a start that is an exact root converges without a step
+            assert out.root in (x0, start) and evaluate(f, out.root) == 0.0, method
+        elif out.converged:
             # the last record against the accepted point it was computed from
-            start = x0 + 0.1 if method == "secant" else x0
             before = [rec.x for rec in out.trace[:-1] if math.isfinite(rec.y)]
             last = out.trace[-1]
             assert abs(last.x - (before[-1] if before else start)) + abs(last.y) < 1e-15, method
