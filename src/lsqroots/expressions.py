@@ -18,17 +18,18 @@ Evaluation is plain IEEE double arithmetic.  Anything that leaves the
 real domain (ln of a non-positive value, division by zero, fractional
 power of a negative base, overflow to inf, nan) makes the whole
 evaluation return ``None`` instead of a number, so callers can classify
-off-domain iterates without catching exceptions.  An expression is
-compiled once, on its first ``evaluate``, into closures, and they are
-cached on the expression's root node.  A node reads a Variable or finite
-Constant operand inline and calls the closure of any other operand.  A
-value that is not finite stays so through ``+ - *`` and unary minus, so
-finiteness is checked only where it could be lost: the divisor of ``/``,
-both operands of ``^`` and the argument of a call.  ``evaluate`` checks
-the final value once and turns the domain errors that the math raises
-into ``None``.  ``differentiate`` caches its result on the root node
-too.  The caches are not part of a node's value, so equality, hashing,
-copying and pickling see only the tree.
+off-domain iterates without catching exceptions.  Each node is compiled
+once, by the first ``evaluate`` that reaches it, into a closure that the
+node keeps, so a derivative reuses the closures of the subtrees it shares
+with its expression.  A node reads a Variable or finite Constant operand
+inline and calls the closure of any other operand.  A value that is not
+finite stays so through ``+ - *`` and unary minus, so finiteness is
+checked only where it could be lost: the divisor of ``/``, both operands
+of ``^`` and the argument of a call.  ``evaluate`` checks the final value
+once and turns the domain errors that the math raises into ``None``.
+``differentiate`` caches its result on the expression's root node.  The
+caches are not part of a node's value, so equality, hashing, copying and
+pickling see only the tree.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class ParseError(ValueError):
 
 class _Node:
     """Base of the node classes: value semantics over ``_fields``, and the
-    compiled form of a root node."""
+    compiled form of a node."""
 
     _fields: Tuple[str, ...] = ()
     __match_args__: Tuple[str, ...] = ()
@@ -191,18 +192,22 @@ class _Parser:
 
     def parse(self) -> Expr:
         node, _ = self._expr(0)
-        self._skip_ws()
-        if self.pos != len(self.text):
+        if self._peek():
             raise ParseError(f"unexpected character {self.text[self.pos]!r}", self.pos)
         return node
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next character that is not whitespace, or ``""`` at the end
+        of the text; ``pos`` moves past the whitespace."""
+        text, pos = self.text, self.pos
+        while pos < len(text):
+            ch = text[pos]
+            if not ch.isspace():
+                self.pos = pos
+                return ch
+            pos += 1
+        self.pos = pos
+        return ""
 
     @staticmethod
     def _too_deep(position: int) -> ParseError:
@@ -405,12 +410,19 @@ def _checked(pair: str, op, a, b) -> Callable[[float], float]:
 
 def _operand(e: Expr) -> Tuple[str, object]:
     """How a parent reads ``e``: ``("x", None)``, ``("c", value)`` for a
-    finite constant, or ``("f", closure)``."""
+    finite constant, or ``("f", closure)``.  The closure is compiled once
+    per node and kept in its ``__dict__`` under the key of the root's
+    cache, so a subtree shared between trees, or within one, compiles
+    once."""
     if isinstance(e, Variable):
         return "x", None
     if isinstance(e, Constant) and math.isfinite(e.value):
         return "c", e.value
-    return "f", _compile(e)
+    d = e.__dict__
+    f = d.get("_compiled")
+    if f is None:
+        f = d["_compiled"] = _compile(e)
+    return "f", f
 
 
 def _compile(e: Expr) -> Callable[[float], float]:
@@ -471,7 +483,8 @@ def evaluate(e: Expr, x: float) -> Optional[float]:
     A domain error in any subexpression makes the whole result ``None``;
     it is never silently coerced to a number.  A non-finite ``x`` is
     outside every domain, so the result is ``None`` too.  The first call
-    compiles ``e`` and caches the result on it.
+    compiles the nodes of ``e`` that no earlier call reached; each keeps
+    its closure.
     """
     if not math.isfinite(x):
         return None
@@ -488,51 +501,55 @@ def evaluate(e: Expr, x: float) -> Optional[float]:
 #
 # Smart constructors fold constants and drop additive/multiplicative
 # identities so derivative trees stay readable.  No deeper simplification.
+# The rules share one node for each of the constants 0, 1 and 2.
 
-def _is_const(e: Expr, v: Optional[float] = None) -> bool:
-    return isinstance(e, Constant) and (v is None or e.value == v)
+_ZERO, _ONE, _TWO = Constant(0.0), Constant(1.0), Constant(2.0)
 
 
 def _add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Constant) and isinstance(b, Constant):
+    ca, cb = isinstance(a, Constant), isinstance(b, Constant)
+    if ca and cb:
         return Constant(a.value + b.value)
-    if _is_const(a, 0.0):
+    if ca and a.value == 0.0:
         return b
-    if _is_const(b, 0.0):
+    if cb and b.value == 0.0:
         return a
     return Binary("+", a, b)
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Constant) and isinstance(b, Constant):
+    ca, cb = isinstance(a, Constant), isinstance(b, Constant)
+    if ca and cb:
         return Constant(a.value - b.value)
-    if _is_const(b, 0.0):
+    if cb and b.value == 0.0:
         return a
-    if _is_const(a, 0.0):
+    if ca and a.value == 0.0:
         return Unary("-", b)
     return Binary("-", a, b)
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Constant) and isinstance(b, Constant):
+    ca, cb = isinstance(a, Constant), isinstance(b, Constant)
+    if ca and cb:
         v = a.value * b.value
         if math.isfinite(v):
             return Constant(v)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Constant(0.0)
-    if _is_const(a, 1.0):
+    if ca and a.value == 0.0 or cb and b.value == 0.0:
+        return _ZERO
+    if ca and a.value == 1.0:
         return b
-    if _is_const(b, 1.0):
+    if cb and b.value == 1.0:
         return a
     return Binary("*", a, b)
 
 
 def _div(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0):
-        return Constant(0.0)
-    if _is_const(b, 1.0):
+    ca, cb = isinstance(a, Constant), isinstance(b, Constant)
+    if ca and a.value == 0.0:
+        return _ZERO
+    if cb and b.value == 1.0:
         return a
-    if isinstance(a, Constant) and isinstance(b, Constant) and b.value != 0.0:
+    if ca and cb and b.value != 0.0:
         v = a.value / b.value
         if math.isfinite(v):
             return Constant(v)
@@ -540,10 +557,11 @@ def _div(a: Expr, b: Expr) -> Expr:
 
 
 def _pow(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(b, 0.0):
-        return Constant(1.0)
+    if isinstance(b, Constant):
+        if b.value == 1.0:
+            return a
+        if b.value == 0.0:
+            return _ONE
     return Binary("^", a, b)
 
 
@@ -559,11 +577,11 @@ def differentiate(e: Expr) -> Expr:
 
 def _differentiate(e: Expr) -> Expr:
     if isinstance(e, Constant):
-        return Constant(0.0)
+        return _ZERO
     if isinstance(e, Variable):
-        return Constant(1.0)
+        return _ONE
     if isinstance(e, Unary):
-        return _sub(Constant(0.0), _differentiate(e.operand))
+        return _sub(_ZERO, _differentiate(e.operand))
     if isinstance(e, Binary):
         u, v = e.left, e.right
         du, dv = _differentiate(u), _differentiate(v)
@@ -574,7 +592,7 @@ def _differentiate(e: Expr) -> Expr:
         if e.op == "*":
             return _add(_mul(du, v), _mul(u, dv))
         if e.op == "/":
-            return _div(_sub(_mul(du, v), _mul(u, dv)), _pow(v, Constant(2.0)))
+            return _div(_sub(_mul(du, v), _mul(u, dv)), _pow(v, _TWO))
         # u^v
         if isinstance(v, Constant):
             # power rule: c * u^(c-1) * u'
@@ -593,22 +611,22 @@ def _differentiate(e: Expr) -> Expr:
     elif name == "cos":
         outer = Unary("-", Call("sin", u))
     elif name == "tan":
-        outer = _div(Constant(1.0), _pow(Call("cos", u), Constant(2.0)))
+        outer = _div(_ONE, _pow(Call("cos", u), _TWO))
     elif name == "arctan":
-        outer = _div(Constant(1.0), _add(Constant(1.0), _pow(u, Constant(2.0))))
+        outer = _div(_ONE, _add(_ONE, _pow(u, _TWO)))
     elif name == "exp":
         outer = Call("exp", u)
     elif name in ("ln", "log"):
-        outer = _div(Constant(1.0), u)
+        outer = _div(_ONE, u)
     elif name == "log10":
-        outer = _div(Constant(1.0), _mul(u, Constant(math.log(10.0))))
+        outer = _div(_ONE, _mul(u, Constant(math.log(10.0))))
     elif name == "abs":
         # d|u| = u/|u| * u'; undefined at u=0, surfaces as a domain error there
         outer = _div(u, Call("abs", u))
     elif name == "cbrt":
-        outer = _div(Constant(1.0), _mul(Constant(3.0), _pow(Call("cbrt", u), Constant(2.0))))
+        outer = _div(_ONE, _mul(Constant(3.0), _pow(Call("cbrt", u), _TWO)))
     else:  # sqrt
-        outer = _div(Constant(1.0), _mul(Constant(2.0), Call("sqrt", u)))
+        outer = _div(_ONE, _mul(_TWO, Call("sqrt", u)))
     return _mul(outer, du)
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import lsqroots.expressions as expressions
 from lsqroots.cli import main
 from lsqroots.expressions import (
     MAX_DEPTH,
@@ -259,6 +260,73 @@ def test_differentiated_expression_pickles_copies_and_compares_as_fresh():
         assert differentiate(clone) == d
         assert differentiate(clone) is not d
         assert evaluate(differentiate(clone), 0.5) == evaluate(d, 0.5)
+
+
+def paired_nodes(a, b):
+    """The nodes of two trees of the same shape, in step, root first."""
+    yield a, b
+    for name in a._fields:
+        u = getattr(a, name)
+        if isinstance(u, (Constant, Variable, Unary, Binary, Call)):
+            yield from paired_nodes(u, getattr(b, name))
+
+
+def bits(v):
+    return None if v is None else v.hex()
+
+
+# Each derivative holds subtrees of its expression, some twice.
+CACHE_SOURCES = [source for source, _, _ in SUITE_SOURCES] + [
+    "sin(x^2) / (x^2 + 1)", "x^x", "sqrt(abs(x - 1)) * log10(x^2 + 2)",
+    "tan(x)^3 - cbrt(x) * exp(-x)",
+]
+
+
+@pytest.mark.parametrize("text", CACHE_SOURCES)
+def test_compiled_subtrees_pickle_copy_compare_and_evaluate_as_fresh(text):
+    e = parse(text)
+    d = differentiate(e)
+    evaluate(e, 0.7)
+    evaluate(d, 0.7)
+    pairs = [*paired_nodes(e, parse(text)), *paired_nodes(d, differentiate(parse(text)))]
+    assert any("_compiled" in vars(used) for used, _ in pairs[1:])
+    for used, fresh in pairs:
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        for clone in (pickle.loads(pickle.dumps(used)), copy.copy(used), copy.deepcopy(used)):
+            assert clone == fresh and hash(clone) == hash(fresh)
+            assert "_compiled" not in vars(clone)
+        deep = copy.deepcopy(used)
+        assert all("_compiled" not in vars(node) for node, _ in paired_nodes(deep, deep))
+    for used, fresh in pairs:
+        for x in (-2.5, -0.0, 0.7, 1.0, 3.0):
+            assert bits(evaluate(used, x)) == bits(evaluate(fresh, x))
+
+
+def compiled_nodes(e):
+    """The ids of the distinct nodes of ``e`` that compile to a closure of
+    their own: all but the variable and finite constants."""
+    return {id(n) for n, _ in paired_nodes(e, e)
+            if not isinstance(n, Variable)
+            and not (isinstance(n, Constant) and math.isfinite(n.value))}
+
+
+@pytest.mark.parametrize("text", CACHE_SOURCES)
+def test_a_derivative_compiles_only_the_nodes_its_expression_lacks(monkeypatch, text):
+    compile_ = expressions._compile
+    calls = []
+    monkeypatch.setattr(expressions, "_compile", lambda n: calls.append(id(n)) or compile_(n))
+    for evaluate_first in (False, True):
+        e = parse(text)
+        if evaluate_first:
+            evaluate(e, 0.7)
+        held = compiled_nodes(e) if evaluate_first else set()
+        d = differentiate(e)
+        assert not isinstance(d, (Variable, Constant))
+        calls.clear()
+        evaluate(d, 0.7)
+        # each node once, a node the tree holds twice included
+        assert sorted(calls) == sorted(compiled_nodes(d) - held)
 
 
 def test_derivative_of_sin_matches_cos():
