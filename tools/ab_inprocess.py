@@ -165,34 +165,10 @@ def interleave(op_a, op_b, inputs: list, chunks: int):
     return times_a, times_b
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("a", type=Path, help="root of checkout A")
-    parser.add_argument("b", type=Path, help="root of checkout B")
-    parser.add_argument("--workload", choices=("expr-scan", "basin", "suite"),
-                        default="expr-scan")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--chunks", type=int, default=200,
-                        help=f"timed chunks of {CHUNK} operations (default 200)")
-    parser.add_argument("--inputs", type=int, default=1000,
-                        help="expr-scan expressions, checked and timed (default 1000)")
-    parser.add_argument("--starts", type=int, default=50,
-                        help="basin starts per stock problem (default 50)")
-    args = parser.parse_args(argv)
-    if args.chunks < 1 or args.inputs < 1 or args.starts < 1:
-        parser.error("--chunks, --inputs and --starts must be positive")
-
-    reference = _load_reference()
-    with tempfile.TemporaryDirectory(prefix="ab_inprocess_") as tmp:
-        sys.path.insert(0, tmp)
-        try:
-            a = Side(_import_copy(args.a.resolve(), "lsqroots_a", Path(tmp)))
-            b = Side(_import_copy(args.b.resolve(), "lsqroots_b", Path(tmp)))
-        finally:
-            sys.path.remove(tmp)
+def compare(args, reference, a: Side, b: Side) -> int:
+    """Check, then time, A against B; the exit status."""
     exprs = expr_inputs(reference, args.seed, args.inputs)
     solves = basin_inputs(reference, a.suite, args.seed, args.starts)
-
     diffs = check(a, b, exprs, solves)
     if diffs:
         for line in diffs[:20]:
@@ -211,13 +187,39 @@ def main(argv=None) -> int:
     times_a, times_b = interleave(op_a, op_b, inputs, args.chunks)
     ops = args.chunks * CHUNK
     ratios = [tb / ta for ta, tb in zip(times_a, times_b)]
-    q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
-                      if len(ratios) > 1 else ratios * 3)
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
     print(f"{args.workload}: {args.chunks} chunks of {CHUNK} operations, seed {args.seed}")
     print(f"A {sum(times_a) / ops * 1e6:.1f} us/op  ({args.a})")
     print(f"B {sum(times_b) / ops * 1e6:.1f} us/op  ({args.b})")
     print(f"B/A per chunk: median {median:.3f}, IQR {q1:.3f}-{q3:.3f}")
     return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("a", type=Path, help="root of checkout A")
+    parser.add_argument("b", type=Path, help="root of checkout B")
+    parser.add_argument("--workload", choices=("expr-scan", "basin", "suite"),
+                        default="expr-scan")
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--chunks", type=int, default=200,
+                        help=f"timed chunks of {CHUNK} operations, at least 2 (default 200)")
+    parser.add_argument("--inputs", type=int, default=1000,
+                        help="expr-scan expressions, checked and timed (default 1000)")
+    parser.add_argument("--starts", type=int, default=50,
+                        help="basin starts per stock problem (default 50)")
+    args = parser.parse_args(argv)
+    if args.chunks < 2 or args.inputs < 1 or args.starts < 1:
+        parser.error("--chunks must be at least 2, --inputs and --starts positive")
+
+    reference = _load_reference()
+    # The copies stay on disk for the whole run: a module may import a
+    # sibling on first use (lsqroots.bench does).
+    with tempfile.TemporaryDirectory(prefix="ab_inprocess_") as tmp:
+        sys.path.insert(0, tmp)
+        a = Side(_import_copy(args.a.resolve(), "lsqroots_a", Path(tmp)))
+        b = Side(_import_copy(args.b.resolve(), "lsqroots_b", Path(tmp)))
+        return compare(args, reference, a, b)
 
 
 if __name__ == "__main__":
