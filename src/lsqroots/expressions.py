@@ -11,6 +11,10 @@ Grammar (infix, single variable ``x``):
 '^' is right-associative, so "2^3^2" is 2^(3^2) and "-x^2" is -(x^2).
 Parentheses, and the nodes of the parsed tree, may nest at most
 ``MAX_DEPTH`` (100) levels deep; deeper text raises ``ParseError``.
+The parser reads the text in one pass: one loop reads an ``expr``,
+folding each operand into the pending product and sum as it goes, and
+unary minus runs and ``^`` chains are loops too, so only parentheses
+and function calls recurse.
 Supported functions: sin, cos, tan, arctan, exp, ln, log (natural log),
 log10, abs, cbrt, sqrt.  cbrt is the real, sign-preserving cube root.
 
@@ -172,181 +176,174 @@ FUNCTIONS = tuple(_CALLS)
 # rendering) well inside Python's default recursion limit.
 MAX_DEPTH = 100
 
-# The operators that _Parser._expr chains, by level, loosest first.
-_CHAINED = (("+", "-"), ("*", "/"))
+
+def _too_deep(position: int) -> ParseError:
+    return ParseError(f"expression nested deeper than {MAX_DEPTH} levels", position)
 
 
-class _Parser:
-    """Recursive descent; each rule returns ``(node, depth)``, where depth
-    counts the nodes above the deepest leaf (a leaf has depth 0).
+def parse(text: str) -> Expr:
+    """Parse an infix expression over the variable ``x`` into an AST."""
+    node, _, pos = _expr(text, 0, 0)
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    return node
 
-    Only parentheses recurse: unary minus and the right-associative '^'
-    chain are parsed with loops, so any text within the nesting limit
-    parses within the recursion limit.
+
+# Each parse function takes the text, the position to read from and the
+# number of open parentheses, and returns ``(node, depth, pos)``: depth
+# counts the nodes above the deepest leaf (a leaf has depth 0), and pos is
+# that of the next character that is not whitespace, or the text's length.
+
+def _expr(text: str, pos: int, groups: int):
+    """A ``+ -`` chain of ``* /`` chains of unary operands, in one loop.
+
+    The left operand of the pending ``+ -`` link is kept in ``total`` and
+    that of the pending ``* /`` link in ``product``; each operand is folded
+    into them as soon as it is read, so the depth checks and errors come in
+    the order a recursive descent would give them.
     """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.groups = 0
-
-    def parse(self) -> Expr:
-        node, _ = self._expr(0)
-        if self._peek():
-            raise ParseError(f"unexpected character {self.text[self.pos]!r}", self.pos)
-        return node
-
-    def _peek(self) -> str:
-        """The next character that is not whitespace, or ``""`` at the end
-        of the text; ``pos`` moves past the whitespace."""
-        text, pos = self.text, self.pos
-        while pos < len(text):
-            ch = text[pos]
-            if not ch.isspace():
-                self.pos = pos
-                return ch
+    n = len(text)
+    total = product = None
+    while True:
+        while pos < n and text[pos].isspace():
             pos += 1
-        self.pos = pos
-        return ""
-
-    @staticmethod
-    def _too_deep(position: int) -> ParseError:
-        return ParseError(f"expression nested deeper than {MAX_DEPTH} levels", position)
-
-    def _expr(self, level: int):
-        """A left-associative chain of the level's operators: level 0
-        chains ``+ -`` over level-1 operands, level 1 chains ``* /`` over
-        :meth:`_unary` operands.  The operators are tuples, not strings:
-        :meth:`_peek` gives ``""`` at the end of the text, and ``""`` is
-        in every string."""
-        operators = _CHAINED[level]
-        node, depth = self._unary() if level else self._expr(1)
-        while self._peek() in operators:
-            at = self.pos
-            self.pos += 1
-            right, right_depth = self._unary() if level else self._expr(1)
-            node = Binary(self.text[at], node, right)
-            depth = max(depth, right_depth) + 1
+        at = pos
+        minuses = 0
+        while pos < n and text[pos] == "-":
+            minuses += 1
+            pos += 1
+            while pos < n and text[pos].isspace():
+                pos += 1
+        node, depth, pos = _atom(text, pos, groups)
+        if pos < n and text[pos] == "^":
+            node, depth, pos = _power(text, pos, groups, node, depth)
+        if minuses:
+            depth += minuses
             if depth > MAX_DEPTH:
-                raise self._too_deep(at)
-        return node, depth
-
-    def _minuses(self) -> int:
-        count = 0
-        while self._peek() == "-":
-            self.pos += 1
-            count += 1
-        return count
-
-    def _unary(self):
-        if self._peek() != "-":
-            return self._power()
-        at = self.pos
-        minuses = self._minuses()
-        node, depth = self._power()
-        depth += minuses
-        if depth > MAX_DEPTH:
-            raise self._too_deep(at)
-        for _ in range(minuses):
-            node = Unary("-", node)
-        return node, depth
-
-    def _power(self):
-        first = self._atom()
-        if self._peek() != "^":
-            return first
-        # a ^ -b ^ c is a ^ (-(b ^ c)): collect the operands and the minus
-        # signs after each '^', then fold from the right.
-        operands = [first]
-        links = []
-        while self._peek() == "^":
-            at = self.pos
-            self.pos += 1
-            links.append((at, self._minuses()))
-            operands.append(self._atom())
-        node, depth = operands.pop()
-        while links:
-            at, minuses = links.pop()
-            base, base_depth = operands.pop()
-            depth = max(base_depth, depth + minuses) + 1
-            if depth > MAX_DEPTH:
-                raise self._too_deep(at)
+                raise _too_deep(at)
             for _ in range(minuses):
                 node = Unary("-", node)
-            node = Binary("^", base, node)
-        return node, depth
+        if product is not None:
+            node = Binary(product_op, product, node)
+            depth = max(depth, product_depth) + 1
+            if depth > MAX_DEPTH:
+                raise _too_deep(product_at)
+        ch = text[pos] if pos < n else ""
+        if ch == "*" or ch == "/":
+            product, product_depth, product_op, product_at = node, depth, ch, pos
+            pos += 1
+            continue
+        product = None
+        if total is not None:
+            node = Binary(total_op, total, node)
+            depth = max(depth, total_depth) + 1
+            if depth > MAX_DEPTH:
+                raise _too_deep(total_at)
+        if ch == "+" or ch == "-":
+            total, total_depth, total_op, total_at = node, depth, ch, pos
+            pos += 1
+            continue
+        return node, depth, pos
 
-    def _group(self):
-        """The expression after a '(' up to its ')'."""
-        self.groups += 1
-        if self.groups > MAX_DEPTH:
-            raise self._too_deep(self.pos - 1)
-        result = self._expr(0)
-        if self._peek() != ")":
-            raise ParseError("missing ')'", self.pos)
-        self.pos += 1
-        self.groups -= 1
-        return result
 
-    def _atom(self):
-        ch = self._peek()
-        if ch == "":
-            raise ParseError("unexpected end of expression", self.pos)
-        if ch == "(":
-            self.pos += 1
-            return self._group()
-        if ch.isdigit() or ch == ".":
-            return self._number(), 0
-        if ch.isalpha() or ch == "_":
-            return self._name()
-        raise ParseError(f"unexpected character {ch!r}", self.pos)
+def _power(text: str, pos: int, groups: int, first: Expr, first_depth: int):
+    """The ``^`` chain after the atom ``first``, at the first ``^``.
 
-    def _number(self) -> Constant:
-        start = self.pos
-        text = self.text
-        while self.pos < len(text) and (text[self.pos].isdigit() or text[self.pos] == "."):
-            self.pos += 1
-        if self.pos < len(text) and text[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(text) and text[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(text) and text[self.pos].isdigit():
-                while self.pos < len(text) and text[self.pos].isdigit():
-                    self.pos += 1
+    a ^ -b ^ c is a ^ (-(b ^ c)): collect the atoms and the minus signs
+    after each '^', then fold from the right.
+    """
+    n = len(text)
+    operands = [(first, first_depth)]
+    links = []
+    while pos < n and text[pos] == "^":
+        at = pos
+        pos += 1
+        while pos < n and text[pos].isspace():
+            pos += 1
+        minuses = 0
+        while pos < n and text[pos] == "-":
+            minuses += 1
+            pos += 1
+            while pos < n and text[pos].isspace():
+                pos += 1
+        links.append((at, minuses))
+        node, depth, pos = _atom(text, pos, groups)
+        operands.append((node, depth))
+    node, depth = operands.pop()
+    while links:
+        at, minuses = links.pop()
+        base, base_depth = operands.pop()
+        depth = max(base_depth, depth + minuses) + 1
+        if depth > MAX_DEPTH:
+            raise _too_deep(at)
+        for _ in range(minuses):
+            node = Unary("-", node)
+        node = Binary("^", base, node)
+    return node, depth, pos
+
+
+def _atom(text: str, pos: int, groups: int):
+    """A number, ``x``, a call or a parenthesised expression at ``pos``,
+    which is not whitespace.  Only a group, a call's included, recurses."""
+    n = len(text)
+    if pos == n:
+        raise ParseError("unexpected end of expression", pos)
+    start = pos
+    ch = text[pos]
+    name = None
+    if ch.isdigit() or ch == ".":
+        pos += 1
+        while pos < n and (text[pos].isdigit() or text[pos] == "."):
+            pos += 1
+        if pos < n and text[pos] in "eE":
+            mark = pos
+            pos += 1
+            if pos < n and text[pos] in "+-":
+                pos += 1
+            if pos < n and text[pos].isdigit():
+                while pos < n and text[pos].isdigit():
+                    pos += 1
             else:
-                self.pos = mark  # 'e' was not an exponent after all
-        token = text[start:self.pos]
+                pos = mark  # 'e' was not an exponent after all
+        token = text[start:pos]
         try:
             value = float(token)
         except ValueError:
             raise ParseError(f"invalid number {token!r}", start) from None
         if not math.isfinite(value):
             raise ParseError(f"number {token!r} is out of range", start)
-        return Constant(value)
-
-    def _name(self):
-        start = self.pos
-        text = self.text
-        while self.pos < len(text) and (text[self.pos].isalnum() or text[self.pos] == "_"):
-            self.pos += 1
-        name = text[start:self.pos]
-        if self._peek() == "(":
-            if name not in FUNCTIONS:
-                raise ParseError(f"unknown function {name!r}", start)
-            self.pos += 1
-            arg, depth = self._group()
-            if depth >= MAX_DEPTH:
-                raise self._too_deep(start)
-            return Call(name, arg), depth + 1
-        if name == "x":
-            return Variable(), 0
-        raise ParseError(f"unknown identifier {name!r}", start)
-
-
-def parse(text: str) -> Expr:
-    """Parse an infix expression over the variable ``x`` into an AST."""
-    return _Parser(text).parse()
+        while pos < n and text[pos].isspace():
+            pos += 1
+        return Constant(value), 0, pos
+    if ch.isalpha() or ch == "_":
+        pos += 1
+        while pos < n and (text[pos].isalnum() or text[pos] == "_"):
+            pos += 1
+        name = text[start:pos]
+        while pos < n and text[pos].isspace():
+            pos += 1
+        if pos == n or text[pos] != "(":
+            if name == "x":
+                return Variable(), 0, pos
+            raise ParseError(f"unknown identifier {name!r}", start)
+        if name not in FUNCTIONS:
+            raise ParseError(f"unknown function {name!r}", start)
+    elif ch != "(":
+        raise ParseError(f"unexpected character {ch!r}", pos)
+    # A group, or a call's argument: the '(' is at pos.
+    if groups >= MAX_DEPTH:
+        raise _too_deep(pos)
+    node, depth, pos = _expr(text, pos + 1, groups + 1)
+    if pos == n or text[pos] != ")":
+        raise ParseError("missing ')'", pos)
+    if name is not None:
+        if depth >= MAX_DEPTH:
+            raise _too_deep(start)
+        node, depth = Call(name, node), depth + 1
+    pos += 1
+    while pos < n and text[pos].isspace():
+        pos += 1
+    return node, depth, pos
 
 
 # --------------------------------------------------------------------------

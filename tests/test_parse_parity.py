@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsqroots.expressions import (
-    _CHAINED,
     FUNCTIONS,
     MAX_DEPTH,
     Binary,
@@ -28,6 +27,9 @@ from lsqroots.expressions import (
     Variable,
     parse,
 )
+
+# The operators that FrozenParser._expr chains, by level, loosest first.
+_CHAINED = (("+", "-"), ("*", "/"))
 
 
 class FrozenParser:
