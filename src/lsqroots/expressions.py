@@ -11,6 +11,7 @@ Grammar (infix, single variable ``x``):
 '^' is right-associative, so "2^3^2" is 2^(3^2) and "-x^2" is -(x^2).
 Parentheses, and the nodes of the parsed tree, may nest at most
 ``MAX_DEPTH`` (100) levels deep; deeper text raises ``ParseError``.
+A NUMBER is written with the ASCII digits 0-9 only.
 The parser reads the text in one pass: one loop reads an ``expr``,
 folding each operand into the pending product and sum as it goes, and
 unary minus runs and ``^`` chains are loops too, so only parentheses
@@ -291,17 +292,17 @@ def _atom(text: str, pos: int, groups: int):
     start = pos
     ch = text[pos]
     name = None
-    if ch.isdigit() or ch == ".":
+    if "0" <= ch <= "9" or ch == ".":
         pos += 1
-        while pos < n and (text[pos].isdigit() or text[pos] == "."):
+        while pos < n and ("0" <= text[pos] <= "9" or text[pos] == "."):
             pos += 1
         if pos < n and text[pos] in "eE":
             mark = pos
             pos += 1
             if pos < n and text[pos] in "+-":
                 pos += 1
-            if pos < n and text[pos].isdigit():
-                while pos < n and text[pos].isdigit():
+            if pos < n and "0" <= text[pos] <= "9":
+                while pos < n and "0" <= text[pos] <= "9":
                     pos += 1
             else:
                 pos = mark  # 'e' was not an exponent after all

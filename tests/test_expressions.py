@@ -108,6 +108,11 @@ def test_syntax_error_carries_position(bad, pos):
     ("2ex", "unexpected character 'e' (at position 1)"),
     # the call's own depth check: the minuses alone are MAX_DEPTH deep
     ("sin(" + "-" * MAX_DEPTH + "x)", f"nested deeper than {MAX_DEPTH} levels (at position 0)"),
+    # a digit is an ASCII digit, whatever str.isdigit or float accept
+    ("\u0663", "unexpected character '\u0663' (at position 0)"),
+    ("\u00b2", "unexpected character '\u00b2' (at position 0)"),
+    ("3\u00b2", "unexpected character '\u00b2' (at position 1)"),
+    ("x\u0663", "unknown identifier 'x\u0663' (at position 0)"),
 ])
 def test_syntax_error_names_what_it_rejects(bad, message):
     with pytest.raises(ParseError) as err:

@@ -1,13 +1,14 @@
 """``parse`` against a frozen copy of the earlier recursive-descent parser.
 
-``FrozenParser`` is ``_Parser`` as it was written with a separate
-``_skip_ws`` that ``_peek`` and ``parse`` called.  The package's parser
-skips whitespace inside ``_peek`` and must give an equal tree for every
-text, or raise ``ParseError`` with the same message and position.  The
-texts are drawn from a token alphabet that reaches every branch of the
-lexer: numbers with exponents, operators, three kinds of whitespace, names
-that are and are not functions, and non-ASCII characters that are digits
-to ``str.isdigit`` but not to ``float`` (and one that is to both).
+``FrozenParser`` is the package's ``_Parser`` class as it was written
+with a separate ``_skip_ws`` that ``_peek`` and ``parse`` called, and
+with one later change made in both: a digit is an ASCII digit, not any
+character ``str.isdigit`` accepts.  The package's one-pass parser must
+give an equal tree for every text, or raise ``ParseError`` with the same
+message and position.  The texts are drawn from a token alphabet that
+reaches every branch of the lexer: numbers with exponents, operators,
+three kinds of whitespace, names that are and are not functions, and
+non-ASCII characters that ``str.isdigit`` takes for digits.
 """
 
 import math
@@ -131,7 +132,7 @@ class FrozenParser:
         if ch == "(":
             self.pos += 1
             return self._group()
-        if ch.isdigit() or ch == ".":
+        if "0" <= ch <= "9" or ch == ".":
             return self._number(), 0
         if ch.isalpha() or ch == "_":
             return self._name()
@@ -140,15 +141,15 @@ class FrozenParser:
     def _number(self):
         start = self.pos
         text = self.text
-        while self.pos < len(text) and (text[self.pos].isdigit() or text[self.pos] == "."):
+        while self.pos < len(text) and ("0" <= text[self.pos] <= "9" or text[self.pos] == "."):
             self.pos += 1
         if self.pos < len(text) and text[self.pos] in "eE":
             mark = self.pos
             self.pos += 1
             if self.pos < len(text) and text[self.pos] in "+-":
                 self.pos += 1
-            if self.pos < len(text) and text[self.pos].isdigit():
-                while self.pos < len(text) and text[self.pos].isdigit():
+            if self.pos < len(text) and "0" <= text[self.pos] <= "9":
+                while self.pos < len(text) and "0" <= text[self.pos] <= "9":
                     self.pos += 1
             else:
                 self.pos = mark
