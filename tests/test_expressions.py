@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -162,6 +163,29 @@ def test_one_level_deeper_is_a_parse_error(kind, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("lsqroots: bad --expr: expression nested deeper")
+
+
+def _frame_depth():
+    """The number of frames on the stack of the caller, itself included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_deepest_accepted_nesting_parses_in_a_small_stack(kind):
+    # The parser recurses only into parentheses, two frames a level: 100
+    # groups or calls reach 203 frames above the caller.  A parser that
+    # recursed through every precedence level needed 609 for 100 groups
+    # and 709 for 100 calls, which this limit does not leave room for.
+    text = NESTINGS[kind](MAX_DEPTH)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 400)
+    try:
+        parse(text)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_nesting_far_past_the_limit_is_a_parse_error():

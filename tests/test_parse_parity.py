@@ -12,6 +12,7 @@ non-ASCII characters that ``str.isdigit`` takes for digits.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -228,6 +229,38 @@ def _nestings(n):
 def test_nesting_at_the_limit_parses_like_the_frozen_parser(n):
     for text in _nestings(n):
         assert_parity(text)
+
+
+def test_nesting_below_the_limit_parses_like_the_frozen_parser():
+    for n in range(1, MAX_DEPTH - 1):
+        for text in _nestings(n):
+            assert_parity(text)
+
+
+def _rendered_tree(rng, depth):
+    """The fully parenthesised text of a random tree ``depth`` levels deep
+    at most, in the form ``render`` gives and the expr-scan benchmark
+    parses: spaces around binary operators, minus signs in parentheses."""
+    if depth == 0 or rng.random() < 0.25:
+        r = rng.random()
+        if r < 0.6:
+            return "x"
+        return str(rng.randint(1, 9)) if r < 0.8 else repr(round(rng.uniform(0.1, 9.9), 2))
+    r = rng.random()
+    if r < 0.65:
+        op = rng.choice("+-*/^")
+        return f"({_rendered_tree(rng, depth - 1)} {op} {_rendered_tree(rng, depth - 1)})"
+    if r < 0.9:
+        return f"{rng.choice(FUNCTIONS)}({_rendered_tree(rng, depth - 1)})"
+    return f"(-{_rendered_tree(rng, depth - 1)})"
+
+
+def test_rendered_trees_and_their_fragments_parse_like_the_frozen_parser():
+    rng = random.Random(16)
+    for _ in range(400):
+        text = _rendered_tree(rng, rng.randint(3, 9))
+        for variant in (text, text[:len(text) // 2], "".join(text.split()), text + ")"):
+            assert_parity(variant)
 
 
 @pytest.mark.parametrize("text", [
