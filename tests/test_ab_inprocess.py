@@ -18,27 +18,42 @@ def test_a_checkout_against_itself_checks_identical_and_times_each_workload():
                         "--inputs", "5", "--starts", "1", "--seed", "3")
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert lines[0] == ("check: identical on 5 expressions, 56 basin solves "
-                            "and the suite CSV and Markdown")
+        assert lines[0] == ("check: identical on 5 expressions, 2000 parse texts, "
+                            "56 basin solves and the suite CSV and Markdown")
         assert lines[1] == f"{workload}: 2 chunks of 25 operations, seed 3"
         assert lines[2].startswith("A ") and lines[3].startswith("B ")
         assert lines[4].startswith("B/A per chunk: median ")
 
 
-def test_a_checkout_that_differs_fails_the_check(tmp_path):
+def changed_copy(tmp_path, module, old, new):
+    """A checkout whose ``module`` has ``old`` replaced by ``new``."""
     changed = tmp_path / "changed"
-    (changed / "src").mkdir(parents=True)
     source = ROOT / "src" / "lsqroots"
     target = changed / "src" / "lsqroots"
-    target.mkdir()
+    target.mkdir(parents=True)
     for path in source.glob("*.py"):
         text = path.read_text()
-        if path.name == "baselines.py":
-            # every secant run gets a different default second start
-            text = text.replace("x1 = x0 + 0.1", "x1 = x0 + 0.2")
-            assert "x0 + 0.2" in text
+        if path.name == module:
+            assert old in text
+            text = text.replace(old, new)
         (target / path.name).write_text(text)
+    return changed
+
+
+def test_a_checkout_that_differs_fails_the_check(tmp_path):
+    # every secant run gets a different default second start
+    changed = changed_copy(tmp_path, "baselines.py", "x1 = x0 + 0.1", "x1 = x0 + 0.2")
     proc = run_tool(str(ROOT), str(changed), "--inputs", "2", "--starts", "1")
     assert proc.returncode == 1
     assert proc.stdout.splitlines()[-1].startswith("check failed: ")
     assert "suite CSV differs" in proc.stdout
+
+
+def test_a_parser_that_words_an_error_differently_fails_the_check(tmp_path):
+    changed = changed_copy(tmp_path, "expressions.py", "\"missing ')'\"", "\"no ')'\"")
+    proc = run_tool(str(ROOT), str(changed), "--inputs", "2", "--starts", "1")
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert lines[-1].startswith("check failed: ")
+    assert all(line.startswith("parse ") for line in lines[:-1])
+    assert "missing ')' (at position" in lines[0] and "no ')' (at position" in lines[0]

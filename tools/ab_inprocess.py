@@ -10,10 +10,13 @@ Uses the standard library only; the inputs come from the benchmark's
 ``perfbench/reference.py`` next to this tool, which is read, never edited.
 
 1. **Check.** Both sides must give the same expr-scan values (bits and
-   ``None``) on ``--inputs`` random expressions, the same basin outcomes
-   (status, root bits and iterations) on ``--starts`` starts per stock
-   problem and method, and the same suite CSV and Markdown.  A difference
-   is printed and the tool exits 1 without timing.
+   ``None``) on ``--inputs`` random expressions, the same ``parse``
+   outcome (the tree's ``repr``, or the ``ParseError`` message and
+   position) on PARSE_TEXTS seeded random token texts, most of them
+   malformed, the same basin outcomes (status, root bits and iterations)
+   on ``--starts`` starts per stock problem and method, and the same suite
+   CSV and Markdown.  A difference is printed and the tool exits 1
+   without timing.
 2. **Timing.** ``--chunks`` chunks of 25 operations of one workload run
    on both sides, alternating which side runs first.  The tool prints each
    side's microseconds per operation and the quartiles of the per-chunk
@@ -44,6 +47,12 @@ ROOT = Path(__file__).resolve().parent.parent
 CHUNK = 25
 GRID = 16
 METHODS = ("newton", "secant", "lsq3-fixed", "lsq3-variable")
+PARSE_TEXTS = 2000
+# Tokens that reach every branch of the parser: numbers with exponents,
+# operators, whitespace, names that are and are not functions, and
+# non-ASCII characters that str.isdigit takes for digits.
+PARSE_TOKENS = (*"0123456789", ".", "e", "E", *"+-*/^()", " ", "\t", "\x1c",
+                "x", "sin", "sinx", "q", "_", "\u00b2", "\u0663")
 
 
 def _load_reference():
@@ -84,6 +93,12 @@ class Side:
         return ([evaluate(e, x) for x in grid], [evaluate(d, x) for x in grid],
                 [evaluate(e2, x) for x in grid])
 
+    def parse_outcome(self, text):
+        try:
+            return repr(self.pkg.parse(text))
+        except self.pkg.ParseError as err:
+            return str(err), err.position
+
     def basin(self, inp):
         index, x0, method = inp
         f = self.suite[index].expression
@@ -108,6 +123,13 @@ def expr_inputs(reference, seed: int, count: int) -> list:
     return inputs
 
 
+def parse_texts(seed: int, count: int) -> list:
+    """``count`` texts of up to 40 random tokens each."""
+    rng = random.Random(f"parse:{seed}")
+    return ["".join(rng.choice(PARSE_TOKENS) for _ in range(rng.randint(0, 40)))
+            for _ in range(count)]
+
+
 def basin_inputs(reference, suite, seed: int, starts: int) -> list:
     """(problem index, start, method) over each stock problem's start window."""
     rng = random.Random(seed)
@@ -120,9 +142,13 @@ def basin_inputs(reference, suite, seed: int, starts: int) -> list:
     return inputs
 
 
-def check(a: Side, b: Side, exprs: list, solves: list) -> list:
+def check(a: Side, b: Side, exprs: list, texts: list, solves: list) -> list:
     """The differences between the two sides' outputs, as messages."""
     diffs = []
+    for text in texts:
+        oa, ob = a.parse_outcome(text), b.parse_outcome(text)
+        if oa != ob:
+            diffs.append(f"parse {text!r}: {oa!r} != {ob!r}")
     for text, grid in exprs:
         ra, rb = a.expr_scan((text, grid)), b.expr_scan((text, grid))
         if [[_bits(v) for v in vs] for vs in ra] != [[_bits(v) for v in vs] for vs in rb]:
@@ -168,15 +194,16 @@ def interleave(op_a, op_b, inputs: list, chunks: int):
 def compare(args, reference, a: Side, b: Side) -> int:
     """Check, then time, A against B; the exit status."""
     exprs = expr_inputs(reference, args.seed, args.inputs)
+    texts = parse_texts(args.seed, PARSE_TEXTS)
     solves = basin_inputs(reference, a.suite, args.seed, args.starts)
-    diffs = check(a, b, exprs, solves)
+    diffs = check(a, b, exprs, texts, solves)
     if diffs:
         for line in diffs[:20]:
             print(line)
         print(f"check failed: {len(diffs)} differences")
         return 1
-    print(f"check: identical on {len(exprs)} expressions, {len(solves)} basin solves "
-          "and the suite CSV and Markdown")
+    print(f"check: identical on {len(exprs)} expressions, {len(texts)} parse texts, "
+          f"{len(solves)} basin solves and the suite CSV and Markdown")
 
     if args.workload == "expr-scan":
         op_a, op_b, inputs = a.expr_scan, b.expr_scan, exprs
