@@ -265,7 +265,7 @@ def test_rendered_trees_and_their_fragments_parse_like_the_frozen_parser():
 
 @pytest.mark.parametrize("text", [
     "", " ", "\x1c", "x ", " x\t", "x y", "x )", "1e", "1e+", "1E-3", "2.5e3x",
-    "²", "٣ + x", "½", "sinx(x)", "sin (x)", "sin", "q(x)", "_", "1..2",
+    "²", "٣ + x", "½", "sinx(x)", "sin (x)", "sin", "q(x)", "_", "1..2", "1e٣", "2.5E-٣",
 ])
 def test_hand_picked_texts_parse_like_the_frozen_parser(text):
     assert_parity(text)
