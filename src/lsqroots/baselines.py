@@ -14,7 +14,8 @@ from functools import partial
 from typing import NamedTuple, Optional
 
 from .expressions import Expr, differentiate, evaluate
-from .outcomes import IterationRecord, SolveOutcome, Status, StepError, check_budget, iterate
+from .outcomes import (CheckedRecord, IterationRecord, SolveOutcome, Status, StepError,
+                       check_budget, iterate)
 # Only ``outcomes`` calls these; they stay module globals here because the
 # benchmark's probes rebind them by module.
 from .outcomes import best_iterate, detect_cycle  # noqa: F401
@@ -38,20 +39,14 @@ class _BaselineFields(NamedTuple):
     max_iter: int = 500
 
 
-class BaselineConfig(_BaselineFields):
+class BaselineConfig(CheckedRecord, _BaselineFields):
     """Settings of :func:`solve_baseline` (an immutable named tuple),
     checked when built, by ``_replace`` too."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         check_budget(self.tolerance, self.max_iter)
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 def newton_step(x: float, y: float, dy: float) -> float:

@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 from .baselines import solve_baseline
 from .expressions import Expr, evaluate, parse
 from .lsq3 import SolverConfig, solve
-from .outcomes import IterationRecord, SolveOutcome, Status
+from .outcomes import CheckedRecord, IterationRecord, SolveOutcome, Status
 
 Expected = Union[int, str]
 
@@ -73,25 +73,19 @@ class _ProblemFields(NamedTuple):
     table: int
 
 
-class Problem(_ProblemFields):
+class Problem(CheckedRecord, _ProblemFields):
     """One suite problem (an immutable named tuple), checked when built,
     by ``_replace`` too."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         for r in self.reference_roots:
             y = evaluate(self.expression, r)
             if y is None or abs(y) >= 1e-9:
                 raise ValueError(f"{self.id}: stored root {r!r} gives f(r)={y!r}")
         if not self.starts:
             raise ValueError(f"{self.id}: needs at least one start")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 class RunRow(NamedTuple):

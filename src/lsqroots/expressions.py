@@ -11,7 +11,9 @@ Grammar (infix, single variable ``x``):
 '^' is right-associative, so "2^3^2" is 2^(3^2) and "-x^2" is -(x^2).
 Parentheses, and the nodes of the parsed tree, may nest at most
 ``MAX_DEPTH`` (100) levels deep; deeper text raises ``ParseError``.
-A NUMBER is written with the ASCII digits 0-9 only.
+A NUMBER is written with the ASCII digits 0-9 only, while whitespace,
+which may separate any two tokens, is any character ``str.isspace``
+accepts: U+001C-U+001F, U+0085 and U+3000 among them.
 The parser reads the text in one pass: one loop reads an ``expr``,
 folding each operand into the pending product and sum as it goes, and
 unary minus runs and ``^`` chains are loops too, so only parentheses
@@ -157,10 +159,22 @@ def _cbrt(v: float) -> float:
     return math.copysign(abs(v) ** (1.0 / 3.0), v)
 
 
+# Each function: its value, and its derivative as a tree of its argument
+# ``u``, built with the smart constructors of the differentiation section
+# (``_differentiate`` multiplies it by u').
 _CALLS = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan, "arctan": math.atan,
-    "exp": math.exp, "ln": math.log, "log": math.log, "log10": math.log10,
-    "abs": abs, "cbrt": _cbrt, "sqrt": math.sqrt,
+    "sin": (math.sin, lambda u: Call("cos", u)),
+    "cos": (math.cos, lambda u: Unary("-", Call("sin", u))),
+    "tan": (math.tan, lambda u: _div(_ONE, _pow(Call("cos", u), _TWO))),
+    "arctan": (math.atan, lambda u: _div(_ONE, _add(_ONE, _pow(u, _TWO)))),
+    "exp": (math.exp, lambda u: Call("exp", u)),
+    "ln": (math.log, lambda u: _div(_ONE, u)),
+    "log": (math.log, lambda u: _div(_ONE, u)),
+    "log10": (math.log10, lambda u: _div(_ONE, _mul(u, Constant(math.log(10.0))))),
+    # u/|u| is undefined at u = 0, which surfaces as a domain error there
+    "abs": (abs, lambda u: _div(u, Call("abs", u))),
+    "cbrt": (_cbrt, lambda u: _div(_ONE, _mul(Constant(3.0), _pow(Call("cbrt", u), _TWO)))),
+    "sqrt": (math.sqrt, lambda u: _div(_ONE, _mul(_TWO, Call("sqrt", u)))),
 }
 
 FUNCTIONS = tuple(_CALLS)
@@ -447,7 +461,7 @@ def _compile(e: Expr) -> Callable[[float], float]:
             return _checked(pair, _BINARY[e.op], a, b)
         return _PAIRS[pair](_BINARY[e.op], a, b)
     if isinstance(e, Call):
-        fn = _CALLS[e.name]
+        fn = _CALLS[e.name][0]
         kind, a = _operand(e.arg)
         if kind == "x":
             return fn
@@ -601,32 +615,8 @@ def _differentiate(e: Expr) -> Expr:
             _pow(u, v),
             _add(_mul(dv, Call("ln", u)), _mul(v, _div(du, u))),
         )
-    # Call
-    u = e.arg
-    du = _differentiate(u)
-    name = e.name
-    if name == "sin":
-        outer: Expr = Call("cos", u)
-    elif name == "cos":
-        outer = Unary("-", Call("sin", u))
-    elif name == "tan":
-        outer = _div(_ONE, _pow(Call("cos", u), _TWO))
-    elif name == "arctan":
-        outer = _div(_ONE, _add(_ONE, _pow(u, _TWO)))
-    elif name == "exp":
-        outer = Call("exp", u)
-    elif name in ("ln", "log"):
-        outer = _div(_ONE, u)
-    elif name == "log10":
-        outer = _div(_ONE, _mul(u, Constant(math.log(10.0))))
-    elif name == "abs":
-        # d|u| = u/|u| * u'; undefined at u=0, surfaces as a domain error there
-        outer = _div(u, Call("abs", u))
-    elif name == "cbrt":
-        outer = _div(_ONE, _mul(Constant(3.0), _pow(Call("cbrt", u), _TWO)))
-    else:  # sqrt
-        outer = _div(_ONE, _mul(_TWO, Call("sqrt", u)))
-    return _mul(outer, du)
+    # Call: the chain rule, f(u)' = f'(u) * u'
+    return _mul(_CALLS[e.name][1](e.arg), _differentiate(e.arg))
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from functools import partial
 from typing import NamedTuple, Optional, Tuple
 
 from .expressions import Expr, evaluate
-from .outcomes import SolveOutcome, Status, StepError, check_budget, iterate
+from .outcomes import CheckedRecord, SolveOutcome, Status, StepError, check_budget, iterate
 # Only ``outcomes`` calls these; they stay module globals here because the
 # benchmark's probes rebind them by module.
 from .outcomes import best_iterate, detect_cycle  # noqa: F401
@@ -84,14 +84,13 @@ class _SolverFields(NamedTuple):
     max_iter: int = 500
 
 
-class SolverConfig(_SolverFields):
+class SolverConfig(CheckedRecord, _SolverFields):
     """Settings of :func:`solve` (an immutable named tuple), checked when
     built, by ``_replace`` too."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.mode not in ("fixed", "variable"):
             raise ValueError(f"mode must be 'fixed' or 'variable', got {self.mode!r}")
         if not 0.0 < self.delta0 < 1.0:
@@ -101,11 +100,6 @@ class SolverConfig(_SolverFields):
             raise ValueError(f"power must be finite, got {self.n_value!r}")
         if self.mode == "fixed" and self.n_value == 0.0:
             raise ValueError("fixed power must be nonzero")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 def lsq3_step(x: float, y_minus: float, y0: float, y_plus: float,

@@ -99,6 +99,23 @@ def check_budget(tolerance: float, max_iter: int) -> None:
         raise ValueError(f"max_iter must be at least 1 and at most {MAX_ITER_CAP}")
 
 
+class CheckedRecord:
+    """Base of a named tuple that checks itself when built, by ``_replace``
+    too: list it before the fields tuple and define ``_check(self)``, which
+    raises on a bad record."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 # Copies that :func:`iterate` still checks once a state recurs.  Say the
 # state made trace[first] and recurs at len(trace) == first + p: the copy
 # appended at length t repeats trace[t - p], and every record was

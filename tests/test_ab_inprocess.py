@@ -57,3 +57,17 @@ def test_a_parser_that_words_an_error_differently_fails_the_check(tmp_path):
     assert lines[-1].startswith("check failed: ")
     assert all(line.startswith("parse ") for line in lines[:-1])
     assert "missing ')' (at position" in lines[0] and "no ')' (at position" in lines[0]
+
+
+def test_a_derivative_rule_that_builds_another_tree_fails_the_check(tmp_path):
+    # 1 * exp(u) has the values of exp(u), so only the trees tell them apart
+    changed = changed_copy(tmp_path, "expressions.py",
+                           '"exp": (math.exp, lambda u: Call("exp", u))',
+                           '"exp": (math.exp, lambda u: Binary("*", _ONE, Call("exp", u)))')
+    proc = run_tool(str(ROOT), str(changed), "--inputs", "2", "--starts", "1")
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert lines[-1].startswith("check failed: ")
+    assert all(line.startswith("differentiate ") for line in lines[:-1])
+    for problem in ("sin-exp-log", "sharp-exponential", "gauss-bump"):
+        assert f"differentiate {problem}: trees differ" in lines

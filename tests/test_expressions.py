@@ -9,6 +9,7 @@ import pytest
 import lsqroots.expressions as expressions
 from lsqroots.cli import main
 from lsqroots.expressions import (
+    FUNCTIONS,
     MAX_DEPTH,
     Binary,
     Call,
@@ -39,6 +40,20 @@ SUITE_SOURCES = [
     ("0.5*x^3 - 6*x^2 + 21.5*x - 22", 2.0, 5.5),
     ("cbrt(x)", 0.2, 2.0),
     ("10*x*exp(-x^2) - 1", -2.0, 2.0),
+]
+
+# With SUITE_SOURCES, a call of every function and each rule of the
+# operators, the quotient rule and the general u^v rule included.
+RULE_SOURCES = [
+    ("cos(x)", -3.0, 3.0),
+    ("tan(x)", -1.2, 1.2),
+    ("log10(x)", 0.5, 4.0),
+    ("abs(x)", -3.0, -0.5),
+    ("abs(x)", 0.5, 3.0),
+    ("sqrt(x)", 0.5, 4.0),
+    ("x / (x + 2)", -1.0, 3.0),
+    ("x ^ x", 0.5, 2.0),
+    ("2 ^ sin(x)", -3.0, 3.0),
 ]
 
 
@@ -83,6 +98,8 @@ def test_division_left_associative():
 
 def test_whitespace_and_scientific_notation():
     assert evaluate(parse("  1e-2 + 2.5E+1 "), 0.0) == 25.01
+    # whitespace is whatever str.isspace accepts
+    assert evaluate(parse("1\x1c+\u3000x"), 2.0) == 3.0
 
 
 @pytest.mark.parametrize("bad, pos", [
@@ -382,11 +399,18 @@ def test_derivative_of_cbrt():
     assert evaluate(d, 8.0) == pytest.approx(1.0 / 12.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("source, lo, hi", SUITE_SOURCES)
+def test_the_derivative_sources_call_every_function():
+    trees = [parse(source) for source, _, _ in SUITE_SOURCES + RULE_SOURCES]
+    called = {node.name for e in trees for node, _ in paired_nodes(e, e)
+              if isinstance(node, Call)}
+    assert called == set(FUNCTIONS)
+
+
+@pytest.mark.parametrize("source, lo, hi", SUITE_SOURCES + RULE_SOURCES)
 def test_derivative_matches_central_differences(source, lo, hi):
     e = parse(source)
     d = differentiate(e)
-    rng = random.Random(hash(source) & 0xFFFF)
+    rng = random.Random(source)
     for _ in range(20):
         x = rng.uniform(lo, hi)
         fd = central_diff(e, x)

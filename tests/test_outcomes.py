@@ -442,6 +442,14 @@ def test_a_stuck_newton_run_replays_its_fixed_point(monkeypatch):
     assert len(calls) == 1 + 2 * 500
 
 
+def test_a_newton_run_stuck_at_a_pole_is_not_converged():
+    # At the double nearest pi/2, tan(x) is about 1.6e16 and the Newton
+    # step tan(x)/f'(x) is below half an ulp of x, so every step returns x:
+    # an exact period-1 recurrence, with nothing near a root.
+    out = solve_baseline("newton", parse("tan(x)"), math.pi / 2)
+    assert not out.converged
+
+
 def test_a_state_differing_only_in_the_sign_of_a_zero_is_not_replayed():
     # Each step flips the sign of the zero in y_minus; nothing else moves.
     def step(cur, prev):

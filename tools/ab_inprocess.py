@@ -13,10 +13,11 @@ Uses the standard library only; the inputs come from the benchmark's
    ``None``) on ``--inputs`` random expressions, the same ``parse``
    outcome (the tree's ``repr``, or the ``ParseError`` message and
    position) on PARSE_TEXTS seeded random token texts, most of them
-   malformed, the same basin outcomes (status, root bits and iterations)
-   on ``--starts`` starts per stock problem and method, and the same suite
-   CSV and Markdown.  A difference is printed and the tool exits 1
-   without timing.
+   malformed, the same derivative tree (its ``repr``) of every expr-scan
+   expression and every stock expression, the same basin outcomes
+   (status, root bits and iterations) on ``--starts`` starts per stock
+   problem and method, and the same suite CSV and Markdown.  A difference
+   is printed and the tool exits 1 without timing.
 2. **Timing.** ``--chunks`` chunks of 25 operations of one workload run
    on both sides, alternating which side runs first.  The tool prints each
    side's microseconds per operation and the quartiles of the per-chunk
@@ -99,6 +100,9 @@ class Side:
         except self.pkg.ParseError as err:
             return str(err), err.position
 
+    def derivative_tree(self, e):
+        return repr(self.pkg.differentiate(e))
+
     def basin(self, inp):
         index, x0, method = inp
         f = self.suite[index].expression
@@ -153,6 +157,11 @@ def check(a: Side, b: Side, exprs: list, texts: list, solves: list) -> list:
         ra, rb = a.expr_scan((text, grid)), b.expr_scan((text, grid))
         if [[_bits(v) for v in vs] for vs in ra] != [[_bits(v) for v in vs] for vs in rb]:
             diffs.append(f"expr-scan {text!r}: values differ")
+        if a.derivative_tree(a.pkg.parse(text)) != b.derivative_tree(b.pkg.parse(text)):
+            diffs.append(f"differentiate {text!r}: trees differ")
+    for pa, pb in zip(a.suite, b.suite):
+        if a.derivative_tree(pa.expression) != b.derivative_tree(pb.expression):
+            diffs.append(f"differentiate {pa.id}: trees differ")
     for inp in solves:
         oa, ob = a.basin(inp), b.basin(inp)
         ka = (oa.status.value, oa.root.hex(), oa.iterations)
