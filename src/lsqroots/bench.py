@@ -228,13 +228,15 @@ def final_rate(trace: Sequence[IterationRecord], r: float) -> Optional[float]:
     if len(trace) < 3:
         return None
     floor = RATE_TRUST_FLOOR * max(1.0, abs(r))
-    errors = [abs(rec.x - r) for rec in trace]
-    rate = None
-    for e0, e1 in zip(errors, errors[1:]):
-        if e0 <= floor or e1 <= floor or e0 >= 1.0 or e1 >= 1.0:
-            continue
-        rate = math.log(e1) / math.log(e0)
-    return rate
+    # Scan from the end: the first trusted pair met is the last one.
+    records = reversed(trace)
+    e1 = abs(next(records).x - r)
+    for rec in records:
+        e0 = abs(rec.x - r)
+        if not (e0 <= floor or e1 <= floor or e0 >= 1.0 or e1 >= 1.0):
+            return math.log(e1) / math.log(e0)
+        e1 = e0
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +260,10 @@ def f_n_curve(E: float, n_grid: Iterable[float]) -> List[Tuple[float, float]]:
 
 def n_grid(start: float, stop: float, step: float) -> List[float]:
     """Inclusive arithmetic grid, computed without drift, of at most
-    :data:`MAX_GRID_POINTS` points.
+    :data:`MAX_GRID_POINTS` points: ``start + i * step`` up to ``stop``,
+    and no point lies beyond ``stop``.  A ``stop`` that the grid reaches
+    but for a rounding error (``n_grid(1.0, 4.0, 0.01)``) is its last
+    point; a ``stop`` below ``start`` gives an empty grid.
 
     A grid too large to count, whose number of steps overflows a float
     (``n_grid(0, 1e308, 1e-308)``), is refused like any other oversized
@@ -269,13 +274,15 @@ def n_grid(start: float, stop: float, step: float) -> List[float]:
             raise ValueError(f"grid {name} must be finite, got {value!r}")
     if step <= 0.0:
         raise ValueError("step must be positive")
-    steps = (stop - start) / step
+    # A relative 1e-9 more steps keeps a stop that the quotient misses by
+    # its rounding error; the point it admits is clipped to ``stop``.
+    steps = max((stop - start) / step, -1.0) * (1.0 + 1e-9)
     if steps == math.inf:
         raise ValueError(f"grid of more than 1e308 points exceeds {MAX_GRID_POINTS}")
-    count = int(round(max(steps, -1.0)))
+    count = math.floor(steps)
     if count + 1 > MAX_GRID_POINTS:
         raise ValueError(f"grid of {count + 1} points exceeds {MAX_GRID_POINTS}")
-    return [start + i * step for i in range(count + 1)]
+    return [min(start + i * step, stop) for i in range(count + 1)]
 
 
 # ---------------------------------------------------------------------------

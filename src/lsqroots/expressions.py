@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property
+from math import isfinite
 from typing import Callable, Optional, Tuple, Union
 
 
@@ -325,7 +326,7 @@ def _atom(text: str, pos: int, groups: int):
             value = float(token)
         except ValueError:
             raise ParseError(f"invalid number {token!r}", start) from None
-        if not math.isfinite(value):
+        if not isfinite(value):
             raise ParseError(f"number {token!r} is out of range", start)
         while pos < n and text[pos].isspace():
             pos += 1
@@ -390,31 +391,31 @@ def _checked(pair: str, op, a, b) -> Callable[[float], float]:
         def node(x: float) -> float:
             u = a(x)
             v = b(x)
-            if math.isfinite(u) and math.isfinite(v):
+            if isfinite(u) and isfinite(v):
                 return op(u, v)
             raise ValueError
     elif pair == "fx":
         def node(x: float) -> float:
             u = a(x)
-            if math.isfinite(u):
+            if isfinite(u):
                 return op(u, x)
             raise ValueError
     elif pair == "fc":
         def node(x: float) -> float:
             u = a(x)
-            if math.isfinite(u):
+            if isfinite(u):
                 return op(u, b)
             raise ValueError
     elif pair == "xf":
         def node(x: float) -> float:
             v = b(x)
-            if math.isfinite(v):
+            if isfinite(v):
                 return op(x, v)
             raise ValueError
     else:  # "cf"
         def node(x: float) -> float:
             v = b(x)
-            if math.isfinite(v):
+            if isfinite(v):
                 return op(a, v)
             raise ValueError
     return node
@@ -429,7 +430,7 @@ def _operand(e: Expr) -> Tuple[str, object]:
     costs a lock per first read, about 13% of a parse and first evaluation."""
     if isinstance(e, Variable):
         return "x", None
-    if isinstance(e, Constant) and math.isfinite(e.value):
+    if isinstance(e, Constant) and isfinite(e.value):
         return "c", e.value
     d = e.__dict__
     f = d.get("_compiled")
@@ -470,7 +471,7 @@ def _compile(e: Expr) -> Callable[[float], float]:
 
         def call(x: float) -> float:
             u = a(x)
-            if math.isfinite(u):
+            if isfinite(u):
                 return fn(u)
             raise ValueError
         return call
@@ -499,13 +500,13 @@ def evaluate(e: Expr, x: float) -> Optional[float]:
     compiles the nodes of ``e`` that no earlier call reached; each keeps
     its closure.
     """
-    if not math.isfinite(x):
+    if not isfinite(x):
         return None
     try:
         v = e._compiled(x)
     except (ZeroDivisionError, ValueError, OverflowError):
         return None
-    return v if math.isfinite(v) else None
+    return v if isfinite(v) else None
 
 
 # --------------------------------------------------------------------------
@@ -545,7 +546,7 @@ def _mul(a: Expr, b: Expr) -> Expr:
     ca, cb = isinstance(a, Constant), isinstance(b, Constant)
     if ca and cb:
         v = a.value * b.value
-        if math.isfinite(v):
+        if isfinite(v):
             return Constant(v)
     if ca and a.value == 0.0 or cb and b.value == 0.0:
         return _ZERO
@@ -564,7 +565,7 @@ def _div(a: Expr, b: Expr) -> Expr:
         return a
     if ca and cb and b.value != 0.0:
         v = a.value / b.value
-        if math.isfinite(v):
+        if isfinite(v):
             return Constant(v)
     return Binary("/", a, b)
 
@@ -630,7 +631,7 @@ def render(e: Expr) -> str:
     off the domain at every x, renders as ``(0 / 0)``, which is too.
     """
     if isinstance(e, Constant):
-        if not math.isfinite(e.value):
+        if not isfinite(e.value):
             return "(0 / 0)"
         # The grammar has no negative literals: a set sign bit (-0.0
         # included) renders as a parenthesised unary minus.

@@ -112,7 +112,8 @@ def lsq3_step(x: float, y_minus: float, y0: float, y_plus: float,
     if n == 0.0:
         raise ValueError("power n must be nonzero")
     slope = (y_plus - y_minus) / (2.0 * delta)
-    weighted = ((n + 1.0) * y_minus + (4.0 * n - 2.0) * y0 + (n + 1.0) * y_plus) / (6.0 * n)
+    n1 = n + 1.0
+    weighted = (n1 * y_minus + (4.0 * n - 2.0) * y0 + n1 * y_plus) / (6.0 * n)
     return x - n * (weighted / slope)
 
 
@@ -140,9 +141,9 @@ def estimate_power(y_minus: float, y0: float, y_plus: float, delta: float) -> fl
     # Central second differences below the cancellation floor of the three
     # samples carry no information; treating them as zero keeps the
     # straight-line answer exact on straight lines.
-    big = abs(y_minus)
-    big = abs(y0) if abs(y0) > big else big
-    big = abs(y_plus) if abs(y_plus) > big else big
+    big, a0, ap = abs(y_minus), abs(y0), abs(y_plus)
+    big = a0 if a0 > big else big
+    big = ap if ap > big else big
     if abs(d2) <= 4.0 * _EPS * big / dd:
         d2 = 0.0
     s2 = s * s
@@ -167,6 +168,8 @@ def select_delta(x_k: float, x_prev: float, delta_prev: float, ratio: float) -> 
     floor.  When no beta qualifies (even 1e-12 * (x_k - x_prev)^2 is 1 or
     more, or exceeds ``delta_prev``) the spacing is max(floor, 1e-12 *
     (x_k - x_prev)^2), which after a step of 1e6 or more exceeds 1.
+    A product beta * (x_k - x_prev)^2 does not grow as beta falls, so the
+    smallest beta is tested first: if it fails, every beta fails.
     """
     dx = x_k - x_prev
     ax, adx = abs(x_k), abs(dx)
@@ -174,12 +177,13 @@ def select_delta(x_k: float, x_prev: float, delta_prev: float, ratio: float) -> 
     floor = scaled if scaled > floor else floor
     floor = 1e-300 if 1e-300 > floor else floor
     dx2 = dx ** 2
+    delta = _BETAS[-1] * dx2
+    if not (delta < 1.0 and delta <= delta_prev):
+        return delta if delta > floor else floor
     for beta in _BETAS:
         delta = beta * dx2
         if delta < 1.0 and delta <= delta_prev:
             return delta if delta >= floor else floor
-    # The loop ended on the last beta, so this is its spacing.
-    return delta if delta > floor else floor
 
 
 def adjust_delta(f: Expr, x: float, delta: float) -> Tuple[float, float, float]:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 import operator
 from enum import Enum
+from functools import partial
+from itertools import cycle
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 
@@ -47,6 +49,11 @@ class IterationRecord(NamedTuple):
     n_used: Optional[float] = None
     y_minus: Optional[float] = None
     y_plus: Optional[float] = None
+
+
+# A record from the tuple of all its fields, past the named tuple's
+# slower constructor.
+_new_record = partial(tuple.__new__, IterationRecord)
 
 
 class SolveOutcome(NamedTuple):
@@ -151,7 +158,8 @@ def detect_cycle(xs: Sequence[float]) -> bool:
     if len(xs) < CYCLE_MIN_INDEX:
         return False
     last = xs[-1]
-    scale = abs(last) if abs(last) > 1.0 else 1.0      # max(1.0, |last|)
+    scale = abs(last)
+    scale = scale if scale > 1.0 else 1.0               # max(1.0, |last|)
     tol = CYCLE_MATCH_RTOL * scale
     # Every period's match below includes the pair (xs[-1-period], last).
     # A NaN fails every comparison and falls through to the full tests.
@@ -255,12 +263,11 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
                     accepted.append(trace[-1].x)
                     if detect_cycle(accepted):
                         return SolveOutcome(Status.OSCILLATING, root, tuple(trace), note)
-                # The unchecked rest in one write, each copy built straight
-                # from its k and the fields of the record a period back.
-                start = len(trace)
-                rests = [rec[1:] for rec in trace[-period:]] * ((max_iter - start) // period + 1)
-                trace.extend([tuple.__new__(IterationRecord, (k,) + rest)
-                              for k, rest in zip(range(start + 1, max_iter + 1), rests)])
+                # The unchecked rest in one write, built in C: each copy
+                # zips its k with one cycle per field of the last period.
+                columns = list(zip(*trace[-period:]))[1:]
+                trace.extend(map(_new_record, zip(range(len(trace) + 1, max_iter + 1),
+                                                  *map(cycle, columns))))
                 return SolveOutcome(Status.MAX_ITERATIONS, root, tuple(trace), note)
         try:
             x_new, extras = step(cur, prev)
@@ -270,8 +277,8 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
             break
         y_new = fx(x_new) if math.isfinite(x_new) else None
         k += 1
-        rec = tuple.__new__(IterationRecord, (k, x_new, math.nan if y_new is None else y_new)
-                            + (extras or (None, None, None, None)))
+        rec = _new_record((k, x_new, math.nan if y_new is None else y_new)
+                          + (extras or (None, None, None, None)))
         trace.append(rec)
         if y_new is None:
             status = Status.DIVERGED

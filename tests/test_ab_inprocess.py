@@ -71,3 +71,16 @@ def test_a_derivative_rule_that_builds_another_tree_fails_the_check(tmp_path):
     assert all(line.startswith("differentiate ") for line in lines[:-1])
     for problem in ("sin-exp-log", "sharp-exponential", "gauss-bump"):
         assert f"differentiate {problem}: trees differ" in lines
+
+
+def test_a_periodic_tail_that_writes_one_wrong_field_fails_the_check(tmp_path):
+    # The copied tail writes each y_minus into y_plus as well: status, root,
+    # iterations and the suite reports stay the same, only the traces differ.
+    changed = changed_copy(tmp_path, "outcomes.py", "*map(cycle, columns)",
+                           "*map(cycle, columns[:-1] + columns[-2:-1])")
+    proc = run_tool(str(ROOT), str(changed), "--inputs", "2", "--starts", "1", "--seed", "3")
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert lines[-1].startswith("check failed: ")
+    assert lines[:-1] and all(line.startswith("basin ") and " y_plus: " in line
+                              for line in lines[:-1])

@@ -146,6 +146,27 @@ def test_error_curve_derivative_changes_sign_across_two():
     assert values[i2 - 1] > values[i2] < values[i2 + 1]
 
 
+@pytest.mark.parametrize("start, stop, step, expected", [
+    # an off-grid stop is not rounded up to the next point
+    (1.0, 3.0, 0.75, [1.0, 1.75, 2.5]),
+    (1.0, 0.96, 0.1, []),
+    (1.0, 1.04, 0.1, [1.0]),
+    (2.0, 2.0, 0.5, [2.0]),
+    # an on-grid stop missed by rounding (0.2 / 0.1 is 1.9999999999999998)
+    # is kept, and the point that would overshoot it is the stop itself
+    (0.1, 0.3, 0.1, [0.1, 0.2, 0.3]),
+])
+def test_grid_points_lie_between_start_and_stop(start, stop, step, expected):
+    assert n_grid(start, stop, step) == expected
+
+
+def test_grid_keeps_an_on_grid_stop():
+    grid = n_grid(1.0, 4.0, 0.01)
+    assert len(grid) == 301
+    assert grid[0] == 1.0 and grid[-1] == 4.0
+    assert max(grid) == 4.0
+
+
 def test_grid_size_is_capped_before_allocation(monkeypatch):
     assert len(n_grid(0.0, 9.0, 1.0)) == 10
     monkeypatch.setattr(lsqroots.bench, "MAX_GRID_POINTS", 10)

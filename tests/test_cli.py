@@ -185,6 +185,14 @@ def test_fncurve_argmin_near_two(capsys):
     assert abs(n_min - 2.0) <= 0.05
 
 
+def test_fncurve_grid_stops_at_to(capsys):
+    code, out, _ = run_cli(
+        capsys, "fncurve", "--E", "0.5", "--from", "1", "--to", "3", "--step", "0.75",
+    )
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()] == ["n", "1", "1.75", "2.5"]
+
+
 def test_fncurve_rejects_bad_magnitude(capsys):
     code, _, err = run_cli(
         capsys, "fncurve", "--E", "2.0", "--from", "1", "--to", "4", "--step", "0.5",

@@ -1,20 +1,25 @@
-"""``select_delta`` and ``estimate_power`` against frozen copies of their
-earlier form, bit for bit.
+"""The step kernels and ``bench.final_rate`` against frozen copies of
+their earlier form, bit for bit, and the periodic tail of ``iterate``
+against the driver without one.
 
-The copies below are the kernels as they were written with the builtin
-``max``/``min`` and ``math.isfinite``; the package's versions use plain
-comparisons and must return the same float, signed zeros and NaNs
-included, or raise the same error.  The driver's parity tests cannot catch
-a kernel change, because both drivers call the same kernels.
+The copies of ``select_delta`` and ``estimate_power`` below are the
+kernels as they were written with the builtin ``max``/``min`` and
+``math.isfinite``; those of ``lsq3_step`` and ``final_rate`` compute
+``n + 1.0`` twice and take the log ratio of every trusted pair, keeping
+the last.  The package's versions must return the same float, signed
+zeros and NaNs included (or ``None``), or raise the same error.  The
+driver's parity tests cannot catch a kernel change, because both drivers
+call the same kernels.
 """
 
 import itertools
 import math
 import random
-import struct
 
 import pytest
 
+import lsqroots.lsq3
+from lsqroots.bench import RATE_TRUST_FLOOR, builtin_suite, final_rate
 from lsqroots.lsq3 import (
     _BETAS,
     _DELTA_FLOOR_ULP,
@@ -24,9 +29,15 @@ from lsqroots.lsq3 import (
     _MILD_NEGATIVE_LIMIT,
     _STRONG_POLE_LIMIT,
     N_CLAMP,
+    SolverConfig,
     estimate_power,
+    lsq3_step,
     select_delta,
+    solve,
 )
+from lsqroots.outcomes import IterationRecord, Status, iterate
+from test_golden_traces import _bits
+from test_outcomes import fx, reference_iterate
 
 RATIOS = (_DELTA_SCALE_RATIO_FIXED, _DELTA_SCALE_RATIO_VARIABLE)
 
@@ -71,10 +82,35 @@ def frozen_select_delta(x_k, x_prev, delta_prev, ratio):
     return max(floor, _BETAS[-1] * dx2)
 
 
+def frozen_lsq3_step(x, y_minus, y0, y_plus, delta, n):
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
+    if y_plus == y_minus:
+        raise ValueError("y_plus equals y_minus; delta must be readjusted")
+    if n == 0.0:
+        raise ValueError("power n must be nonzero")
+    slope = (y_plus - y_minus) / (2.0 * delta)
+    weighted = ((n + 1.0) * y_minus + (4.0 * n - 2.0) * y0 + (n + 1.0) * y_plus) / (6.0 * n)
+    return x - n * (weighted / slope)
+
+
+def frozen_final_rate(trace, r):
+    if len(trace) < 3:
+        return None
+    floor = RATE_TRUST_FLOOR * max(1.0, abs(r))
+    errors = [abs(rec.x - r) for rec in trace]
+    rate = None
+    for e0, e1 in zip(errors, errors[1:]):
+        if e0 <= floor or e1 <= floor or e0 >= 1.0 or e1 >= 1.0:
+            continue
+        rate = math.log(e1) / math.log(e0)
+    return rate
+
+
 def outcome(fn, *args):
     """The bits of ``fn(*args)``, or the type and message of its error."""
     try:
-        return struct.pack("<d", fn(*args)).hex()
+        return _bits(fn(*args))
     except (ValueError, ZeroDivisionError, OverflowError) as err:
         return type(err).__name__, str(err)
 
@@ -168,3 +204,139 @@ def test_select_delta_matches_on_random_inputs(seed):
     assert any(d == 1e-300 for d in deltas)
     assert any(d >= 1.0 for d in deltas)
     assert any(d == _BETAS[3] * (x_k - x_prev) ** 2 for d, (x_k, x_prev, _, _) in zip(deltas, cases))
+
+
+# x, delta and n for the edge products of lsq3_step, besides the EDGES
+STEP_XS = (0.0, -0.0, 1.5, -1e300, math.inf, math.nan)
+STEP_NS = (1.0, -1.0, 0.0, -0.0, 0.5, 3.5, 5e-324, math.inf, math.nan)
+
+
+def test_lsq3_step_matches_on_edge_inputs():
+    # every sample triple at a few (x, delta, n), and every (x, delta, n)
+    # at a few sample triples
+    ys = list(itertools.product(EDGES, repeat=3))
+    assert_same(lsq3_step, frozen_lsq3_step,
+                [(x, *y, d, n) for y in ys for x, d, n in
+                 itertools.product((1.5, -0.0), (0.1, 1e-200), (1.0, 2.0000001, -2.75))])
+    assert_same(lsq3_step, frozen_lsq3_step,
+                [(x, *y, d, n) for x, d, n in itertools.product(STEP_XS, EDGES, STEP_NS)
+                 for y in ((-1.0, 0.0, 1.0), (0.0, -0.0, 5e-324), (3.0, math.nan, -math.inf))])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lsq3_step_matches_on_random_inputs(seed):
+    rng = random.Random(seed)
+    cases = []
+    for y_minus, y0, y_plus, delta in probe_triples(rng, 20_000):
+        x = magnitude(rng)
+        n = rng.choice((1.0, rng.uniform(N_CLAMP[0], N_CLAMP[1]), magnitude(rng)))
+        cases.append((x, y_minus, y0, y_plus, delta, n))
+        cases.append((x, y_minus, y0, y_plus, delta, estimate_power(y_minus, y0, y_plus, delta)))
+    assert_same(lsq3_step, frozen_lsq3_step, cases)
+    # finite steps, errors and non-finite steps all occur
+    results = [outcome(frozen_lsq3_step, *args) for args in cases]
+    assert any(isinstance(r, tuple) for r in results)
+    assert any(isinstance(r, str) and math.isfinite(float.fromhex(r)) for r in results)
+
+
+def trace_of(xs):
+    return tuple(IterationRecord(k, x, 0.0) for k, x in enumerate(xs, 1))
+
+
+def test_final_rate_matches_on_edge_inputs():
+    roots = (0.0, -0.0, 1.0, -2.0, 1e15, math.inf, math.nan)
+    # traces of EDGES up to length 3, and of every third of them at length 4
+    traces = [trace_of(xs) for length in range(4) for xs in itertools.product(EDGES, repeat=length)]
+    traces += [trace_of(xs) for xs in itertools.product(EDGES[::3], repeat=4)]
+    assert_same(final_rate, frozen_final_rate,
+                [(trace, r) for trace in traces for r in roots + (0.5, 1e-13)])
+
+
+def converging_xs(rng, r, length):
+    """``length`` iterates closing in on ``r`` at a random order, from an
+    error of any size, with a few stray values."""
+    e = 10.0 ** rng.uniform(-20.0, 3.0)
+    order = rng.uniform(0.8, 3.0)
+    xs = []
+    for _ in range(length):
+        xs.append(r + rng.choice((-1.0, 1.0)) * e)
+        if rng.random() < 0.05:
+            xs.append(rng.choice((math.nan, math.inf, r, magnitude(rng))))
+        e = e ** order if e < 1.0 else e / rng.uniform(1.0, 50.0)
+    return xs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_final_rate_matches_on_random_traces(seed):
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(5_000):
+        r = rng.choice((0.0, 1.0, -1.167303978261420, magnitude(rng, 20.0)))
+        floor = RATE_TRUST_FLOOR * max(1.0, abs(r))
+        cases.append((trace_of(converging_xs(rng, r, rng.randint(3, 40))), r))
+        # length 3, and a trace wholly below the trust floor
+        cases.append((trace_of(converging_xs(rng, r, 3)), r))
+        cases.append((trace_of([r + rng.uniform(-1.0, 1.0) * floor
+                                for _ in range(rng.randint(3, 10))]), r))
+    assert_same(final_rate, frozen_final_rate, cases)
+    rates = [frozen_final_rate(*args) for args in cases]
+    assert None in rates
+    assert any(rate is not None and 1.5 < rate < 3.0 for rate in rates)
+    assert any(rate is not None and math.isnan(rate) for rate in rates)
+
+
+# ---------------------------------------------------------------------------
+# The periodic tail at a budget of 20,000, against the driver without it
+# ---------------------------------------------------------------------------
+
+def assert_same_fields(out, ref):
+    assert (out.status, _bits(out.root), out.note) == (ref.status, _bits(ref.root), ref.note)
+    assert len(out.trace) == len(ref.trace)
+    for a, b in zip(out.trace, ref.trace):
+        assert type(a) is IterationRecord
+        assert a.k == b.k and list(map(_bits, a[1:])) == list(map(_bits, b[1:])), (a, b)
+
+
+def test_a_scripted_lsq3_cycle_is_copied_field_for_field():
+    # period 5, longer than the cycle test's, every field set, signed
+    # zeros in y_minus and y_plus; each record's delta tells its place in
+    # the cycle
+    cycle = [(2.0, 0.25, 1.0, 0.0, -1.5), (3.0, 0.5, 2.5, -0.0, 0.0),
+             (2.5, 1e-300, -3.0, 7.0, -0.0), (4.0, 2.0, 3.5, -0.0, -0.0),
+             (3.5, 1e-3, 0.5, 5e-324, 1e300)]
+    deltas = [c[1] for c in cycle]
+
+    def step(cur, prev):
+        step.calls += 1
+        pos = 0 if cur.delta is None else (deltas.index(cur.delta) + 1) % len(cycle)
+        return cycle[pos][0], cycle[pos][1:]
+
+    step.calls = 0
+    out = iterate(step, fx, 5.0, 5.0, 1e-15, 20_000)
+    assert out.status is Status.MAX_ITERATIONS and out.iterations == 20_000
+    assert step.calls < 20
+    assert all(None not in rec for rec in out.trace)
+    assert_same_fields(out, reference_iterate(step, fx, 5.0, 5.0, 1e-15, 20_000))
+
+
+def test_a_stock_lsq3_cycle_is_copied_field_for_field(monkeypatch):
+    # cube-root from 1.0 at N = 1 settles into a period-30 cycle of
+    # iterates about 1e11 wide, which recurs exactly
+    f = {p.id: p for p in builtin_suite()}["cube-root"].expression
+    config = SolverConfig(mode="fixed", n_value=1.0, max_iter=20_000)
+    calls = []
+    real = lsqroots.lsq3.evaluate
+
+    def counting(e, x):
+        calls.append(x)
+        return real(e, x)
+
+    monkeypatch.setattr(lsqroots.lsq3, "evaluate", counting)
+    out = solve(f, 1.0, config)
+    assert out.status is Status.MAX_ITERATIONS and out.iterations == 20_000
+    assert len(calls) < 1_000
+    assert all(None not in rec for rec in out.trace)
+    period = next(p for p in range(1, 100) if out.trace[-1][1:] == out.trace[-1 - p][1:])
+    assert period == 30
+    monkeypatch.setattr(lsqroots.lsq3, "iterate", reference_iterate)
+    assert_same_fields(out, solve(f, 1.0, config))

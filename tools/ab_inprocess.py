@@ -14,9 +14,10 @@ Uses the standard library only; the inputs come from the benchmark's
    outcome (the tree's ``repr``, or the ``ParseError`` message and
    position) on PARSE_TEXTS seeded random token texts, most of them
    malformed, the same derivative tree (its ``repr``) of every expr-scan
-   expression and every stock expression, the same basin outcomes
-   (status, root bits and iterations) on ``--starts`` starts per stock
-   problem and method, and the same suite CSV and Markdown.  A difference
+   expression and every stock expression, the same basin outcomes on
+   ``--starts`` starts per stock problem and method (status, root bits,
+   note and the whole trace: every field of every record, ``k``, the
+   bits of a float or ``None``), and the same suite CSV and Markdown.  A difference
    is printed and the tool exits 1 without timing.
 2. **Timing.** ``--chunks`` chunks of 25 operations of one workload run
    on both sides, alternating which side runs first.  The tool prints each
@@ -56,7 +57,7 @@ PARSE_TOKENS = (*"0123456789", ".", "e", "E", *"+-*/^()", " ", "\t", "\x1c",
                 "x", "sin", "sinx", "q", "_", "\u00b2", "\u0663")
 
 
-def _load_reference():
+def load_reference():
     spec = importlib.util.spec_from_file_location(
         "_ab_reference", ROOT / "perfbench" / "reference.py")
     module = importlib.util.module_from_spec(spec)
@@ -73,6 +74,21 @@ def _import_copy(checkout: Path, name: str, into: Path):
 
 def _bits(v):
     return None if v is None else v.hex()
+
+
+def solve_difference(oa, ob):
+    """The first difference between two solve outcomes, as a message, or
+    ``None`` when they agree bit for bit, trace included."""
+    ka = (oa.status.value, oa.root.hex(), oa.iterations, oa.note)
+    kb = (ob.status.value, ob.root.hex(), ob.iterations, ob.note)
+    if ka != kb:
+        return f"{ka} != {kb}"
+    for ra, rb in zip(oa.trace, ob.trace):
+        for name, u, v in zip(ra._fields, ra, rb):
+            bu, bv = (u, v) if name == "k" else (_bits(u), _bits(v))
+            if bu != bv:
+                return f"record {ra.k} {name}: {bu} != {bv}"
+    return None
 
 
 class Side:
@@ -163,11 +179,9 @@ def check(a: Side, b: Side, exprs: list, texts: list, solves: list) -> list:
         if a.derivative_tree(pa.expression) != b.derivative_tree(pb.expression):
             diffs.append(f"differentiate {pa.id}: trees differ")
     for inp in solves:
-        oa, ob = a.basin(inp), b.basin(inp)
-        ka = (oa.status.value, oa.root.hex(), oa.iterations)
-        kb = (ob.status.value, ob.root.hex(), ob.iterations)
-        if ka != kb:
-            diffs.append(f"basin {a.suite[inp[0]].id}/{inp[1]!r}/{inp[2]}: {ka} != {kb}")
+        diff = solve_difference(a.basin(inp), b.basin(inp))
+        if diff is not None:
+            diffs.append(f"basin {a.suite[inp[0]].id}/{inp[1]!r}/{inp[2]}: {diff}")
     csv_a, md_a = a.suite_pass(None)
     csv_b, md_b = b.suite_pass(None)
     if csv_a != csv_b:
@@ -248,7 +262,7 @@ def main(argv=None) -> int:
     if args.chunks < 2 or args.inputs < 1 or args.starts < 1:
         parser.error("--chunks must be at least 2, --inputs and --starts positive")
 
-    reference = _load_reference()
+    reference = load_reference()
     # The copies stay on disk for the whole run: a module may import a
     # sibling on first use (lsqroots.bench does).
     with tempfile.TemporaryDirectory(prefix="ab_inprocess_") as tmp:
