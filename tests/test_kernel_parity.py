@@ -233,10 +233,16 @@ def test_lsq3_step_matches_on_random_inputs(seed):
         cases.append((x, y_minus, y0, y_plus, delta, n))
         cases.append((x, y_minus, y0, y_plus, delta, estimate_power(y_minus, y0, y_plus, delta)))
     assert_same(lsq3_step, frozen_lsq3_step, cases)
-    # finite steps, errors and non-finite steps all occur
-    results = [outcome(frozen_lsq3_step, *args) for args in cases]
-    assert any(isinstance(r, tuple) for r in results)
-    assert any(isinstance(r, str) and math.isfinite(float.fromhex(r)) for r in results)
+    # finite steps, non-finite steps and errors all occur
+    steps = []
+    for args in cases:
+        try:
+            steps.append(frozen_lsq3_step(*args))
+        except (ValueError, ZeroDivisionError):
+            steps.append(None)
+    assert None in steps
+    assert any(x is not None and math.isfinite(x) for x in steps)
+    assert any(x is not None and not math.isfinite(x) for x in steps)
 
 
 def trace_of(xs):
@@ -321,7 +327,7 @@ def test_a_scripted_lsq3_cycle_is_copied_field_for_field():
 
 def test_a_stock_lsq3_cycle_is_copied_field_for_field(monkeypatch):
     # cube-root from 1.0 at N = 1 settles into a period-30 cycle of
-    # iterates about 1e11 wide, which recurs exactly
+    # iterates spanning about 9e11, which recurs exactly
     f = {p.id: p for p in builtin_suite()}["cube-root"].expression
     config = SolverConfig(mode="fixed", n_value=1.0, max_iter=20_000)
     calls = []
