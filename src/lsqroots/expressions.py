@@ -11,6 +11,9 @@ Grammar (infix, single variable ``x``):
 '^' is right-associative, so "2^3^2" is 2^(3^2) and "-x^2" is -(x^2).
 Parentheses, and the nodes of the parsed tree, may nest at most
 ``MAX_DEPTH`` (100) levels deep; deeper text raises ``ParseError``.
+A tree built from the node classes has no such bound: where it is too
+deep for Python's recursion limit, ``evaluate``, ``differentiate`` and
+``render`` raise ``ValueError``.
 A NUMBER is written with the ASCII digits 0-9 only, while whitespace,
 which may separate any two tokens, is any character ``str.isspace``
 accepts: U+001C-U+001F, U+0085 and U+3000 among them.
@@ -195,6 +198,15 @@ MAX_DEPTH = 100
 
 def _too_deep(position: int) -> ParseError:
     return ParseError(f"expression nested deeper than {MAX_DEPTH} levels", position)
+
+
+def _nested_too_deep(action: str) -> ValueError:
+    # A tree built without the parser has no depth bound, and evaluate,
+    # differentiate and render recurse at every level.  Each turns the
+    # RecursionError into this error at its public entry point, so no
+    # node has to count its depth.
+    return ValueError(f"expression nested too deeply to {action} "
+                      f"within Python's recursion limit")
 
 
 def parse(text: str) -> Expr:
@@ -506,6 +518,8 @@ def evaluate(e: Expr, x: float) -> Optional[float]:
         v = e._compiled(x)
     except (ZeroDivisionError, ValueError, OverflowError):
         return None
+    except RecursionError:
+        raise _nested_too_deep("evaluate") from None
     return v if isfinite(v) else None
 
 
@@ -586,7 +600,10 @@ def differentiate(e: Expr) -> Expr:
     differentiates the same expression again gets the same tree, compiled
     on its first evaluation.
     """
-    return e._derivative
+    try:
+        return e._derivative
+    except RecursionError:
+        raise _nested_too_deep("differentiate") from None
 
 
 def _differentiate(e: Expr) -> Expr:
@@ -630,6 +647,13 @@ def render(e: Expr) -> str:
     The grammar has no inf or nan, so a non-finite constant, which is
     off the domain at every x, renders as ``(0 / 0)``, which is too.
     """
+    try:
+        return _render(e)
+    except RecursionError:
+        raise _nested_too_deep("render") from None
+
+
+def _render(e: Expr) -> str:
     if isinstance(e, Constant):
         if not isfinite(e.value):
             return "(0 / 0)"
@@ -641,7 +665,7 @@ def render(e: Expr) -> str:
     if isinstance(e, Variable):
         return "x"
     if isinstance(e, Unary):
-        return f"(-{render(e.operand)})"
+        return f"(-{_render(e.operand)})"
     if isinstance(e, Binary):
-        return f"({render(e.left)} {e.op} {render(e.right)})"
-    return f"{e.name}({render(e.arg)})"
+        return f"({_render(e.left)} {e.op} {_render(e.right)})"
+    return f"{e.name}({_render(e.arg)})"

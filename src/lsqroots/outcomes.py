@@ -191,8 +191,10 @@ def best_iterate(x0: float, y0: float, trace: Sequence[IterationRecord]) -> floa
     """The iterate with the smallest |y| seen so far (used on failure)."""
     best_x, best_ay = x0, abs(y0)
     for rec in trace:
-        if math.isfinite(rec.y) and abs(rec.y) < best_ay:
-            best_x, best_ay = rec.x, abs(rec.y)
+        # A NaN or infinite |y| fails the comparison, so it is never kept.
+        ay = abs(rec.y)
+        if ay < best_ay:
+            best_x, best_ay = rec.x, ay
     return best_x
 
 

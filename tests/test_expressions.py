@@ -211,6 +211,31 @@ def test_nesting_far_past_the_limit_is_a_parse_error():
             parse(make(5000))
 
 
+def sum_chain(n):
+    """``x + x + ... + x``, ``n`` ``Binary("+")`` nodes deep, built by hand:
+    the parser's depth bound does not apply."""
+    e = Variable()
+    for _ in range(n):
+        e = Binary("+", e, Variable())
+    return e
+
+
+@pytest.mark.parametrize("action, call", [
+    ("evaluate", lambda e: evaluate(e, 1.0)),
+    ("differentiate", differentiate),
+    ("render", render),
+])
+def test_a_hand_built_tree_too_deep_to_walk_is_a_value_error(action, call):
+    e = sum_chain(5000)
+    for _ in range(2):      # a failed walk leaves no half-built cache behind
+        with pytest.raises(ValueError, match=f"nested too deeply to {action}"):
+            call(e)
+    e = sum_chain(100)
+    assert evaluate(e, 1.0) == 101.0
+    assert differentiate(e) == Constant(101.0)
+    assert render(e).count("+") == 100
+
+
 def test_unknown_identifier_rejected():
     with pytest.raises(ParseError):
         parse("sin(y)")

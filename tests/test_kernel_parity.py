@@ -6,7 +6,8 @@ The copies of ``select_delta`` and ``estimate_power`` below are the
 kernels as they were written with the builtin ``max``/``min`` and
 ``math.isfinite``; those of ``lsq3_step`` and ``final_rate`` compute
 ``n + 1.0`` twice and take the log ratio of every trusted pair, keeping
-the last.  The package's versions must return the same float, signed
+the last; that of ``best_iterate`` tests ``math.isfinite`` on each ``y``
+and takes ``abs`` of it twice.  The package's versions must return the same float, signed
 zeros and NaNs included (or ``None``), or raise the same error.  The
 driver's parity tests cannot catch a kernel change, because both drivers
 call the same kernels.
@@ -35,7 +36,7 @@ from lsqroots.lsq3 import (
     select_delta,
     solve,
 )
-from lsqroots.outcomes import IterationRecord, Status, iterate
+from lsqroots.outcomes import IterationRecord, Status, best_iterate, iterate
 from test_golden_traces import _bits
 from test_outcomes import fx, reference_iterate
 
@@ -105,6 +106,14 @@ def frozen_final_rate(trace, r):
             continue
         rate = math.log(e1) / math.log(e0)
     return rate
+
+
+def frozen_best_iterate(x0, y0, trace):
+    best_x, best_ay = x0, abs(y0)
+    for rec in trace:
+        if math.isfinite(rec.y) and abs(rec.y) < best_ay:
+            best_x, best_ay = rec.x, abs(rec.y)
+    return best_x
 
 
 def outcome(fn, *args):
@@ -289,6 +298,38 @@ def test_final_rate_matches_on_random_traces(seed):
     assert None in rates
     assert any(rate is not None and 1.5 < rate < 3.0 for rate in rates)
     assert any(rate is not None and math.isnan(rate) for rate in rates)
+
+
+def records_of(ys):
+    """A trace with the y values ``ys``, each record at an x of its own."""
+    return tuple(IterationRecord(k, float(k), y) for k, y in enumerate(ys, 1))
+
+
+def test_best_iterate_matches_on_edge_inputs():
+    # From every start value (NaN and ±inf included), every trace of EDGES
+    # up to length 2 and of every third of them at length 3, so ties in
+    # |y| (±0.0, ±5e-324, ±inf, a value repeated) and the empty trace too.
+    traces = [records_of(ys) for length in range(3) for ys in itertools.product(EDGES, repeat=length)]
+    traces += [records_of(ys) for ys in itertools.product(EDGES[::3], repeat=3)]
+    assert_same(best_iterate, frozen_best_iterate,
+                [(-0.5, y0, trace) for trace in traces for y0 in EDGES])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_best_iterate_matches_on_random_traces(seed):
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(5_000):
+        # few distinct |y|, so that ties are common
+        a, b = magnitude(rng), magnitude(rng)
+        pool = (a, -a, b, 0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan)
+        ys = [rng.choice(pool) for _ in range(rng.randint(0, 40))]
+        trace = tuple(IterationRecord(k, magnitude(rng), y) for k, y in enumerate(ys, 1))
+        cases.append((magnitude(rng), rng.choice(pool + (magnitude(rng),)), trace))
+    assert_same(best_iterate, frozen_best_iterate, cases)
+    # the start and a record of the trace are both chosen
+    chosen = [frozen_best_iterate(*args) == args[0] for args in cases]
+    assert any(chosen) and not all(chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import lsqroots.lsq3
 import lsqroots.outcomes
 from lsqroots.baselines import BaselineConfig, solve_baseline
 from lsqroots.bench import SOLVERS, builtin_suite
-from lsqroots.expressions import parse
+from lsqroots.expressions import Binary, parse
 from lsqroots.lsq3 import SolverConfig, solve
 from lsqroots.outcomes import (
     CHECKED_REPLAYS,
@@ -440,6 +440,15 @@ def test_a_stuck_newton_run_replays_its_fixed_point(monkeypatch):
     monkeypatch.setattr(lsqroots.baselines, "iterate", reference_iterate)
     assert outcome_digest(SOLVERS["newton"](f, -6.0)) == outcome_digest(out)
     assert len(calls) == 1 + 2 * 500
+
+
+@pytest.mark.parametrize("method", list(SOLVERS))
+def test_a_tree_too_deep_to_evaluate_is_an_argument_error(method):
+    f = parse("x")
+    for _ in range(5000):
+        f = Binary("+", f, parse("x"))
+    with pytest.raises(ValueError, match="nested too deeply to evaluate"):
+        SOLVERS[method](f, 1.0)
 
 
 def test_a_newton_run_stuck_at_a_pole_is_not_converged():
