@@ -54,8 +54,6 @@ def test_import_loads_only_the_expression_layer():
 
 # What the first use of a name after ``import lsqroots`` loads of the package.
 FIRST_USES = {
-    "expressions": set(),
-    "parse": set(),
     "outcomes": {"outcomes"},
     "Status": {"outcomes"},
     "lsq3": {"lsq3", "outcomes"},

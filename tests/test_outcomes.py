@@ -21,7 +21,7 @@ import lsqroots.lsq3
 import lsqroots.outcomes
 from lsqroots.baselines import BaselineConfig, solve_baseline
 from lsqroots.bench import SOLVERS, builtin_suite
-from lsqroots.expressions import Binary, parse
+from lsqroots.expressions import parse
 from lsqroots.lsq3 import SolverConfig, solve
 from lsqroots.outcomes import (
     CHECKED_REPLAYS,
@@ -38,6 +38,7 @@ from lsqroots.outcomes import (
     detect_cycle,
     iterate,
 )
+from test_expressions import sum_chain
 from test_golden_traces import _bits, outcome_digest
 
 
@@ -444,11 +445,8 @@ def test_a_stuck_newton_run_replays_its_fixed_point(monkeypatch):
 
 @pytest.mark.parametrize("method", list(SOLVERS))
 def test_a_tree_too_deep_to_evaluate_is_an_argument_error(method):
-    f = parse("x")
-    for _ in range(5000):
-        f = Binary("+", f, parse("x"))
     with pytest.raises(ValueError, match="nested too deeply to evaluate"):
-        SOLVERS[method](f, 1.0)
+        SOLVERS[method](sum_chain(5000), 1.0)
 
 
 def test_a_newton_run_stuck_at_a_pole_is_not_converged():
