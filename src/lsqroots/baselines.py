@@ -82,7 +82,8 @@ def solve_baseline(method: str, f: Expr, x0: float,
     if x1 is not None and not math.isfinite(x1):
         raise ValueError("x1 must be finite")
 
-    y0 = evaluate(f, x0)
+    fx = partial(evaluate, f)
+    y0 = fx(x0)
     if y0 is None:
         return SolveOutcome(Status.DOMAIN_ERROR, x0, (), note="f undefined at starting point")
 
@@ -100,7 +101,7 @@ def solve_baseline(method: str, f: Expr, x0: float,
         if x1 is None:
             x1 = x0 + 0.1
             note = f"secant second start defaulted to x1={x1!r}"
-        y1 = evaluate(f, x1)
+        y1 = fx(x1)
         if y1 is None:
             return SolveOutcome(Status.DOMAIN_ERROR, x0, (),
                                 note=f"f undefined at second start x1={x1!r}")
@@ -110,5 +111,4 @@ def solve_baseline(method: str, f: Expr, x0: float,
         def step(cur, prev):
             return secant_step(prev.x, prev.y, cur.x, cur.y), ()
 
-    return iterate(step, partial(evaluate, f), x0, y0,
-                   config.tolerance, config.max_iter, prev, note)
+    return iterate(step, fx, x0, y0, config.tolerance, config.max_iter, prev, note)

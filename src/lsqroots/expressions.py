@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from functools import cached_property
 from math import isfinite
 from typing import Callable, Optional, Tuple, Union
@@ -70,7 +71,14 @@ class ParseError(ValueError):
 
 class _Node:
     """Base of the node classes: value semantics over ``_fields``, and the
-    compiled form of a node."""
+    compiled form of a node.
+
+    ``repr``, ``==``, ``hash``, pickling and copying recurse once per
+    level, so on a hand-built tree too deep for Python's recursion limit
+    they raise ``RecursionError``, like any nested Python object; only
+    ``evaluate``, ``differentiate`` and ``render`` turn it into a
+    ``ValueError``.
+    """
 
     _fields: Tuple[str, ...] = ()
     __match_args__: Tuple[str, ...] = ()
@@ -221,6 +229,8 @@ def parse(text: str) -> Expr:
 # number of open parentheses, and returns ``(node, depth, pos)``: depth
 # counts the nodes above the deepest leaf (a leaf has depth 0), and pos is
 # that of the next character that is not whitespace, or the text's length.
+# ``_atom`` returns the minus signs before its atom too, which its caller
+# applies: ``(node, depth, pos, minuses, at)``.
 
 def _expr(text: str, pos: int, groups: int):
     """A ``+ -`` chain of ``* /`` chains of unary operands, in one loop.
@@ -233,16 +243,7 @@ def _expr(text: str, pos: int, groups: int):
     n = len(text)
     total = product = None
     while True:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        at = pos
-        minuses = 0
-        while pos < n and text[pos] == "-":
-            minuses += 1
-            pos += 1
-            while pos < n and text[pos].isspace():
-                pos += 1
-        node, depth, pos = _atom(text, pos, groups)
+        node, depth, pos, minuses, at = _atom(text, pos, groups)
         if pos < n and text[pos] == "^":
             node, depth, pos = _power(text, pos, groups, node, depth)
         if minuses:
@@ -285,17 +286,8 @@ def _power(text: str, pos: int, groups: int, first: Expr, first_depth: int):
     links = []
     while pos < n and text[pos] == "^":
         at = pos
-        pos += 1
-        while pos < n and text[pos].isspace():
-            pos += 1
-        minuses = 0
-        while pos < n and text[pos] == "-":
-            minuses += 1
-            pos += 1
-            while pos < n and text[pos].isspace():
-                pos += 1
+        node, depth, pos, minuses, _ = _atom(text, pos + 1, groups)
         links.append((at, minuses))
-        node, depth, pos = _atom(text, pos, groups)
         operands.append((node, depth))
     node, depth = operands.pop()
     while links:
@@ -310,39 +302,44 @@ def _power(text: str, pos: int, groups: int, first: Expr, first_depth: int):
     return node, depth, pos
 
 
+# A NUMBER: ASCII digits and points, then an exponent only where a digit
+# follows the 'e' and its sign ("1e+" ends before the 'e').
+_NUMBER = re.compile(r"[0-9.]+(?:[eE][+-]?[0-9]+)?").match
+
+
 def _atom(text: str, pos: int, groups: int):
-    """A number, ``x``, a call or a parenthesised expression at ``pos``,
-    which is not whitespace.  Only a group, a call's included, recurses."""
+    """An operand from ``pos``: whitespace, a run of minus signs, each
+    followed by whitespace, then a number, ``x``, a call or a
+    parenthesised expression.  Returns ``(node, depth, pos, minuses, at)``,
+    where ``at`` is where the run of ``minuses`` signs starts; the caller
+    applies them.  Only a group, a call's included, recurses."""
     n = len(text)
+    while pos < n and text[pos].isspace():
+        pos += 1
+    at = pos
+    minuses = 0
+    while pos < n and text[pos] == "-":
+        minuses += 1
+        pos += 1
+        while pos < n and text[pos].isspace():
+            pos += 1
     if pos == n:
         raise ParseError("unexpected end of expression", pos)
     start = pos
     ch = text[pos]
     name = None
     if "0" <= ch <= "9" or ch == ".":
-        pos += 1
-        while pos < n and ("0" <= text[pos] <= "9" or text[pos] == "."):
-            pos += 1
-        if pos < n and text[pos] in "eE":
-            mark = pos
-            pos += 1
-            if pos < n and text[pos] in "+-":
-                pos += 1
-            if pos < n and "0" <= text[pos] <= "9":
-                while pos < n and "0" <= text[pos] <= "9":
-                    pos += 1
-            else:
-                pos = mark  # 'e' was not an exponent after all
-        token = text[start:pos]
+        token = _NUMBER(text, pos).group()
         try:
             value = float(token)
         except ValueError:
             raise ParseError(f"invalid number {token!r}", start) from None
         if not isfinite(value):
             raise ParseError(f"number {token!r} is out of range", start)
+        pos += len(token)
         while pos < n and text[pos].isspace():
             pos += 1
-        return Constant(value), 0, pos
+        return Constant(value), 0, pos, minuses, at
     if ch.isalpha() or ch == "_":
         pos += 1
         while pos < n and (text[pos].isalnum() or text[pos] == "_"):
@@ -352,7 +349,7 @@ def _atom(text: str, pos: int, groups: int):
             pos += 1
         if pos == n or text[pos] != "(":
             if name == "x":
-                return Variable(), 0, pos
+                return Variable(), 0, pos, minuses, at
             raise ParseError(f"unknown identifier {name!r}", start)
         if name not in FUNCTIONS:
             raise ParseError(f"unknown function {name!r}", start)
@@ -371,7 +368,7 @@ def _atom(text: str, pos: int, groups: int):
     pos += 1
     while pos < n and text[pos].isspace():
         pos += 1
-    return node, depth, pos
+    return node, depth, pos, minuses, at
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .expressions import Expr, evaluate
 from .outcomes import CheckedRecord, SolveOutcome, Status, StepError, check_budget, iterate
@@ -186,8 +186,9 @@ def select_delta(x_k: float, x_prev: float, delta_prev: float, ratio: float) -> 
             return delta if delta >= floor else floor
 
 
-def adjust_delta(f: Expr, x: float, delta: float) -> Tuple[float, float, float]:
-    """Evaluate f at x +/- delta, readjusting delta until the two differ.
+def adjust_delta(fx: Callable, x: float, delta: float) -> Tuple[float, float, float]:
+    """Evaluate f at x +/- delta through ``fx`` (``None`` off the domain),
+    readjusting delta until the two differ.
 
     Equal side values (a symmetric extremum under the probes) grow delta
     by 1.5x; a side value outside the domain shrinks delta by half.  At
@@ -201,8 +202,8 @@ def adjust_delta(f: Expr, x: float, delta: float) -> Tuple[float, float, float]:
         raise ValueError("delta must be positive")
     failure = None
     for _ in range(8):
-        y_minus = evaluate(f, x - delta)
-        y_plus = evaluate(f, x + delta)
+        y_minus = fx(x - delta)
+        y_plus = fx(x + delta)
         if y_minus is None or y_plus is None:
             failure = "domain"
             delta = delta / 2.0
@@ -230,7 +231,8 @@ def solve(f: Expr, x0: float, config: Optional[SolverConfig] = None) -> SolveOut
         config = SolverConfig()
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")
-    y0 = evaluate(f, x0)
+    fx = partial(evaluate, f)
+    y0 = fx(x0)
     if y0 is None:
         return SolveOutcome(Status.DOMAIN_ERROR, x0, (), note="f undefined at starting point")
 
@@ -240,9 +242,9 @@ def solve(f: Expr, x0: float, config: Optional[SolverConfig] = None) -> SolveOut
 
     def step(cur, prev):
         x, y = cur.x, cur.y
-        delta, y_minus, y_plus = adjust_delta(f, x, delta0 if prev is None else select_delta(
+        delta, y_minus, y_plus = adjust_delta(fx, x, delta0 if prev is None else select_delta(
             x, prev.x, cur.delta, ratio))
         n = estimate_power(y_minus, y, y_plus, delta) if variable else n_value
         return lsq3_step(x, y_minus, y, y_plus, delta, n), (delta, n, y_minus, y_plus)
 
-    return iterate(step, partial(evaluate, f), x0, y0, config.tolerance, config.max_iter)
+    return iterate(step, fx, x0, y0, config.tolerance, config.max_iter)

@@ -19,7 +19,7 @@ import math
 import operator
 from enum import Enum
 from functools import partial
-from itertools import cycle
+from itertools import cycle, islice
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 
@@ -235,13 +235,14 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     ``(prev, cur)`` recurs bit for bit, with ``p`` the distance from the
     record the state first produced, every later record equals the one
     ``p`` before it.  So at the first recurrence the driver stops calling
-    ``step`` and ``fx`` and writes the rest of the ``max_iter`` records as
-    copies of the record ``p`` back.  Only the cycle test can end the run
-    on a copy, and only on the first :data:`CHECKED_REPLAYS` (the argument
-    is at that constant); if it does not, the run ends max-iterations,
-    and the copies after those are written in one bulk extend of the
-    trace.  A copy is never strictly better than the record it copies, so
-    the best iterate comes from before the copies.
+    ``step`` and ``fx`` and makes the rest of the ``max_iter`` records, as
+    copies of the last ``p`` in turn, by one lazy iterator.  Only the
+    cycle test can end the run on a copy, and only on the first
+    :data:`CHECKED_REPLAYS` (the argument is at that constant), which are
+    appended and tested one at a time; if it does not fire, the run ends
+    max-iterations, and the trace is extended by the rest of the iterator.
+    A copy is never strictly better than the record it copies, so the
+    best iterate comes from before the copies.
     """
     cur = IterationRecord(0, x0, y0)
     for start in (prev, cur):
@@ -257,19 +258,18 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
         states = seen.get(x, ())
         for seen_prev, seen_cur, first in states:
             if _same_fields(seen_cur, cur) and _same_fields(seen_prev, prev):
-                # The periodic tail (see the docstring).
-                period = k - first
+                # The periodic tail (see the docstring), built in C: each
+                # copy zips its k with one cycle per field of the period.
                 root = best_iterate(x0, y0, trace)
-                for _ in range(min(CHECKED_REPLAYS, max_iter - k)):
-                    trace.append(IterationRecord(len(trace) + 1, *trace[-period][1:]))
-                    accepted.append(trace[-1].x)
+                columns = list(zip(*trace[first:]))[1:]
+                copies = map(_new_record, zip(range(k + 1, max_iter + 1),
+                                              *map(cycle, columns)))
+                for rec in islice(copies, CHECKED_REPLAYS):
+                    trace.append(rec)
+                    accepted.append(rec.x)
                     if detect_cycle(accepted):
                         return SolveOutcome(Status.OSCILLATING, root, tuple(trace), note)
-                # The unchecked rest in one write, built in C: each copy
-                # zips its k with one cycle per field of the last period.
-                columns = list(zip(*trace[-period:]))[1:]
-                trace.extend(map(_new_record, zip(range(len(trace) + 1, max_iter + 1),
-                                                  *map(cycle, columns))))
+                trace.extend(copies)
                 return SolveOutcome(Status.MAX_ITERATIONS, root, tuple(trace), note)
         try:
             x_new, extras = step(cur, prev)

@@ -172,6 +172,19 @@ def test_deepest_accepted_nesting_works_end_to_end(kind):
 
 
 @pytest.mark.parametrize("kind", NESTINGS)
+def test_deepest_accepted_nesting_compares_prints_pickles_and_copies(kind):
+    # Value semantics recurse once per level, like evaluate does; at the
+    # parser's depth bound they stay inside the default recursion limit.
+    text = NESTINGS[kind](MAX_DEPTH)
+    e, fresh = parse(text), parse(text)
+    y = evaluate(e, 0.9)
+    assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
+    for clone in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+        assert clone == fresh and hash(clone) == hash(fresh)
+        assert evaluate(clone, 0.9) == y
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
 def test_one_level_deeper_is_a_parse_error(kind, capsys):
     text = NESTINGS[kind](MAX_DEPTH + 1)
     with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH}"):

@@ -1,9 +1,10 @@
 import math
 import random
+from functools import partial
 
 import pytest
 
-from lsqroots.expressions import parse
+from lsqroots.expressions import evaluate, parse
 from lsqroots.lsq3 import (
     N_CLAMP,
     ProbeDomainError,
@@ -209,18 +210,18 @@ def test_select_delta_grows_after_a_long_step():
 
 def test_adjust_delta_stalls_on_even_symmetry():
     with pytest.raises(SymmetricStallError):
-        adjust_delta(parse("x^2"), 0.0, 0.1)
+        adjust_delta(partial(evaluate, parse("x^2")), 0.0, 0.1)
 
 
 def test_adjust_delta_passes_through_on_monotone_function():
-    d, ym, yp = adjust_delta(parse("x"), 5.0, 0.1)
+    d, ym, yp = adjust_delta(partial(evaluate, parse("x")), 5.0, 0.1)
     assert (d, ym, yp) == (0.1, 4.9, 5.1)
 
 
 def test_adjust_delta_halves_out_of_domain_probes():
     # ln probes at 0.05 +/- 0.1 fail, then 0.05 +/- 0.05 hits ln(0),
     # then 0.05 +/- 0.025 is valid
-    d, ym, yp = adjust_delta(parse("ln(x)"), 0.05, 0.1)
+    d, ym, yp = adjust_delta(partial(evaluate, parse("ln(x)")), 0.05, 0.1)
     assert d == 0.025
     assert ym == math.log(0.05 - 0.025)
     assert yp == math.log(0.05 + 0.025)
@@ -228,12 +229,12 @@ def test_adjust_delta_halves_out_of_domain_probes():
 
 def test_adjust_delta_rejects_a_non_positive_delta():
     with pytest.raises(ValueError, match="delta must be positive"):
-        adjust_delta(parse("x"), 0.0, 0.0)
+        adjust_delta(partial(evaluate, parse("x")), 0.0, 0.0)
 
 
 def test_adjust_delta_gives_up_deep_inside_invalid_region():
     with pytest.raises(ProbeDomainError):
-        adjust_delta(parse("sqrt(x)"), -100.0, 0.5)
+        adjust_delta(partial(evaluate, parse("sqrt(x)")), -100.0, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,11 @@ def test_rendered_trees_and_their_fragments_parse_like_the_frozen_parser():
 @pytest.mark.parametrize("text", [
     "", " ", "\x1c", "x ", " x\t", "x y", "x )", "1e", "1e+", "1E-3", "2.5e3x",
     "²", "٣ + x", "½", "sinx(x)", "sin (x)", "sin", "q(x)", "_", "1..2", "1e٣", "2.5E-٣",
+    # where a run of minus signs, and the operand after it, ends
+    "-", "- -", "x^", "x^-", "x^ - -2", "x*-", "(-)", "-\t-x^-\x1c-2", "--x^--x",
+    "2^-(x)", "x ^\t-\t(- x)",
+    # what a NUMBER takes
+    ".", ".5", "5.", "1.e5", "1e5.5", "1e999", "-.5e-3", "0x1", "1e+x",
 ])
 def test_hand_picked_texts_parse_like_the_frozen_parser(text):
     assert_parity(text)

@@ -7,6 +7,11 @@ docstring included.  Every other line is blank: it holds nothing but
 whitespace.  Uses the standard library only:
 
     python tools/count_lines.py [directory]
+    python tools/count_lines.py BEFORE AFTER
+
+Given two package directories, it prints each module's three counts on
+both sides, BEFORE first, and the change in its code lines; a module
+that one side lacks reads 0 there.
 """
 
 from __future__ import annotations
@@ -54,17 +59,27 @@ def count(path: Path) -> tuple:
     return len(code), len(doc), len(lines) - len(code) - len(doc)
 
 
-def main(argv: list) -> int:
-    root = Path(argv[0]) if argv else PACKAGE
-    totals = [0, 0, 0]
-    print(f"{'module':<16}{'code':>7}{'doc':>7}{'blank':>7}")
-    for path in sorted(root.glob("*.py")):
-        counts = count(path)
-        totals = [t + c for t, c in zip(totals, counts)]
-        print(f"{path.name:<16}" + "".join(f"{c:>7}" for c in counts))
-    print(f"{'total':<16}" + "".join(f"{c:>7}" for c in totals))
-    return 0
+def _row(name: str, sides: list) -> str:
+    cells = "".join(f"{c:>7}" for counts in sides for c in counts)
+    delta = f"{sides[1][0] - sides[0][0]:>+7}" if len(sides) == 2 else ""
+    return f"{name:<16}{cells}{delta}"
 
+
+def main(argv: list) -> int:
+    roots = [Path(arg) for arg in argv] or [PACKAGE]
+    if len(roots) > 2:
+        print("usage: python tools/count_lines.py [directory [directory]]", file=sys.stderr)
+        return 2
+    tables = [{path.name: count(path) for path in root.glob("*.py")} for root in roots]
+    totals = [(0, 0, 0)] * len(tables)
+    print(f"{'module':<16}" + f"{'code':>7}{'doc':>7}{'blank':>7}" * len(tables)
+          + (f"{'delta':>7}" if len(tables) == 2 else ""))
+    for name in sorted(set().union(*tables)):
+        sides = [table.get(name, (0, 0, 0)) for table in tables]
+        totals = [tuple(map(sum, zip(t, c))) for t, c in zip(totals, sides)]
+        print(_row(name, sides))
+    print(_row("total", totals))
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))
