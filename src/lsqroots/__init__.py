@@ -33,13 +33,8 @@ _LAZY = {
     "run_benchmark": "bench",
 }
 
-__all__ = [
-    "BaselineConfig", "BenchReport", "Expr", "IterationRecord", "ParseError",
-    "Problem", "SolveOutcome", "SolverConfig", "Status", "builtin_suite",
-    "convergence_rates", "differentiate", "emit_report", "evaluate",
-    "f_n_curve", "final_rate", "parse", "render", "run_benchmark", "solve",
-    "solve_baseline",
-]
+__all__ = sorted(["Expr", "ParseError", "differentiate", "evaluate", "parse", "render",
+                  *(name for name, module in _LAZY.items() if name != module)])
 
 
 def __getattr__(name: str):

@@ -29,7 +29,7 @@ from .outcomes import CheckedRecord, IterationRecord, SolveOutcome, Status
 
 Expected = Union[int, str]
 
-_FIXED = SolverConfig(mode="fixed", n_value=1.0)
+_FIXED = SolverConfig()
 _VARIABLE = SolverConfig(mode="variable")
 
 #: Solver per method identifier, in report-row order.  The entries look
@@ -404,7 +404,7 @@ def _emit_markdown(report: BenchReport) -> str:
                             for s in problem.starts for m in TABLE_COLUMNS)
         if not cells_present:
             continue
-        roots = ", ".join(format(r, ".15g") for r in problem.reference_roots)
+        roots = ", ".join(map(_fmt, problem.reference_roots))
         lines.append(f"### {problem.id}: `{problem.source}` (table {problem.table})")
         lines.append(f"roots: {roots}")
         lines.append("")

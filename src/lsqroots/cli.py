@@ -8,7 +8,7 @@ import sys
 import time
 from typing import List, Optional
 
-from .baselines import BaselineConfig, solve_baseline
+from .baselines import METHODS, BaselineConfig, solve_baseline
 from .expressions import ParseError, parse
 from .lsq3 import SolverConfig, solve
 from .outcomes import SolveOutcome, Status
@@ -68,19 +68,21 @@ def _build_parser() -> _Parser:
                         help="print wall time to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # A solver flag left out is None; the config then holds its default.
+    defaults = SolverConfig()
+
     def add_solver_flags(p):
         p.add_argument("--expr", required=True, help="expression in x")
         p.add_argument("--x0", required=True, type=float, help="starting point")
-        p.add_argument("--x1", type=float, default=None,
+        p.add_argument("--x1", type=float,
                        help="second start (secant only; default x0 + 0.1)")
-        p.add_argument("--method", required=True,
-                       choices=("newton", "secant", "lsq3"))
-        p.add_argument("--n", default=None,
-                       help="lsq3 power: 'variable' or 'fixed:<real>' (default fixed:1)")
-        p.add_argument("--delta0", type=float, default=None,
-                       help="initial probe spacing for lsq3 (default 0.1)")
-        p.add_argument("--tol", type=float, default=1e-15)
-        p.add_argument("--max-iter", type=int, default=500)
+        p.add_argument("--method", required=True, choices=(*METHODS, "lsq3"))
+        p.add_argument("--n", help="lsq3 power: 'variable' or 'fixed:<real>' "
+                       f"(default {defaults.mode}:{defaults.n_value:g})")
+        p.add_argument("--delta0", type=float,
+                       help=f"initial probe spacing for lsq3 (default {defaults.delta0})")
+        p.add_argument("--tol", type=float)
+        p.add_argument("--max-iter", type=int)
 
     p_solve = sub.add_parser("solve", help="find one root")
     p_solve.set_defaults(run=_cmd_solve)
@@ -122,6 +124,11 @@ def _parse_power(text: str):
                       "(expected 'variable' or 'fixed:<real>')")
 
 
+# The solver flags that one method alone takes, in the order they are
+# checked; given with another method, each is a usage error.
+_METHOD_FLAGS = {"x1": "secant", "n": "lsq3", "delta0": "lsq3"}
+
+
 def _run_solver(args) -> SolveOutcome:
     try:
         expr = parse(args.expr)
@@ -130,21 +137,16 @@ def _run_solver(args) -> SolveOutcome:
     for flag, value in (("--x0", args.x0), ("--x1", args.x1)):
         if value is not None and not math.isfinite(value):
             raise _UsageError(f"lsqroots: {flag} must be finite, got {value!r}")
-    if args.x1 is not None and args.method != "secant":
-        raise _UsageError("lsqroots: --x1 applies to --method secant only")
-    if args.method != "lsq3" and args.n is not None:
-        raise _UsageError("lsqroots: --n applies to --method lsq3 only")
-    if args.method != "lsq3" and args.delta0 is not None:
-        raise _UsageError("lsqroots: --delta0 applies to --method lsq3 only")
+    for flag, method in _METHOD_FLAGS.items():
+        if getattr(args, flag) is not None and args.method != method:
+            raise _UsageError(f"lsqroots: --{flag} applies to --method {method} only")
+    settings = {name: value for name, value in (
+        ("delta0", args.delta0), ("tolerance", args.tol), ("max_iter", args.max_iter))
+        if value is not None}
+    if args.n is not None:
+        settings["mode"], settings["n_value"] = _parse_power(args.n)
     try:
-        if args.method == "lsq3":
-            mode, n_value = _parse_power("fixed:1" if args.n is None else args.n)
-            delta0 = (SolverConfig._field_defaults["delta0"] if args.delta0 is None
-                      else args.delta0)
-            config = SolverConfig(mode=mode, n_value=n_value, delta0=delta0,
-                                  tolerance=args.tol, max_iter=args.max_iter)
-        else:
-            config = BaselineConfig(tolerance=args.tol, max_iter=args.max_iter)
+        config = (SolverConfig if args.method == "lsq3" else BaselineConfig)(**settings)
     except ValueError as err:
         raise _UsageError(f"lsqroots: bad solver flags: {err}") from None
     if args.method == "lsq3":

@@ -505,19 +505,21 @@ def evaluate(e: Expr, x: float) -> Optional[float]:
 
     A domain error in any subexpression makes the whole result ``None``;
     it is never silently coerced to a number.  A non-finite ``x`` is
-    outside every domain, so the result is ``None`` too.  The first call
-    compiles the nodes of ``e`` that no earlier call reached; each keeps
-    its closure.
+    outside every domain, so the result is ``None`` too, and so is an int
+    ``x``, or an int result, beyond float range.  An int ``x`` is not
+    converted, since converting every argument would cost every call:
+    ``evaluate(parse("x"), 2)`` is ``2``.  The first call compiles the
+    nodes of ``e`` that no earlier call reached; each keeps its closure.
     """
-    if not isfinite(x):
-        return None
     try:
+        if not isfinite(x):
+            return None
         v = e._compiled(x)
+        return v if isfinite(v) else None
     except (ZeroDivisionError, ValueError, OverflowError):
         return None
     except RecursionError:
         raise _nested_too_deep("evaluate") from None
-    return v if isfinite(v) else None
 
 
 # --------------------------------------------------------------------------

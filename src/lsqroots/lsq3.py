@@ -13,6 +13,15 @@ step from the same three samples via central differences:
     N = s^2 / (s^2 - y0 * d2),   s = (y_plus - y_minus) / (2*delta),
                                  d2 = (y_minus - 2*y0 + y_plus) / delta^2
 
+In these terms the step is
+
+    x' = x - N * y0 / s - (N+1) * delta^2 * d2 / (6s)
+
+With the variable N the first two terms are Schroeder's (1870)
+multiple-root step (Newton's method on f/f') with central differences;
+the third is what the least-squares fit adds.  :func:`lsq3_step` keeps
+the weighted form above.
+
 The probe spacing is beta * (x_k - x_{k-1})^2 for a beta from a
 descending series, raised to a floor tied to the scale of x and of the
 last step; after a long step it can exceed both 1 and the previous

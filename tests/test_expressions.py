@@ -308,6 +308,21 @@ def test_eval_overflow_is_domain_error():
     assert evaluate(parse("exp(x)"), 1000.0) is None
 
 
+@pytest.mark.parametrize("source, x", [
+    ("x*x", 10 ** 200),       # an int result beyond float range
+    ("x", 10 ** 400),         # an int x beyond float range
+    ("x + 1", -10 ** 400),
+    ("ln(x*x)", 10 ** 200),
+])
+def test_an_int_beyond_float_range_evaluates_to_none(source, x):
+    assert evaluate(parse(source), x) is None
+
+
+def test_a_small_int_x_is_not_converted():
+    v = evaluate(parse("x"), 2)
+    assert v == 2 and type(v) is int
+
+
 def test_domain_error_propagates_through_subexpressions():
     assert evaluate(parse("1 + 0*ln(x)"), -1.0) is None
     assert evaluate(parse("sin(x) + sqrt(x)"), -2.0) is None

@@ -84,6 +84,28 @@ def test_step_specializations_match_explicit_forms():
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+def test_step_is_schroders_step_plus_the_lsq_term():
+    # x - N*y0/s - (N+1)*delta^2*d2/(6s): the first two terms are Schröder's
+    # multiple-root step with central differences, the third is the fit's
+    rng = random.Random(20261019)
+    for _ in range(20_000):
+        y_minus, y0, y_plus = (rng.uniform(-100.0, 100.0) for _ in range(3))
+        if y_plus == y_minus:
+            continue
+        x = rng.uniform(-10.0, 10.0)
+        delta = 10.0 ** rng.uniform(-8.0, 0.0)
+        n = 3.5 - rng.uniform(0.0, 6.5)        # in (-3, 3.5]
+        if n == 0.0:
+            continue
+        s = (y_plus - y_minus) / (2.0 * delta)
+        d2 = (y_minus - 2.0 * y0 + y_plus) / delta ** 2
+        schroder = n * y0 / s
+        lsq_term = (n + 1.0) * delta ** 2 * d2 / (6.0 * s)
+        got = lsq3_step(x, y_minus, y0, y_plus, delta, n)
+        scale = max(abs(x), abs(schroder), abs(lsq_term), abs(got))
+        assert abs(got - (x - schroder - lsq_term)) <= 1e-14 * scale
+
+
 def test_step_lands_on_root_of_any_line():
     rng = random.Random(7)
     for _ in range(500):

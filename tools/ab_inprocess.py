@@ -28,8 +28,9 @@ Uses the standard library only; the inputs come from the benchmark's
 
 The operations are the benchmark's: expr-scan parses a random expression,
 differentiates it, parses its rendering and evaluates the three trees on a
-16-point grid in [-4, 4]; basin is one solve; suite is ``run_benchmark``
-of the stock suite plus its CSV and Markdown reports.
+16-point grid in [-4, 4]; basin is one solve through the checkout's
+``bench.SOLVERS``; suite is ``run_benchmark`` of the stock suite plus its
+CSV and Markdown reports.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CHUNK = 25
 GRID = 16
-METHODS = ("newton", "secant", "lsq3-fixed", "lsq3-variable")
 PARSE_TEXTS = 2000
 # Tokens that reach every branch of the parser: numbers with exponents,
 # operators, whitespace, names that are and are not functions, and
@@ -97,8 +97,7 @@ class Side:
     def __init__(self, pkg):
         self.pkg = pkg
         self.suite = pkg.builtin_suite()
-        self.fixed = pkg.SolverConfig(mode="fixed", n_value=1.0)
-        self.variable = pkg.SolverConfig(mode="variable")
+        self.solvers = pkg.bench.SOLVERS
 
     def expr_scan(self, inp):
         text, grid = inp
@@ -121,10 +120,7 @@ class Side:
 
     def basin(self, inp):
         index, x0, method = inp
-        f = self.suite[index].expression
-        if method in ("newton", "secant"):
-            return self.pkg.solve_baseline(method, f, x0)
-        return self.pkg.solve(f, x0, self.fixed if method == "lsq3-fixed" else self.variable)
+        return self.solvers[method](self.suite[index].expression, x0)
 
     def suite_pass(self, inp):
         report = self.pkg.run_benchmark(self.pkg.builtin_suite())
@@ -150,14 +146,15 @@ def parse_texts(seed: int, count: int) -> list:
             for _ in range(count)]
 
 
-def basin_inputs(reference, suite, seed: int, starts: int) -> list:
-    """(problem index, start, method) over each stock problem's start window."""
+def basin_inputs(reference, side: Side, seed: int, starts: int) -> list:
+    """(problem index, start, method) over each stock problem's start window,
+    for every method of ``side``'s bench."""
     rng = random.Random(seed)
     inputs = []
-    for index, problem in enumerate(suite):
+    for index, problem in enumerate(side.suite):
         lo, hi = reference.window(problem.id)
         for x0 in reference.stratified_starts(rng, lo, hi, starts):
-            inputs.extend((index, x0, method) for method in METHODS)
+            inputs.extend((index, x0, method) for method in side.pkg.bench.METHOD_ORDER)
     rng.shuffle(inputs)
     return inputs
 
@@ -218,7 +215,7 @@ def compare(args, reference, a: Side, b: Side) -> int:
     """Check, then time, A against B; the exit status."""
     exprs = expr_inputs(reference, args.seed, args.inputs)
     texts = parse_texts(args.seed, PARSE_TEXTS)
-    solves = basin_inputs(reference, a.suite, args.seed, args.starts)
+    solves = basin_inputs(reference, a, args.seed, args.starts)
     diffs = check(a, b, exprs, texts, solves)
     if diffs:
         for line in diffs[:20]:

@@ -101,7 +101,7 @@ def main(argv=None) -> int:
     if args.workload == "suite":
         op, inputs, what = side.suite_pass, [None], "1 suite pass"
     else:
-        inputs = ab_inprocess.basin_inputs(ab_inprocess.load_reference(), side.suite,
+        inputs = ab_inprocess.basin_inputs(ab_inprocess.load_reference(), side,
                                            args.seed, args.starts)
         op, what = side.basin, f"{len(inputs)} basin solves, seed {args.seed}"
 
