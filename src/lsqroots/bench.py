@@ -80,6 +80,8 @@ class Problem(CheckedRecord, _ProblemFields):
     __slots__ = ()
 
     def _check(self):
+        if not self.reference_roots:
+            raise ValueError(f"{self.id}: needs at least one reference root")
         for r in self.reference_roots:
             y = evaluate(self.expression, r)
             if y is None or abs(y) >= 1e-9:
@@ -295,9 +297,16 @@ def run_benchmark(suite: Optional[Sequence[Problem]] = None,
 
     Solver failures are data, not errors.  A converged run whose root is
     not within 1e-9 of any stored reference root carries the deviation
-    flag ``WRONG_ROOT``.
+    flag ``WRONG_ROOT``.  The problems' ids must differ, since the
+    reports key their rows by id; a repeated id raises ``ValueError``
+    before anything is solved.
     """
     suite = builtin_suite() if suite is None else tuple(suite)
+    ids = set()
+    for problem in suite:
+        if problem.id in ids:
+            raise ValueError(f"problem id {problem.id!r} appears more than once")
+        ids.add(problem.id)
     if methods is None:
         methods = METHOD_ORDER
     else:

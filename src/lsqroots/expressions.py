@@ -392,6 +392,27 @@ _PAIRS = {
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv, "^": math.pow}
 
+# The ``+ - *`` nodes that apply their operator inline, keyed by op and
+# pair, which saves a call of ``_BINARY[op]`` per evaluation: the forms
+# that the stock problems and their derivatives contain.  Each costs
+# compile time on a cold import, so any other ``+ - *`` node goes through
+# ``_PAIRS``.
+_INLINE = {
+    "+ff": lambda a, b: lambda x: a(x) + b(x),
+    "+fc": lambda a, b: lambda x: a(x) + b,
+    "+cf": lambda a, b: lambda x: a + b(x),
+    "+xc": lambda a, b: lambda x: x + b,
+    "-ff": lambda a, b: lambda x: a(x) - b(x),
+    "-fx": lambda a, b: lambda x: a(x) - x,
+    "-fc": lambda a, b: lambda x: a(x) - b,
+    "-xf": lambda a, b: lambda x: x - b(x),
+    "-xc": lambda a, b: lambda x: x - b,
+    "-cf": lambda a, b: lambda x: a - b(x),
+    "*ff": lambda a, b: lambda x: a(x) * b(x),
+    "*cf": lambda a, b: lambda x: a * b(x),
+    "*cx": lambda a, b: lambda x: a * x,
+}
+
 
 def _checked(pair: str, op, a, b) -> Callable[[float], float]:
     """The ``_PAIRS[pair]`` node, raising ValueError where the value of a
@@ -469,6 +490,9 @@ def _compile(e: Expr) -> Callable[[float], float]:
         pair = ka + kb
         if "f" in pair and (e.op == "^" or e.op == "/" and kb == "f"):
             return _checked(pair, _BINARY[e.op], a, b)
+        inline = _INLINE.get(e.op + pair)
+        if inline is not None:
+            return inline(a, b)
         return _PAIRS[pair](_BINARY[e.op], a, b)
     if isinstance(e, Call):
         fn = _CALLS[e.name][0]

@@ -210,18 +210,20 @@ def adjust_delta(fx: Callable, x: float, delta: float) -> Tuple[float, float, fl
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     failure = None
-    for _ in range(8):
+    # A counted while loop: a for loop would build a range iterator per call.
+    tries = 8
+    while tries:
+        tries -= 1
         y_minus = fx(x - delta)
         y_plus = fx(x + delta)
         if y_minus is None or y_plus is None:
             failure = "domain"
             delta = delta / 2.0
-            continue
-        if y_minus == y_plus:
+        elif y_minus == y_plus:
             failure = "symmetric"
             delta = delta * 1.5
-            continue
-        return delta, y_minus, y_plus
+        else:
+            return delta, y_minus, y_plus
     if failure == "domain":
         raise ProbeDomainError(f"no valid probes around x={x!r}")
     raise SymmetricStallError(f"y(x+delta) = y(x-delta) for all adjusted deltas at x={x!r}")

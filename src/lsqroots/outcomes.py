@@ -19,7 +19,7 @@ import math
 import operator
 from enum import Enum
 from functools import partial
-from itertools import cycle, islice
+from itertools import cycle, islice, repeat
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 
@@ -259,11 +259,12 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
         for seen_prev, seen_cur, first in states:
             if _same_fields(seen_cur, cur) and _same_fields(seen_prev, prev):
                 # The periodic tail (see the docstring), built in C: each
-                # copy zips its k with one cycle per field of the period.
+                # copy zips its k with one cycle per field of the period,
+                # and tuple.__new__ makes it a record with no Python call.
                 root = best_iterate(x0, y0, trace)
                 columns = list(zip(*trace[first:]))[1:]
-                copies = map(_new_record, zip(range(k + 1, max_iter + 1),
-                                              *map(cycle, columns)))
+                copies = map(tuple.__new__, repeat(IterationRecord),
+                             zip(range(k + 1, max_iter + 1), *map(cycle, columns)))
                 for rec in islice(copies, CHECKED_REPLAYS):
                     trace.append(rec)
                     accepted.append(rec.x)

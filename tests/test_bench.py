@@ -59,13 +59,16 @@ def test_problem_rejects_bad_root():
                 reference_roots=(2.0,), starts=(0.0,), expected={}, table=1)
 
 
-@pytest.mark.parametrize("change", [{"reference_roots": (2.0,)}, {"starts": ()}],
-                         ids=["bad-root", "no-starts"])
-def test_problem_checks_run_when_built_and_when_replaced(change):
+@pytest.mark.parametrize("change, message", [
+    ({"reference_roots": (2.0,)}, "stored root 2.0"),
+    ({"starts": ()}, "at least one start"),
+    # run_benchmark would fail at the first converged run, matching its root
+    ({"reference_roots": ()}, "line: needs at least one reference root"),
+], ids=["bad-root", "no-starts", "no-roots"])
+def test_problem_checks_run_when_built_and_when_replaced(change, message):
     fields = dict(id="line", source="x - 1", expression=parse("x - 1"),
                   reference_roots=(1.0,), starts=(0.0,), expected={}, table=1)
     good = Problem(**fields)
-    message = "stored root 2.0" if "reference_roots" in change else "at least one start"
     with pytest.raises(ValueError, match=message):
         Problem(**{**fields, **change})
     with pytest.raises(ValueError, match=message):
@@ -213,6 +216,21 @@ def test_markdown_of_an_empty_run_is_the_summary_alone():
 def test_run_benchmark_rejects_unknown_method():
     with pytest.raises(ValueError):
         run_benchmark(methods=("bisection",))
+
+
+def test_run_benchmark_rejects_a_repeated_problem_id_before_solving(monkeypatch):
+    # The Markdown report keys its rows by (problem, start, method), so the
+    # second problem's row would be printed in the first one's table.
+    a = Problem(id="p", source="x^2-2", expression=parse("x^2-2"),
+                reference_roots=(2.0 ** 0.5,), starts=(1.0,), expected={}, table=1)
+    b = Problem(id="p", source="x-3", expression=parse("x-3"),
+                reference_roots=(3.0,), starts=(1.0,), expected={}, table=1)
+    solved = []
+    monkeypatch.setitem(lsqroots.bench.SOLVERS, "newton",
+                        lambda f, x0: solved.append(x0))
+    with pytest.raises(ValueError, match="problem id 'p' appears more than once"):
+        run_benchmark([a, b], ["newton"])
+    assert solved == []
 
 
 def test_report_row_ordering():

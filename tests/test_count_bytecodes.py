@@ -55,3 +55,16 @@ def test_a_suite_pass_lists_the_bench_layer():
     names = {line.split()[-1] for line in lines[2:]}
     assert {"lsqroots.bench:final_rate", "lsqroots.lsq3:select_delta",
             "lsqroots.expressions:evaluate"} <= names
+
+
+def test_an_expr_scan_sample_counts_the_evaluator_and_the_parser():
+    outputs = [run_tool("--workload", "expr-scan", "--inputs", "20", "--seed", "3", "--top", "40")
+               for _ in range(2)]
+    assert all(proc.returncode == 0 for proc in outputs), outputs[0].stderr
+    assert outputs[0].stdout == outputs[1].stdout
+    lines = outputs[0].stdout.splitlines()
+    assert lines[0].startswith("expr-scan: 20 expressions, seed 3: ")
+    names = {line.split()[-1] for line in lines[2:]}
+    assert {"lsqroots.expressions:parse", "lsqroots.expressions:_compile",
+            "lsqroots.expressions:evaluate", "lsqroots.expressions:_differentiate"} <= names
+    assert not any(name.startswith(("lsqroots.lsq3:", "lsqroots.outcomes:")) for name in names)

@@ -25,6 +25,7 @@ from lsqroots.expressions import (
     Unary,
     Variable,
     _cbrt,
+    _INLINE,
     differentiate,
     evaluate,
     parse,
@@ -227,6 +228,38 @@ def test_non_finite_constant_anywhere_is_off_domain(value):
     for e in trees:
         assert_parity(e, XS)
         assert all(evaluate(e, x) is None for x in XS), e
+
+
+# Operands of the inlined ``+ - *`` nodes, by kind: finite constants with
+# signed zeros, subnormals and values whose sum or product overflows, and
+# closures, the hand-built non-finite constants among them.
+KIND_OPERANDS = {
+    "x": [Variable()],
+    "c": [Constant(v) for v in (0.0, -0.0, 5e-324, -5e-324, 2.5, 1e308, -1.7976931348623157e308)],
+    "f": [Unary("-", Variable()), Binary("*", Variable(), Constant(1e308)),
+          Call("abs", Variable()), Constant(math.inf), Constant(-math.inf), Constant(math.nan)],
+}
+# The same kinds of value for x, and ints, which an inlined node keeps ints
+INLINE_XS = [0.0, -0.0, 5e-324, -5e-324, 0.5, -2.0, 1e308, -1.7976931348623157e308,
+             math.inf, math.nan, 0, 3, -7, 2 ** 60]
+
+
+def exact(v):
+    """``None``, the bits of a float or an int with its type."""
+    return v if v is None or isinstance(v, int) else v.hex()
+
+
+@pytest.mark.parametrize("key", sorted(_INLINE))
+def test_every_inlined_node_matches_reference(key):
+    op, (ka, kb) = key[0], key[1:]
+    inner = _INLINE[key](None, None).__code__
+    for left in KIND_OPERANDS[ka]:
+        for right in KIND_OPERANDS[kb]:
+            e = Binary(op, left, right)
+            for x in INLINE_XS:
+                assert exact(evaluate(e, x)) == exact(reference_evaluate(e, x)), (e, x)
+            # the node was compiled to the inlined closure
+            assert e.__dict__["_compiled"].__code__ is inner, e
 
 
 # ---------------------------------------------------------------------------

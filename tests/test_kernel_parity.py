@@ -7,8 +7,11 @@ kernels as they were written with the builtin ``max``/``min`` and
 ``math.isfinite``; those of ``lsq3_step`` and ``final_rate`` compute
 ``n + 1.0`` twice and take the log ratio of every trusted pair, keeping
 the last; that of ``best_iterate`` tests ``math.isfinite`` on each ``y``
-and takes ``abs`` of it twice.  The package's versions must return the same float, signed
-zeros and NaNs included (or ``None``), or raise the same error.  The
+and takes ``abs`` of it twice; that of ``adjust_delta`` tries its probe
+pairs in a ``for`` loop over ``range(8)``.  The package's versions must
+return the same float, signed zeros and NaNs included (or ``None``), or
+raise the same error, and ``adjust_delta`` must call ``fx`` at the same
+points in the same order.  The
 driver's parity tests cannot catch a kernel change, because both drivers
 call the same kernels.
 """
@@ -30,7 +33,10 @@ from lsqroots.lsq3 import (
     _MILD_NEGATIVE_LIMIT,
     _STRONG_POLE_LIMIT,
     N_CLAMP,
+    ProbeDomainError,
     SolverConfig,
+    SymmetricStallError,
+    adjust_delta,
     estimate_power,
     lsq3_step,
     select_delta,
@@ -114,6 +120,27 @@ def frozen_best_iterate(x0, y0, trace):
         if math.isfinite(rec.y) and abs(rec.y) < best_ay:
             best_x, best_ay = rec.x, abs(rec.y)
     return best_x
+
+
+def frozen_adjust_delta(fx, x, delta):
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
+    failure = None
+    for _ in range(8):
+        y_minus = fx(x - delta)
+        y_plus = fx(x + delta)
+        if y_minus is None or y_plus is None:
+            failure = "domain"
+            delta = delta / 2.0
+            continue
+        if y_minus == y_plus:
+            failure = "symmetric"
+            delta = delta * 1.5
+            continue
+        return delta, y_minus, y_plus
+    if failure == "domain":
+        raise ProbeDomainError(f"no valid probes around x={x!r}")
+    raise SymmetricStallError(f"y(x+delta) = y(x-delta) for all adjusted deltas at x={x!r}")
 
 
 def outcome(fn, *args):
@@ -330,6 +357,101 @@ def test_best_iterate_matches_on_random_traces(seed):
     # the start and a record of the trace are both chosen
     chosen = [frozen_best_iterate(*args) == args[0] for args in cases]
     assert any(chosen) and not all(chosen)
+
+
+class ScriptedProbes:
+    """An ``fx`` that logs the bits of every point it is called at and
+    answers by the point alone: ``None`` or one of a few values, drawn
+    from a generator seeded with the point, so that both sides of a probe
+    pair often agree (a symmetric retry) or fall off the domain (a
+    domain retry)."""
+
+    VALUES = (1.0, -0.0, 0.0, 2.5, 5e-324)
+
+    def __init__(self, seed, none_share, values):
+        self.seed, self.none_share, self.values = seed, none_share, values
+        self.calls = []
+
+    def __call__(self, t):
+        self.calls.append(_bits(t))
+        rng = random.Random(f"{self.seed}:{_bits(t)}")
+        if rng.random() < self.none_share:
+            return None
+        return rng.choice(self.VALUES[:self.values])
+
+
+def probe_run(adjust, fx, x, delta):
+    """What ``adjust(fx, x, delta)`` returns (as bits) or raises, and the
+    points it called ``fx`` at."""
+    try:
+        result = ("returned", *map(_bits, adjust(fx, x, delta)))
+    except (ValueError, ProbeDomainError, SymmetricStallError) as err:
+        result = type(err).__name__, str(err)
+    return result, fx.calls
+
+
+# Hand-made fx: each names the retries it forces from x = 1, delta = 0.5.
+HAND_PROBES = {
+    "success": lambda t: t,
+    # defined on [0.9, 1.1] only: halves delta until both probes land there
+    "domain retries": lambda t: t if abs(t - 1.0) <= 0.1 else None,
+    # even about 1 up to |t - 1| < 2, odd beyond: grows delta past 1
+    "symmetric retries": lambda t: (t - 1.0) ** 2 if abs(t - 1.0) < 2.0 else t,
+    # even about 1 up to 0.3 from it, odd up to 0.4, off the domain beyond:
+    # halves delta, then grows it
+    "mixed retries": lambda t: ((t - 1.0) ** 2 if abs(t - 1.0) < 0.3
+                                else t if abs(t - 1.0) <= 0.4 else None),
+    "domain exhausted": lambda t: None,
+    "symmetric exhausted": lambda t: 3.0,
+    # symmetric first, then off the domain for good
+    "mixed exhausted": lambda t: 3.0 if 0.45 < abs(t - 1.0) < 0.6 else None,
+    # off the domain first, then symmetric for good
+    "mixed exhausted, symmetric last": lambda t: 3.0 if abs(t - 1.0) < 0.4 else None,
+}
+
+
+def logged(fn):
+    def fx(t):
+        fx.calls.append(_bits(t))
+        return fn(t)
+    fx.calls = []
+    return fx
+
+
+def test_adjust_delta_matches_on_hand_made_probes():
+    outcomes = {}
+    for name, fn in HAND_PROBES.items():
+        new = probe_run(adjust_delta, logged(fn), 1.0, 0.5)
+        assert new == probe_run(frozen_adjust_delta, logged(fn), 1.0, 0.5), name
+        outcomes[name] = new
+    # each case ends as its name says, after the retries it names
+    assert len(outcomes["success"][1]) == 2
+    assert outcomes["domain retries"][0][:2] == ("returned", _bits(0.5 / 8))
+    assert outcomes["symmetric retries"][0][:2] == ("returned", _bits(0.5 * 1.5 ** 4))
+    assert outcomes["mixed retries"][0][:2] == ("returned", _bits(0.5 / 2 * 1.5))
+    for name in ("domain exhausted", "mixed exhausted"):
+        assert outcomes[name][0][0] == "ProbeDomainError", name
+    for name in ("symmetric exhausted", "mixed exhausted, symmetric last"):
+        assert outcomes[name][0][0] == "SymmetricStallError", name
+    assert all(len(outcomes[name][1]) == 16 for name in HAND_PROBES if "exhausted" in name)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_adjust_delta_matches_on_scripted_probes(seed):
+    rng = random.Random(seed)
+    ends = set()
+    for case in range(3_000):
+        x = rng.choice((0.0, -0.0, 1.0, -2.5, magnitude(rng), rng.uniform(-4.0, 4.0)))
+        delta = rng.choice((0.1, 1e-300, 5e-324, 1e300, math.inf, 0.0, -1.0, math.nan,
+                            abs(magnitude(rng))))
+        args = (f"{seed}:{case}", rng.choice((0.0, 0.3, 0.7, 1.0)), rng.randint(1, 5))
+        new = probe_run(adjust_delta, ScriptedProbes(*args), x, delta)
+        assert new == probe_run(frozen_adjust_delta, ScriptedProbes(*args), x, delta), (x, delta)
+        result, calls = new
+        ends.add((result[0], len(calls) > 2))
+    # a return at once and after retries, and each error, all occur
+    assert {("returned", False), ("returned", True), ("ProbeDomainError", True),
+            ("SymmetricStallError", True), ("ValueError", False)} <= ends
 
 
 # ---------------------------------------------------------------------------

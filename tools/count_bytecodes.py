@@ -1,12 +1,17 @@
 """Count the bytecodes that each function executes over one workload.
 
-    python tools/count_bytecodes.py [--checkout DIR] [--workload suite|basin]
-        [--seed N] [--starts N] [--top N]
+    python tools/count_bytecodes.py [--checkout DIR]
+        [--workload suite|basin|expr-scan] [--seed N] [--starts N]
+        [--inputs N] [--top N]
 
 ``suite`` is one ``lsqroots bench`` pass: ``run_benchmark`` of the stock
 suite plus its CSV and Markdown reports.  ``basin`` is one solve per
 (problem, start, method) over ``--starts`` seeded starts per stock problem,
-the inputs of ``tools/ab_inprocess.py --workload basin``.  The package is
+the inputs of ``tools/ab_inprocess.py --workload basin``.  ``expr-scan``
+is the benchmark's expr-scan operation on ``--inputs`` seeded random
+expressions, those of ``tools/ab_inprocess.py --workload expr-scan``:
+parse, differentiate, render and evaluate, where parsing and compiling
+dominate.  The package is
 imported from ``DIR/src`` (default: this checkout), so two checkouts can be
 sized one after the other.
 
@@ -83,15 +88,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="root of the source checkout to measure (default: this one)")
-    parser.add_argument("--workload", choices=("suite", "basin"), default="suite")
-    parser.add_argument("--seed", type=int, default=1, help="basin start seed (default 1)")
+    parser.add_argument("--workload", choices=("suite", "basin", "expr-scan"), default="suite")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="basin start or expr-scan expression seed (default 1)")
     parser.add_argument("--starts", type=int, default=10,
                         help="basin starts per stock problem (default 10)")
+    parser.add_argument("--inputs", type=int, default=100,
+                        help="expr-scan expressions (default 100)")
     parser.add_argument("--top", type=int, default=25,
                         help="functions listed, by count (default 25)")
     args = parser.parse_args(argv)
-    if args.starts < 1 or args.top < 0:
-        parser.error("--starts must be positive and --top not negative")
+    if args.starts < 1 or args.inputs < 1 or args.top < 0:
+        parser.error("--starts and --inputs must be positive and --top not negative")
 
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
     sys.path.insert(1, str(TOOLS))
@@ -100,10 +108,13 @@ def main(argv=None) -> int:
     side = ab_inprocess.Side(pkg)
     if args.workload == "suite":
         op, inputs, what = side.suite_pass, [None], "1 suite pass"
-    else:
+    elif args.workload == "basin":
         inputs = ab_inprocess.basin_inputs(ab_inprocess.load_reference(), side,
                                            args.seed, args.starts)
         op, what = side.basin, f"{len(inputs)} basin solves, seed {args.seed}"
+    else:
+        inputs = ab_inprocess.expr_inputs(ab_inprocess.load_reference(), args.seed, args.inputs)
+        op, what = side.expr_scan, f"{len(inputs)} expressions, seed {args.seed}"
 
     totals = by_function(count_opcodes(op, inputs))
     total = sum(totals.values())
