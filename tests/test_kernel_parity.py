@@ -359,25 +359,29 @@ def test_best_iterate_matches_on_random_traces(seed):
     assert any(chosen) and not all(chosen)
 
 
-class ScriptedProbes:
-    """An ``fx`` that logs the bits of every point it is called at and
-    answers by the point alone: ``None`` or one of a few values, drawn
-    from a generator seeded with the point, so that both sides of a probe
-    pair often agree (a symmetric retry) or fall off the domain (a
-    domain retry)."""
+def logged(fn):
+    """``fn`` as an ``fx`` that logs the bits of every point it is called at."""
+    def fx(t):
+        fx.calls.append(_bits(t))
+        return fn(t)
+    fx.calls = []
+    return fx
 
-    VALUES = (1.0, -0.0, 0.0, 2.5, 5e-324)
 
-    def __init__(self, seed, none_share, values):
-        self.seed, self.none_share, self.values = seed, none_share, values
-        self.calls = []
+PROBE_VALUES = (1.0, -0.0, 0.0, 2.5, 5e-324)
 
-    def __call__(self, t):
-        self.calls.append(_bits(t))
-        rng = random.Random(f"{self.seed}:{_bits(t)}")
-        if rng.random() < self.none_share:
+
+def scripted_probes(seed, none_share, values):
+    """A logged ``fx`` that answers by the point alone: ``None`` or one of
+    the first ``values`` PROBE_VALUES, drawn from a generator seeded with
+    the point, so that both sides of a probe pair often agree (a
+    symmetric retry) or fall off the domain (a domain retry)."""
+    def fn(t):
+        rng = random.Random(f"{seed}:{_bits(t)}")
+        if rng.random() < none_share:
             return None
-        return rng.choice(self.VALUES[:self.values])
+        return rng.choice(PROBE_VALUES[:values])
+    return logged(fn)
 
 
 def probe_run(adjust, fx, x, delta):
@@ -395,27 +399,19 @@ HAND_PROBES = {
     "success": lambda t: t,
     # defined on [0.9, 1.1] only: halves delta until both probes land there
     "domain retries": lambda t: t if abs(t - 1.0) <= 0.1 else None,
-    # even about 1 up to |t - 1| < 2, odd beyond: grows delta past 1
+    # even about 1 up to |t - 1| < 2, increasing beyond: grows delta past 1
     "symmetric retries": lambda t: (t - 1.0) ** 2 if abs(t - 1.0) < 2.0 else t,
-    # even about 1 up to 0.3 from it, odd up to 0.4, off the domain beyond:
-    # halves delta, then grows it
+    # even about 1 up to 0.3 from it, increasing up to 0.4 and off the
+    # domain beyond: halves delta, then grows it
     "mixed retries": lambda t: ((t - 1.0) ** 2 if abs(t - 1.0) < 0.3
                                 else t if abs(t - 1.0) <= 0.4 else None),
     "domain exhausted": lambda t: None,
     "symmetric exhausted": lambda t: 3.0,
     # symmetric first, then off the domain for good
     "mixed exhausted": lambda t: 3.0 if 0.45 < abs(t - 1.0) < 0.6 else None,
-    # off the domain first, then symmetric for good
+    # off the domain first, then both kinds in turn, symmetric last
     "mixed exhausted, symmetric last": lambda t: 3.0 if abs(t - 1.0) < 0.4 else None,
 }
-
-
-def logged(fn):
-    def fx(t):
-        fx.calls.append(_bits(t))
-        return fn(t)
-    fx.calls = []
-    return fx
 
 
 def test_adjust_delta_matches_on_hand_made_probes():
@@ -445,8 +441,8 @@ def test_adjust_delta_matches_on_scripted_probes(seed):
         delta = rng.choice((0.1, 1e-300, 5e-324, 1e300, math.inf, 0.0, -1.0, math.nan,
                             abs(magnitude(rng))))
         args = (f"{seed}:{case}", rng.choice((0.0, 0.3, 0.7, 1.0)), rng.randint(1, 5))
-        new = probe_run(adjust_delta, ScriptedProbes(*args), x, delta)
-        assert new == probe_run(frozen_adjust_delta, ScriptedProbes(*args), x, delta), (x, delta)
+        new = probe_run(adjust_delta, scripted_probes(*args), x, delta)
+        assert new == probe_run(frozen_adjust_delta, scripted_probes(*args), x, delta), (x, delta)
         result, calls = new
         ends.add((result[0], len(calls) > 2))
     # a return at once and after retries, and each error, all occur
