@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 import time
 from typing import List, Optional
@@ -26,6 +28,14 @@ class _Parser(argparse.ArgumentParser):
     # errors and reports usage problems with exit 1 instead.
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
+
+    # argparse's own print_help drops an OSError from the write, so --help
+    # on a closed pipe would exit 0 with its text lost; this one lets main
+    # report it.
+    def print_help(self, file=None):
+        file = file or _stdout()
+        file.write(self.format_help())
+        file.flush()
 
 
 # The flags that take a real number.  argparse reads only -<digits> and
@@ -215,15 +225,47 @@ def _cmd_fncurve(args) -> int:
     return 0
 
 
+def _stdout():
+    """``sys.stdout``; an OSError where the process started without one
+    (``>&-``), where print would drop the output silently."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "stdout is closed")
+    return sys.stdout
+
+
+def _drop_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so that the flush
+    at interpreter exit writes what is left in the buffer there and prints
+    no "Exception ignored"."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):  # none, closed, or no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     started = time.perf_counter()
     try:
         args = parser.parse_args(
             _join_negative_values(sys.argv[1:] if argv is None else argv))
+        # Every command but bench --out prints its result.
+        if not getattr(args, "out", None):
+            _stdout()
         code = args.run(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except _UsageError as err:
         print(str(err).rstrip(), file=sys.stderr)
+        return 1
+    except OSError as err:
+        # A reader that left early (BrokenPipeError), a full device, or
+        # no stdout at all.
+        _drop_stdout()
+        print(f"lsqroots: cannot write output: {err.strerror or err}", file=sys.stderr)
         return 1
     if args.timing:
         print(f"elapsed {time.perf_counter() - started:.6f}s", file=sys.stderr)

@@ -39,7 +39,9 @@ of ``^`` and the argument of a call.  ``evaluate`` checks the final value
 once and turns the domain errors that the math raises into ``None``.
 ``differentiate`` caches its result on the expression's root node.  The
 caches are not part of a node's value, so equality, hashing, copying and
-pickling see only the tree.
+pickling see only the tree.  They take no lock: two threads that reach a
+fresh node at once may both compile it, or both build its derivative,
+and either result serves, so a tree can be shared between threads.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from functools import cached_property
+from functools import partial
 from math import isfinite
 from typing import Callable, Optional, Tuple, Union
 
@@ -68,6 +70,26 @@ class ParseError(ValueError):
 # are not dataclasses because importing ``dataclasses`` (about 4 ms) and
 # building the classes with it slowed every cold start of the CLI.
 # --------------------------------------------------------------------------
+
+class _cached:
+    """A node attribute computed on first read and stored in the node's
+    ``__dict__`` under its own name, where later reads find it first.
+
+    Unlike ``functools.cached_property`` before Python 3.12 it takes no
+    lock: two threads that race on a first read both compute the value.
+    The values are pure functions of the tree, so either one serves.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            return self
+        value = node.__dict__[self.name] = self.func(node)
+        return value
+
 
 class _Node:
     """Base of the node classes: value semantics over ``_fields``, and the
@@ -106,11 +128,11 @@ class _Node:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    @cached_property
+    @_cached
     def _compiled(self) -> Callable[[float], float]:
         return _compile(self)
 
-    @cached_property
+    @_cached
     def _derivative(self) -> Expr:
         return _differentiate(self)
 
@@ -316,17 +338,30 @@ def _atom(text: str, pos: int, groups: int):
     n = len(text)
     while pos < n and text[pos].isspace():
         pos += 1
-    at = pos
-    minuses = 0
-    while pos < n and text[pos] == "-":
-        minuses += 1
-        pos += 1
-        while pos < n and text[pos].isspace():
-            pos += 1
     if pos == n:
         raise ParseError("unexpected end of expression", pos)
-    start = pos
+    at = start = pos
     ch = text[pos]
+    minuses = 0
+    if ch == "-":
+        while pos < n and text[pos] == "-":
+            minuses += 1
+            pos += 1
+            while pos < n and text[pos].isspace():
+                pos += 1
+        if pos == n:
+            raise ParseError("unexpected end of expression", pos)
+        start = pos
+        ch = text[pos]
+    if ch == "x":
+        # The commonest operand: an ``x`` that starts no longer name and
+        # no call ("x(" is read below, as an unknown function).
+        end = pos + 1
+        if end == n or not (text[end].isalnum() or text[end] == "_"):
+            while end < n and text[end].isspace():
+                end += 1
+            if end == n or text[end] != "(":
+                return Variable(), 0, end, minuses, at
     name = None
     if "0" <= ch <= "9" or ch == ".":
         token = _NUMBER(text, pos).group()
@@ -451,13 +486,28 @@ def _checked(pair: str, op, a, b) -> Callable[[float], float]:
     return node
 
 
+def _node_factory(op: str, pair: str) -> Callable:
+    """``(a, b) -> closure`` of a binary ``op`` node whose operands read as
+    ``pair``: a checked node where a non-finite closure value could turn
+    finite, else the inlined form or the generic ``_PAIRS`` one."""
+    if "f" in pair and (op == "^" or op == "/" and pair[1] == "f"):
+        return partial(_checked, pair, _BINARY[op])
+    return _INLINE.get(op + pair) or partial(_PAIRS[pair], _BINARY[op])
+
+
+# The factory of each binary node, by op, then left and right operand kind,
+# chosen once here so compiling a node takes three lookups.
+_NODES = {op: {ka: {kb: _node_factory(op, ka + kb) for kb in "xcf"} for ka in "xcf"}
+          for op in _BINARY}
+
+
 def _operand(e: Expr) -> Tuple[str, object]:
-    """How a parent reads ``e``: ``("x", None)``, ``("c", value)`` for a
-    finite constant, or ``("f", closure)``.  The closure is compiled once
-    per node and kept in its ``__dict__`` under ``_compiled``, the key of
-    the root's cached property, so a subtree shared between trees, or
-    within one, compiles once.  Reading it through that property instead
-    costs a lock per first read, about 13% of a parse and first evaluation."""
+    """How a Call or Unary node reads its operand ``e``: ``("x", None)``,
+    ``("c", value)`` for a finite constant, or ``("f", closure)``.  The
+    closure is compiled once per node and kept in its ``__dict__`` under
+    ``_compiled``, the key that ``_cached`` stores a root's closure under,
+    so a subtree shared between trees, or within one, compiles once.  A
+    Binary node reads its two operands the same way, inline."""
     if isinstance(e, Variable):
         return "x", None
     if isinstance(e, Constant) and isfinite(e.value):
@@ -485,15 +535,28 @@ def _compile(e: Expr) -> Callable[[float], float]:
     OverflowError, or returns a value that is not finite.
     """
     if isinstance(e, Binary):
-        ka, a = _operand(e.left)
-        kb, b = _operand(e.right)
-        pair = ka + kb
-        if "f" in pair and (e.op == "^" or e.op == "/" and kb == "f"):
-            return _checked(pair, _BINARY[e.op], a, b)
-        inline = _INLINE.get(e.op + pair)
-        if inline is not None:
-            return inline(a, b)
-        return _PAIRS[pair](_BINARY[e.op], a, b)
+        # Each operand read as ``_operand`` reads it, without the call; an
+        # ``x`` operand stays its node, which no closure reads.
+        a, b = e.left, e.right
+        if isinstance(a, Variable):
+            ka = "x"
+        elif isinstance(a, Constant) and isfinite(a.value):
+            ka, a = "c", a.value
+        else:
+            ka, cache = "f", a.__dict__
+            a = cache.get("_compiled")
+            if a is None:
+                a = cache["_compiled"] = _compile(e.left)
+        if isinstance(b, Variable):
+            kb = "x"
+        elif isinstance(b, Constant) and isfinite(b.value):
+            kb, b = "c", b.value
+        else:
+            kb, cache = "f", b.__dict__
+            b = cache.get("_compiled")
+            if b is None:
+                b = cache["_compiled"] = _compile(e.right)
+        return _NODES[e.op][ka][kb](a, b)
     if isinstance(e, Call):
         fn = _CALLS[e.name][0]
         kind, a = _operand(e.arg)

@@ -2,7 +2,9 @@ import copy
 import math
 import pickle
 import random
+import struct
 import sys
+import threading
 
 import pytest
 
@@ -527,3 +529,47 @@ def test_evaluation_deterministic():
     first = [evaluate(e, x) for x in xs]
     second = [evaluate(e, x) for x in xs]
     assert first == second
+
+
+# Trees with subtrees that occur twice (x^2, sin(x)), so two nodes of one
+# tree can race for the same compile.
+SHARED_TEXTS = [
+    "sin(x)^2 + cos(3*x) / (x - 0.5) - sin(x)",
+    "exp(-x^2) * ln(abs(x) + 1) - x^3 / (x^2 + 1)",
+    "arctan(x)^x + sqrt(x*x + 1) * cbrt(x - 2)",
+    "tan(x/4) - log10(x^2 + 2) * (1 - x)^3",
+]
+
+
+def _grid_and_derivative(e, grid):
+    """Bits of ``e`` on the grid, the derivative's repr and its bits."""
+    def bits(v):
+        return v if v is None else struct.pack("<d", v)
+    d = differentiate(e)
+    return [bits(evaluate(e, x)) for x in grid], repr(d), [bits(evaluate(d, x)) for x in grid]
+
+
+def test_a_fresh_tree_shared_by_four_threads_gives_single_thread_bits():
+    grid = [-3.0 + 0.25 * k for k in range(25)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for text in SHARED_TEXTS * 5:
+            want = _grid_and_derivative(parse(text), grid)
+            shared = parse(text)
+            start = threading.Barrier(4)
+            got = [None] * 4
+
+            def work(i):
+                start.wait(timeout=30)
+                got[i] = _grid_and_derivative(shared, grid)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == [want] * 4, text
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,52 +1,88 @@
-"""Family F, the first held-out yardstick: how many solves of each method
-find a genuine root.
+"""The yardsticks beyond the paper's tables: how many solves of each
+method find a genuine root, and what they cost.
 
-Ten problems, nine of them with a root of multiplicity 1 to 5 near 1,
-and 40 seeded starts each in [-0.5, 3.5], solved by every method of the
-benchmark.  A solve is "ok" when it converges to a point where |f| is
-below 1e-9, so any genuine root counts, not only the stored ones.  The
-counts are the yardstick's figures; lsq3-variable, the paper's method,
-fails most runs at a double root and on cos x - 1.  A change to any
-kernel, the evaluator or the driver that moves one bit of a solve on
-these problems is likely to move a count.
+Family F, the first held-out family: ten problems, nine of them with a
+root of multiplicity 1 to 5 near 1, and 40 seeded starts each in
+[-0.5, 3.5].  The stock basin: the 14 stock problems, 200 seeded starts
+each, uniform in [min root - 6, max root + 6].  Every start is solved by
+every method of the benchmark.  A solve is "ok" when it converges to a
+point where |f| is below 1e-9, so any genuine root counts, not only the
+stored ones.  The counts are the yardsticks' figures; lsq3-variable, the
+paper's method, fails most runs of family F at a double root and on
+cos x - 1.  A change to any kernel, the evaluator or the driver that
+moves one bit of a solve on these problems is likely to move a count.
 """
 
 import random
 
-from lsqroots.bench import METHOD_ORDER, SOLVERS
+import lsqroots.baselines
+import lsqroots.lsq3
+from lsqroots.bench import METHOD_ORDER, SOLVERS, builtin_suite
 from lsqroots.expressions import evaluate, parse
+from lsqroots.outcomes import Status
 
 PROBLEMS = ("(x-1)*(x+2)", *(f"(x-1)^{m}*(x+2)" for m in range(2, 6)),
             "(x-1)^2*exp(x)", "cos(x)-1", "sin(x)^2", "(x-1)^2", "(x^2-2)^2*(x-3)")
 STARTS = 40
+STOCK_STARTS = 200
 
 
 def family_f():
-    """(text, starts) per problem, in problem order."""
+    """(expression, starts) per problem, in problem order."""
     rng = random.Random(7)
-    return [(text, [rng.uniform(-0.5, 3.5) for _ in range(STARTS)]) for text in PROBLEMS]
+    return [(parse(text), [rng.uniform(-0.5, 3.5) for _ in range(STARTS)])
+            for text in PROBLEMS]
 
 
-def ok_counts():
-    """ok solves per method, and per problem for each method."""
-    totals = dict.fromkeys(METHOD_ORDER, 0)
-    per_problem = {method: [] for method in METHOD_ORDER}
-    for text, starts in family_f():
-        f = parse(text)
+def stock_basin():
+    """(expression, starts) per stock problem, in suite order."""
+    rng = random.Random(2024)
+    return [(p.expression, [rng.uniform(min(p.reference_roots) - 6, max(p.reference_roots) + 6)
+                            for _ in range(STOCK_STARTS)])
+            for p in builtin_suite()]
+
+
+def tally(problems, monkeypatch):
+    """Per method: ok solves per problem, f and f' evaluations (the calls of
+    ``evaluate`` that the solvers make), and max-iterations runs."""
+    ok = {method: [] for method in METHOD_ORDER}
+    evaluations = dict.fromkeys(METHOD_ORDER, 0)
+    stalled = dict.fromkeys(METHOD_ORDER, 0)
+    calls = [0]
+
+    def counted(e, x):
+        calls[0] += 1
+        return evaluate(e, x)
+
+    monkeypatch.setattr(lsqroots.lsq3, "evaluate", counted)
+    monkeypatch.setattr(lsqroots.baselines, "evaluate", counted)
+    for f, starts in problems:
         for method in METHOD_ORDER:
-            ok = 0
+            before, count = calls[0], 0
             for x0 in starts:
                 outcome = SOLVERS[method](f, x0)
                 y = evaluate(f, outcome.root)
-                ok += outcome.converged and y is not None and abs(y) < 1e-9
-            totals[method] += ok
-            per_problem[method].append(ok)
-    return totals, per_problem
+                count += outcome.converged and y is not None and abs(y) < 1e-9
+                stalled[method] += outcome.status is Status.MAX_ITERATIONS
+            evaluations[method] += calls[0] - before
+            ok[method].append(count)
+    totals = {method: sum(counts) for method, counts in ok.items()}
+    return totals, ok, evaluations, stalled
 
 
-def test_family_f_ok_counts():
-    totals, per_problem = ok_counts()
+def test_family_f_ok_counts(monkeypatch):
+    totals, per_problem, _, _ = tally(family_f(), monkeypatch)
     assert totals == {"newton": 400, "secant": 375, "lsq3-fixed": 357, "lsq3-variable": 192}
     # lsq3-variable per problem: every failing problem but cos x - 1 has a
     # double root
     assert per_problem["lsq3-variable"] == [40, 3, 40, 40, 40, 0, 0, 22, 0, 7]
+
+
+def test_stock_basin_ok_counts_evaluations_and_stalls(monkeypatch):
+    # 2,800 solves per method: ok shares 0.609, 0.637, 0.576 and 0.762
+    totals, _, evaluations, stalled = tally(stock_basin(), monkeypatch)
+    assert totals == {"newton": 1704, "secant": 1783, "lsq3-fixed": 1613,
+                      "lsq3-variable": 2133}
+    assert evaluations == {"newton": 112_952, "secant": 102_361, "lsq3-fixed": 382_234,
+                           "lsq3-variable": 170_469}
+    assert stalled == {"newton": 203, "secant": 47, "lsq3-fixed": 430, "lsq3-variable": 166}

@@ -270,4 +270,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    import stdout_errors
+    sys.exit(stdout_errors.run(main))

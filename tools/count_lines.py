@@ -82,4 +82,5 @@ def main(argv: list) -> int:
     return 0
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    import stdout_errors
+    sys.exit(stdout_errors.run(main, sys.argv[1:]))
