@@ -420,45 +420,23 @@ def test_fncurve_nan_grid_argument_is_named(capsys, flag, name):
     assert err == f"lsqroots: grid {name} must be finite, got nan\n"
 
 
+
 # The package these tests import, for the subprocesses below.
 SRC = str(Path(lsqroots.cli.__file__).resolve().parents[1])
 
 
-def _left_pipe():
-    """The write end of a pipe whose reader has already left."""
-    read, write = os.pipe()
-    os.close(read)
-    return {"stdout": write}
-
-
-def _full_device():
-    if not os.path.exists("/dev/full"):
-        pytest.skip("no /dev/full on this system")
-    return {"stdout": os.open("/dev/full", os.O_WRONLY)}
-
-
-def _closed_stdout():
-    return {"preexec_fn": lambda: os.close(1)}
-
-
-@pytest.mark.parametrize("argv, stdout, reason", [
-    (["fncurve", "--E", "0.5", "--from", "1", "--to", "4", "--step", "0.001"],
-     _left_pipe, "Broken pipe"),
-    (["solve", "--expr", "x-1", "--x0", "3", "--method", "newton"],
-     _full_device, "No space left on device"),
-    (["bench"], _closed_stdout, "stdout is closed"),
-    (["solve", "--help"], _left_pipe, "Broken pipe"),
-], ids=["broken-pipe", "full-device", "closed-stdout", "help-to-broken-pipe"])
-def test_output_that_cannot_be_written_is_one_line_error(argv, stdout, reason):
+@pytest.mark.parametrize("argv", [
+    ["fncurve", "--E", "0.5", "--from", "1", "--to", "4", "--step", "0.001"],
+    ["solve", "--expr", "x-1", "--x0", "3", "--method", "newton"],
+    ["bench"],
+    ["solve", "--help"],
+], ids=["fncurve", "solve", "bench", "help"])
+def test_output_that_cannot_be_written_is_one_line_error(argv, unwritable_stdout):
+    streams, reason = unwritable_stdout
     old = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + old if old else ""))
-    streams = stdout()
-    try:
-        proc = subprocess.run([sys.executable, "-m", "lsqroots.cli", *argv], env=env,
-                              stderr=subprocess.PIPE, text=True, timeout=120, **streams)
-    finally:
-        if "stdout" in streams:
-            os.close(streams["stdout"])
+    proc = subprocess.run([sys.executable, "-m", "lsqroots.cli", *argv], env=env,
+                          stderr=subprocess.PIPE, text=True, timeout=120, **streams)
     assert proc.returncode == 1
     # No traceback, and no "Exception ignored" from the flush at exit.
     assert proc.stderr == f"lsqroots: cannot write output: {reason}\n"

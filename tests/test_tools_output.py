@@ -2,7 +2,6 @@
 left, to a full device or to no stdout at all, exits 1 with one line on
 stderr and no traceback."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,34 +19,10 @@ TOOLS = [
 ]
 
 
-def _left_pipe():
-    read, write = os.pipe()
-    os.close(read)
-    return {"stdout": write}
-
-
-def _full_device():
-    if not os.path.exists("/dev/full"):
-        pytest.skip("no /dev/full on this system")
-    return {"stdout": os.open("/dev/full", os.O_WRONLY)}
-
-
-def _closed_stdout():
-    return {"preexec_fn": lambda: os.close(1)}
-
-
-@pytest.mark.parametrize("sink, reason", [(_left_pipe, "Broken pipe"),
-                                          (_full_device, "No space left on device"),
-                                          (_closed_stdout, "stdout is closed")],
-                         ids=["broken-pipe", "full-device", "closed-stdout"])
 @pytest.mark.parametrize("tool, args", TOOLS, ids=[tool for tool, _ in TOOLS])
-def test_output_that_cannot_be_written_ends_the_tool_quietly(tool, args, sink, reason):
-    streams = sink()
-    try:
-        proc = subprocess.run([sys.executable, str(ROOT / "tools" / tool), *args],
-                              stderr=subprocess.PIPE, text=True, timeout=120, **streams)
-    finally:
-        if "stdout" in streams:
-            os.close(streams["stdout"])
+def test_output_that_cannot_be_written_ends_the_tool_quietly(tool, args, unwritable_stdout):
+    streams, reason = unwritable_stdout
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / tool), *args],
+                          stderr=subprocess.PIPE, text=True, timeout=120, **streams)
     assert proc.returncode == 1
     assert proc.stderr == f"{tool}: cannot write output: {reason}\n"
