@@ -209,7 +209,7 @@ def _cmd_bench(args) -> int:
         except OSError as err:
             raise _UsageError(f"lsqroots: cannot write {args.out}: {err.strerror or err}")
     else:
-        sys.stdout.write(text)
+        _stdout().write(text)
     return 0
 
 
@@ -225,6 +225,13 @@ def _cmd_fncurve(args) -> int:
     return 0
 
 
+# The errno of a write to stdout that cannot be done: a reader that left
+# early (``| head -1``), a full device (``> /dev/full``) or no stdout at all
+# (``>&-``).  tools/stdout_errors.py keeps the same rule for the tools,
+# which cannot import one checkout's lsqroots.
+_UNWRITABLE = frozenset((errno.EPIPE, errno.ENOSPC, errno.EBADF))
+
+
 def _stdout():
     """``sys.stdout``; an OSError where the process started without one
     (``>&-``), where print would drop the output silently."""
@@ -233,44 +240,48 @@ def _stdout():
     return sys.stdout
 
 
-def _drop_stdout() -> None:
-    """Point stdout's file descriptor at the null device, so that the flush
-    at interpreter exit writes what is left in the buffer there and prints
-    no "Exception ignored"."""
-    try:
-        fd = sys.stdout.fileno()
-    except (AttributeError, ValueError, OSError):  # none, closed, or no descriptor
-        return
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     started = time.perf_counter()
     try:
         args = parser.parse_args(
             _join_negative_values(sys.argv[1:] if argv is None else argv))
-        # Every command but bench --out prints its result.
-        if not getattr(args, "out", None):
-            _stdout()
         code = args.run(args)
-        if sys.stdout is not None:
-            sys.stdout.flush()
+        # Every command but bench --out prints its result, and print drops
+        # it silently where there is no stdout; so a missing stdout is
+        # found here, after the command's own usage errors.
+        if not getattr(args, "out", None):
+            _stdout().flush()
     except _UsageError as err:
         print(str(err).rstrip(), file=sys.stderr)
         return 1
     except OSError as err:
-        # A reader that left early (BrokenPipeError), a full device, or
-        # no stdout at all.
-        _drop_stdout()
-        print(f"lsqroots: cannot write output: {err.strerror or err}", file=sys.stderr)
+        if err.errno not in _UNWRITABLE:
+            raise
+        print(f"lsqroots: cannot write output: {err.strerror}", file=sys.stderr)
         return 1
     if args.timing:
         print(f"elapsed {time.perf_counter() - started:.6f}s", file=sys.stderr)
     return code
 
 
+def script() -> int:
+    """``main`` for a process of its own: ``python -m lsqroots.cli`` and
+    the ``lsqroots`` command.  Output that main could not write stays in
+    stdout's buffer, so stdout's descriptor is then pointed at the null
+    device, where the flush at interpreter exit puts it without an
+    "Exception ignored" line.  main itself leaves the caller's stdout as
+    it is."""
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script())

@@ -383,8 +383,6 @@ def _atom(text: str, pos: int, groups: int):
         while pos < n and text[pos].isspace():
             pos += 1
         if pos == n or text[pos] != "(":
-            if name == "x":
-                return Variable(), 0, pos, minuses, at
             raise ParseError(f"unknown identifier {name!r}", start)
         if name not in FUNCTIONS:
             raise ParseError(f"unknown function {name!r}", start)
@@ -502,12 +500,11 @@ _NODES = {op: {ka: {kb: _node_factory(op, ka + kb) for kb in "xcf"} for ka in "x
 
 
 def _operand(e: Expr) -> Tuple[str, object]:
-    """How a Call or Unary node reads its operand ``e``: ``("x", None)``,
-    ``("c", value)`` for a finite constant, or ``("f", closure)``.  The
-    closure is compiled once per node and kept in its ``__dict__`` under
-    ``_compiled``, the key that ``_cached`` stores a root's closure under,
-    so a subtree shared between trees, or within one, compiles once.  A
-    Binary node reads its two operands the same way, inline."""
+    """How a parent reads ``e``: ``("x", None)``, ``("c", value)`` for a
+    finite constant, or ``("f", closure)``.  The closure is compiled once
+    per node and kept in its ``__dict__`` under ``_compiled``, the key that
+    ``_cached`` stores a root's closure under, so a subtree shared between
+    trees, or within one, compiles once."""
     if isinstance(e, Variable):
         return "x", None
     if isinstance(e, Constant) and isfinite(e.value):
@@ -535,27 +532,8 @@ def _compile(e: Expr) -> Callable[[float], float]:
     OverflowError, or returns a value that is not finite.
     """
     if isinstance(e, Binary):
-        # Each operand read as ``_operand`` reads it, without the call; an
-        # ``x`` operand stays its node, which no closure reads.
-        a, b = e.left, e.right
-        if isinstance(a, Variable):
-            ka = "x"
-        elif isinstance(a, Constant) and isfinite(a.value):
-            ka, a = "c", a.value
-        else:
-            ka, cache = "f", a.__dict__
-            a = cache.get("_compiled")
-            if a is None:
-                a = cache["_compiled"] = _compile(e.left)
-        if isinstance(b, Variable):
-            kb = "x"
-        elif isinstance(b, Constant) and isfinite(b.value):
-            kb, b = "c", b.value
-        else:
-            kb, cache = "f", b.__dict__
-            b = cache.get("_compiled")
-            if b is None:
-                b = cache["_compiled"] = _compile(e.right)
+        ka, a = _operand(e.left)
+        kb, b = _operand(e.right)
         return _NODES[e.op][ka][kb](a, b)
     if isinstance(e, Call):
         fn = _CALLS[e.name][0]

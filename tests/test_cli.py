@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -425,6 +426,13 @@ def test_fncurve_nan_grid_argument_is_named(capsys, flag, name):
 SRC = str(Path(lsqroots.cli.__file__).resolve().parents[1])
 
 
+def _cli_process(argv, **streams):
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + old if old else ""))
+    return subprocess.run([sys.executable, "-m", "lsqroots.cli", *argv], env=env,
+                          stderr=subprocess.PIPE, text=True, timeout=120, **streams)
+
+
 @pytest.mark.parametrize("argv", [
     ["fncurve", "--E", "0.5", "--from", "1", "--to", "4", "--step", "0.001"],
     ["solve", "--expr", "x-1", "--x0", "3", "--method", "newton"],
@@ -433,10 +441,51 @@ SRC = str(Path(lsqroots.cli.__file__).resolve().parents[1])
 ], ids=["fncurve", "solve", "bench", "help"])
 def test_output_that_cannot_be_written_is_one_line_error(argv, unwritable_stdout):
     streams, reason = unwritable_stdout
-    old = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + old if old else ""))
-    proc = subprocess.run([sys.executable, "-m", "lsqroots.cli", *argv], env=env,
-                          stderr=subprocess.PIPE, text=True, timeout=120, **streams)
+    proc = _cli_process(argv, **streams)
     assert proc.returncode == 1
     # No traceback, and no "Exception ignored" from the flush at exit.
     assert proc.stderr == f"lsqroots: cannot write output: {reason}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--expr", "(", "--x0", "3", "--method", "newton"], "lsqroots: bad --expr: "),
+    (["rate", "--expr", "x-1", "--x0", "3", "--method", "newton", "--root", "nan"],
+     "lsqroots: --root must be finite, got nan"),
+], ids=["bad-expr", "nan-root"])
+def test_usage_error_is_reported_before_a_closed_stdout(argv, message):
+    # A usage error needs only stderr, so it is the error reported.
+    proc = _cli_process(argv, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+
+
+class _FailingStdout:
+    """A stdout on descriptor 1 whose every write and flush raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        raise self.error
+
+    def fileno(self):
+        return 1
+
+
+def test_main_in_process_leaves_the_callers_descriptor_alone(capsys, monkeypatch):
+    before = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(BrokenPipeError(errno.EPIPE, "Broken pipe")))
+    code = main(["solve", "--expr", "x-1", "--x0", "3", "--method", "newton"])
+    after = os.fstat(1)
+    assert code == 1
+    assert capsys.readouterr().err == "lsqroots: cannot write output: Broken pipe\n"
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+
+
+def test_main_lets_other_os_errors_through(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(PermissionError(errno.EACCES, "denied")))
+    with pytest.raises(PermissionError):
+        main(["solve", "--expr", "x-1", "--x0", "3", "--method", "newton"])

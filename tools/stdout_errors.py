@@ -4,6 +4,9 @@ pipe early (``tool | head -1``), a full device (``tool > /dev/full``) or
 no stdout at all (``tool >&-``).
 
 Each tool calls ``sys.exit(stdout_errors.run(main))`` when run as a script.
+``lsqroots.cli`` keeps the same rule, with the same errno values, for the
+``lsqroots`` command; the tools cannot import it, since they load the
+package of whichever checkout they are given.
 """
 
 from __future__ import annotations
@@ -13,25 +16,30 @@ import os
 import sys
 from pathlib import Path
 
+# The errno of a write to stdout that cannot be done, as lsqroots.cli has it.
+UNWRITABLE = frozenset((errno.EPIPE, errno.ENOSPC, errno.EBADF))
+
 
 def run(main, *args) -> int:
     """``main(*args)``, its output flushed; 1 if stdout took no more."""
     tool = Path(sys.argv[0]).name
-    if sys.stdout is None:
-        # print would drop every line silently
-        print(f"{tool}: cannot write output: stdout is closed", file=sys.stderr)
-        return 1
     try:
         code = main(*args)
+        # print drops its output silently where there is no stdout, so a
+        # missing stdout is found here, after the tool's own usage errors.
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, "stdout is closed")
         sys.stdout.flush()
     except OSError as err:
-        if err.errno not in (errno.EPIPE, errno.ENOSPC):
+        if err.errno not in UNWRITABLE:
             raise
-        # Point stdout at the null device, so that the flush at exit finds
-        # nothing left to fail on and prints no "Exception ignored".
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        if sys.stdout is not None:
+            # What could not be written stays in the buffer: point stdout at
+            # the null device, so that the flush at exit prints no
+            # "Exception ignored".
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"{tool}: cannot write output: {err.strerror}", file=sys.stderr)
         return 1
     return code
