@@ -2,6 +2,7 @@
 left, to a full device or to no stdout at all, exits 1 with one line on
 stderr and no traceback."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +27,11 @@ def test_output_that_cannot_be_written_ends_the_tool_quietly(tool, args, unwrita
                           stderr=subprocess.PIPE, text=True, timeout=120, **streams)
     assert proc.returncode == 1
     assert proc.stderr == f"{tool}: cannot write output: {reason}\n"
+
+
+def test_a_usage_error_is_reported_before_a_closed_stdout():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "count_lines.py"), "a", "b", "c"],
+                          stderr=subprocess.PIPE, text=True, timeout=120,
+                          preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2
+    assert proc.stderr == "usage: python tools/count_lines.py [directory [directory]]\n"

@@ -69,7 +69,9 @@ def main(argv: list) -> int:
     roots = [Path(arg) for arg in argv] or [PACKAGE]
     if len(roots) > 2:
         print("usage: python tools/count_lines.py [directory [directory]]", file=sys.stderr)
-        return 2
+        # Exit here, as argparse does, so that stdout_errors.run passes the
+        # usage error on as it is.
+        raise SystemExit(2)
     tables = [{path.name: count(path) for path in root.glob("*.py")} for root in roots]
     totals = [(0, 0, 0)] * len(tables)
     print(f"{'module':<16}" + f"{'code':>7}{'doc':>7}{'blank':>7}" * len(tables)
