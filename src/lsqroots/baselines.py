@@ -9,13 +9,12 @@ x0 + 0.1 when none is given (recorded in the outcome note).
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from typing import NamedTuple, Optional
 
 from .expressions import Expr, differentiate, evaluate
 from .outcomes import (CheckedRecord, IterationRecord, SolveOutcome, Status, StepError,
-                       check_budget, iterate)
+                       check_budget, is_finite, iterate)
 # Only ``outcomes`` calls these; they stay module globals here because the
 # benchmark's probes rebind them by module.
 from .outcomes import best_iterate, detect_cycle  # noqa: F401
@@ -77,9 +76,9 @@ def solve_baseline(method: str, f: Expr, x0: float,
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if config is None:
         config = BaselineConfig()
-    if not math.isfinite(x0):
+    if not is_finite(x0):
         raise ValueError("x0 must be finite")
-    if x1 is not None and not math.isfinite(x1):
+    if x1 is not None and not is_finite(x1):
         raise ValueError("x1 must be finite")
 
     fx = partial(evaluate, f)

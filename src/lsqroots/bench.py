@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 from .baselines import solve_baseline
 from .expressions import Expr, evaluate, parse
 from .lsq3 import SolverConfig, solve
-from .outcomes import CheckedRecord, IterationRecord, SolveOutcome, Status
+from .outcomes import CheckedRecord, IterationRecord, SolveOutcome, Status, is_finite
 
 Expected = Union[int, str]
 
@@ -272,7 +272,7 @@ def n_grid(start: float, stop: float, step: float) -> List[float]:
     grid, with ``ValueError``; reversed that far, it is empty.
     """
     for name, value in (("start", start), ("stop", stop), ("step", step)):
-        if not math.isfinite(value):
+        if not is_finite(value):
             raise ValueError(f"grid {name} must be finite, got {value!r}")
     if step <= 0.0:
         raise ValueError("step must be positive")

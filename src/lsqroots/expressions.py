@@ -331,39 +331,41 @@ _NUMBER = re.compile(r"[0-9.]+(?:[eE][+-]?[0-9]+)?").match
 
 def _atom(text: str, pos: int, groups: int):
     """An operand from ``pos``: whitespace, a run of minus signs, each
-    followed by whitespace, then a number, ``x``, a call or a
-    parenthesised expression.  Returns ``(node, depth, pos, minuses, at)``,
-    where ``at`` is where the run of ``minuses`` signs starts; the caller
-    applies them.  Only a group, a call's included, recurses."""
+    followed by whitespace, then a name (``x``, or a function's before its
+    call), a number or a parenthesised expression.  Every name is read by
+    one path, so ``x(`` is a call of the unknown function ``x``.  Returns
+    ``(node, depth, pos, minuses, at)``, where ``at`` is where the run of
+    ``minuses`` signs starts; the caller applies them.  Only a group, a
+    call's included, recurses."""
     n = len(text)
     while pos < n and text[pos].isspace():
         pos += 1
+    at = pos
+    minuses = 0
+    while pos < n and text[pos] == "-":
+        minuses += 1
+        pos += 1
+        while pos < n and text[pos].isspace():
+            pos += 1
     if pos == n:
         raise ParseError("unexpected end of expression", pos)
-    at = start = pos
+    start = pos
     ch = text[pos]
-    minuses = 0
-    if ch == "-":
-        while pos < n and text[pos] == "-":
-            minuses += 1
-            pos += 1
-            while pos < n and text[pos].isspace():
-                pos += 1
-        if pos == n:
-            raise ParseError("unexpected end of expression", pos)
-        start = pos
-        ch = text[pos]
-    if ch == "x":
-        # The commonest operand: an ``x`` that starts no longer name and
-        # no call ("x(" is read below, as an unknown function).
-        end = pos + 1
-        if end == n or not (text[end].isalnum() or text[end] == "_"):
-            while end < n and text[end].isspace():
-                end += 1
-            if end == n or text[end] != "(":
-                return Variable(), 0, end, minuses, at
     name = None
-    if "0" <= ch <= "9" or ch == ".":
+    if ch.isalpha() or ch == "_":
+        pos += 1
+        while pos < n and (text[pos].isalnum() or text[pos] == "_"):
+            pos += 1
+        name = text[start:pos]
+        while pos < n and text[pos].isspace():
+            pos += 1
+        if pos == n or text[pos] != "(":
+            if name == "x":
+                return Variable(), 0, pos, minuses, at
+            raise ParseError(f"unknown identifier {name!r}", start)
+        if name not in _CALLS:
+            raise ParseError(f"unknown function {name!r}", start)
+    elif "0" <= ch <= "9" or ch == ".":
         token = _NUMBER(text, pos).group()
         try:
             value = float(token)
@@ -375,17 +377,6 @@ def _atom(text: str, pos: int, groups: int):
         while pos < n and text[pos].isspace():
             pos += 1
         return Constant(value), 0, pos, minuses, at
-    if ch.isalpha() or ch == "_":
-        pos += 1
-        while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-            pos += 1
-        name = text[start:pos]
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos == n or text[pos] != "(":
-            raise ParseError(f"unknown identifier {name!r}", start)
-        if name not in FUNCTIONS:
-            raise ParseError(f"unknown function {name!r}", start)
     elif ch != "(":
         raise ParseError(f"unexpected character {ch!r}", pos)
     # A group, or a call's argument: the '(' is at pos.

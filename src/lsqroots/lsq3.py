@@ -35,7 +35,8 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from .expressions import Expr, evaluate
-from .outcomes import CheckedRecord, SolveOutcome, Status, StepError, check_budget, iterate
+from .outcomes import (CheckedRecord, SolveOutcome, Status, StepError, check_budget, is_finite,
+                       iterate)
 # Only ``outcomes`` calls these; they stay module globals here because the
 # benchmark's probes rebind them by module.
 from .outcomes import best_iterate, detect_cycle  # noqa: F401
@@ -105,7 +106,7 @@ class SolverConfig(CheckedRecord, _SolverFields):
         if not 0.0 < self.delta0 < 1.0:
             raise ValueError("delta0 must lie in (0, 1)")
         check_budget(self.tolerance, self.max_iter)
-        if not math.isfinite(self.n_value):
+        if not is_finite(self.n_value):
             raise ValueError(f"power must be finite, got {self.n_value!r}")
         if self.mode == "fixed" and self.n_value == 0.0:
             raise ValueError("fixed power must be nonzero")
@@ -240,7 +241,7 @@ def solve(f: Expr, x0: float, config: Optional[SolverConfig] = None) -> SolveOut
     """
     if config is None:
         config = SolverConfig()
-    if not math.isfinite(x0):
+    if not is_finite(x0):
         raise ValueError("x0 must be finite")
     fx = partial(evaluate, f)
     y0 = fx(x0)

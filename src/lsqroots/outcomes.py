@@ -19,7 +19,7 @@ import math
 import operator
 from enum import Enum
 from functools import partial
-from itertools import cycle, islice, repeat
+from itertools import cycle, islice
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 
@@ -93,6 +93,16 @@ DIVERGENCE_BOUND = 1e12
 MAX_ITER_CAP = 1_000_000
 
 
+def is_finite(value: float) -> bool:
+    """True if ``value`` converts to a finite float: an int beyond float
+    range is no more finite than ``inf``, where ``math.isfinite`` would
+    raise ``OverflowError`` for it."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def check_budget(tolerance: float, max_iter: int) -> None:
     """The budget rule every solver config checks when built: a positive,
     finite ``tolerance`` and an integer ``max_iter`` in 1 .. MAX_ITER_CAP.
@@ -100,7 +110,7 @@ def check_budget(tolerance: float, max_iter: int) -> None:
     Raises ``ValueError`` naming the first field that breaks it (a
     ``max_iter`` that is no integer raises ``TypeError``).
     """
-    if not 0.0 < tolerance < math.inf:
+    if not (tolerance > 0.0 and is_finite(tolerance)):
         raise ValueError("tolerance must be positive and finite")
     if not 1 <= operator.index(max_iter) <= MAX_ITER_CAP:
         raise ValueError(f"max_iter must be at least 1 and at most {MAX_ITER_CAP}")
@@ -222,8 +232,9 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     ``step(cur, prev)`` gets the current and the previous accepted point as
     records (the start is ``k=0``; ``prev`` starts as given) and returns the
     next iterate with its record's extra fields, all four or ``()`` for
-    none, or raises :class:`StepError`, which ends the run.  Records are
-    built by ``tuple.__new__``, past the named tuple's slower constructor.
+    none, or raises :class:`StepError`, which ends the run.  Every record,
+    a copy included, is built by ``_new_record``, past the named tuple's
+    slower constructor.
     ``fx`` evaluates f, ``None`` off the domain; an off-domain iterate is
     recorded and ends the run Diverged.  A start whose ``y`` is exactly 0,
     ``prev`` (checked first) or (x0, y0), is a root: the run converges
@@ -258,13 +269,12 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
         states = seen.get(x, ())
         for seen_prev, seen_cur, first in states:
             if _same_fields(seen_cur, cur) and _same_fields(seen_prev, prev):
-                # The periodic tail (see the docstring), built in C: each
-                # copy zips its k with one cycle per field of the period,
-                # and tuple.__new__ makes it a record with no Python call.
+                # The periodic tail (see the docstring): each copy zips its
+                # k with one cycle per field of the period, and
+                # _new_record, which builds every computed record, makes it.
                 root = best_iterate(x0, y0, trace)
                 columns = list(zip(*trace[first:]))[1:]
-                copies = map(tuple.__new__, repeat(IterationRecord),
-                             zip(range(k + 1, max_iter + 1), *map(cycle, columns)))
+                copies = map(_new_record, zip(range(k + 1, max_iter + 1), *map(cycle, columns)))
                 for rec in islice(copies, CHECKED_REPLAYS):
                     trace.append(rec)
                     accepted.append(rec.x)

@@ -20,7 +20,7 @@ import lsqroots.baselines
 import lsqroots.lsq3
 import lsqroots.outcomes
 from lsqroots.baselines import BaselineConfig, solve_baseline
-from lsqroots.bench import SOLVERS, builtin_suite
+from lsqroots.bench import SOLVERS, builtin_suite, n_grid
 from lsqroots.expressions import parse
 from lsqroots.lsq3 import SolverConfig, solve
 from lsqroots.outcomes import (
@@ -447,6 +447,32 @@ def test_a_stuck_newton_run_replays_its_fixed_point(monkeypatch):
 def test_a_tree_too_deep_to_evaluate_is_an_argument_error(method):
     with pytest.raises(ValueError, match="nested too deeply to evaluate"):
         SOLVERS[method](sum_chain(5000), 1.0)
+
+
+# Each argument that must be finite, as a call that passes it ``v``, and
+# the message that refuses a non-finite one.
+_FINITE_ARGUMENTS = {
+    "lsq3 x0": (lambda v: solve(parse("x-1"), v), "x0 must be finite"),
+    "newton x0": (lambda v: solve_baseline("newton", parse("x-1"), v), "x0 must be finite"),
+    "secant x0": (lambda v: solve_baseline("secant", parse("x-1"), v), "x0 must be finite"),
+    "secant x1": (lambda v: solve_baseline("secant", parse("x-1"), 0.0, v),
+                  "x1 must be finite"),
+    "n_value": (lambda v: SolverConfig(n_value=v), "power must be finite"),
+    "lsq3 tolerance": (lambda v: SolverConfig(tolerance=v), "tolerance must be positive"),
+    "baseline tolerance": (lambda v: BaselineConfig(tolerance=v),
+                           "tolerance must be positive"),
+    "grid start": (lambda v: n_grid(v, 1.0, 0.5), "grid start must be finite"),
+    "grid stop": (lambda v: n_grid(0.0, v, 0.5), "grid stop must be finite"),
+    "grid step": (lambda v: n_grid(0.0, 1.0, v), "grid step must be finite"),
+}
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["10**400", "-10**400"])
+@pytest.mark.parametrize("argument", list(_FINITE_ARGUMENTS))
+def test_an_int_beyond_float_range_is_not_finite(argument, value):
+    call, message = _FINITE_ARGUMENTS[argument]
+    with pytest.raises(ValueError, match=message):
+        call(value)
 
 
 def test_a_newton_run_stuck_at_a_pole_is_not_converged():

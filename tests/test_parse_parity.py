@@ -271,6 +271,8 @@ def test_rendered_trees_and_their_fragments_parse_like_the_frozen_parser():
     "2^-(x)", "x ^\t-\t(- x)",
     # what a NUMBER takes
     ".", ".5", "5.", "1.e5", "1e5.5", "1e999", "-.5e-3", "0x1", "1e+x",
+    # where a name that starts with x ends, and whether a call follows it
+    "x(x)", "x (1)", "x\t(", "xx", "x1", "x_1", "-x(2)", "sin x",
 ])
 def test_hand_picked_texts_parse_like_the_frozen_parser(text):
     assert_parity(text)
