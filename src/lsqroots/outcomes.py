@@ -254,6 +254,13 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     max-iterations, and the trace is extended by the rest of the iterator.
     A copy is never strictly better than the record it copies, so the
     best iterate comes from before the copies.
+
+    ``fx`` is called once per iterate the run visits: a computed record's
+    ``y`` is ``fx`` at its ``x``, so a step back onto an iterate the run
+    computed (0.0 and -0.0 apart) reuses that record's ``y``.  The start's
+    ``y0`` (and ``prev.y``) is taken as given, so a step back onto a start
+    calls ``fx``.  The table of states that the recurrence test reads is
+    looked up by the new iterate right after the step, and serves both.
     """
     cur = IterationRecord(0, x0, y0)
     for start in (prev, cur):
@@ -263,10 +270,11 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     trace: list[IterationRecord] = []
     accepted: list[float] = []
     # cur.x -> ((prev, cur, trace index of the record it produced), ...)
+    # for every state stepped from; states is the entry at x
     seen: dict[float, tuple] = {}
+    states: tuple = ()
     status = Status.MAX_ITERATIONS
     while k < max_iter:
-        states = seen.get(x, ())
         for seen_prev, seen_cur, first in states:
             if _same_fields(seen_cur, cur) and _same_fields(seen_prev, prev):
                 # The periodic tail (see the docstring): each copy zips its
@@ -282,13 +290,22 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
                         return SolveOutcome(Status.OSCILLATING, root, tuple(trace), note)
                 trace.extend(copies)
                 return SolveOutcome(Status.MAX_ITERATIONS, root, tuple(trace), note)
+        seen[x] = states + ((prev, cur, k),)
         try:
             x_new, extras = step(cur, prev)
         except StepError as err:
             status = err.status or Status.DIVERGED
             note = note or str(err)
             break
-        y_new = fx(x_new) if math.isfinite(x_new) else None
+        states = seen.get(x_new, ())
+        for _, seen_cur, _ in states:
+            # f at an iterate this run computed, the same zero included:
+            # the start's y is taken as given, so it is never reused.
+            if seen_cur.k and math.copysign(1.0, seen_cur.x) == math.copysign(1.0, x_new):
+                y_new = seen_cur.y
+                break
+        else:
+            y_new = fx(x_new) if math.isfinite(x_new) else None
         k += 1
         rec = _new_record((k, x_new, math.nan if y_new is None else y_new)
                           + (extras or (None, None, None, None)))
@@ -307,7 +324,6 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
         if detect_cycle(accepted):
             status = Status.OSCILLATING
             break
-        seen[x] = states + ((prev, cur, k - 1),)
         prev, cur, x = cur, rec, x_new
 
     return SolveOutcome(status, best_iterate(x0, y0, trace), tuple(trace), note)

@@ -1,5 +1,6 @@
 """``tools/ab_inprocess.py`` at a tiny size, a checkout against itself."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,28 @@ def test_a_checkout_against_itself_checks_identical_and_times_each_workload():
         assert lines[1] == f"{workload}: 2 chunks of 25 operations, seed 3"
         assert lines[2].startswith("A ") and lines[3].startswith("B ")
         assert lines[4].startswith("B/A per chunk: median ")
+        basin, suite = evaluations(lines[5:])
+        assert basin[0] == basin[1] and suite[0] == suite[1]
+        assert all(f > 0 and fp > 0 for f, fp in basin + suite)
+
+
+EVALUATIONS = re.compile(r"evaluations, (56 basin solves|suite pass): "
+                         r"A ([\d,]+) f \+ ([\d,]+) f', B ([\d,]+) f \+ ([\d,]+) f', "
+                         r"B/A (\d\.\d{4})")
+
+
+def evaluations(lines):
+    """(f, f') of A and of B, over the basin solves and over the suite
+    pass, from the tool's last two lines."""
+    assert len(lines) == 2
+    counts = []
+    for line, scope in zip(lines, ("56 basin solves", "suite pass")):
+        match = EVALUATIONS.fullmatch(line)
+        assert match and match[1] == scope, line
+        f_a, fp_a, f_b, fp_b = (int(group.replace(",", "")) for group in match.groups()[1:5])
+        assert float(match[6]) == round((f_b + fp_b) / (f_a + fp_a), 4)
+        counts.append(((f_a, fp_a), (f_b, fp_b)))
+    return counts
 
 
 def changed_copy(tmp_path, module, old, new):
@@ -84,3 +107,16 @@ def test_a_periodic_tail_that_writes_one_wrong_field_fails_the_check(tmp_path):
     assert lines[-1].startswith("check failed: ")
     assert lines[:-1] and all(line.startswith("basin ") and " y_plus: " in line
                               for line in lines[:-1])
+
+
+def test_an_extra_evaluation_per_lsq3_solve_is_counted(tmp_path):
+    # Each lsq3 solve evaluates f at its start twice: the outputs stay the
+    # same, and B counts one f more per lsq3 solve: 28 of the 56 basin
+    # solves and 54 of the suite pass's 108.
+    changed = changed_copy(tmp_path, "lsq3.py", "y0 = fx(x0)", "y0 = (fx(x0), fx(x0))[0]")
+    proc = run_tool(str(ROOT), str(changed), "--workload", "basin", "--chunks", "2",
+                    "--inputs", "2", "--starts", "1", "--seed", "3")
+    assert proc.returncode == 0, proc.stderr
+    basin, suite = evaluations(proc.stdout.splitlines()[5:])
+    for ((f_a, fp_a), (f_b, fp_b)), extra in ((basin, 28), (suite, 54)):
+        assert (f_b - f_a, fp_b) == (extra, fp_a)

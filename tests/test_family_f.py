@@ -25,6 +25,8 @@ PROBLEMS = ("(x-1)*(x+2)", *(f"(x-1)^{m}*(x+2)" for m in range(2, 6)),
             "(x-1)^2*exp(x)", "cos(x)-1", "sin(x)^2", "(x-1)^2", "(x^2-2)^2*(x-3)")
 STARTS = 40
 STOCK_STARTS = 200
+# Family F's ok solves per method, of len(PROBLEMS) * STARTS.
+FAMILY_F_OK = {"newton": 400, "secant": 375, "lsq3-fixed": 357, "lsq3-variable": 192}
 
 
 def family_f():
@@ -72,7 +74,7 @@ def tally(problems, monkeypatch):
 
 def test_family_f_ok_counts(monkeypatch):
     totals, per_problem, _, _ = tally(family_f(), monkeypatch)
-    assert totals == {"newton": 400, "secant": 375, "lsq3-fixed": 357, "lsq3-variable": 192}
+    assert totals == FAMILY_F_OK
     # lsq3-variable per problem: every failing problem but cos x - 1 has a
     # double root
     assert per_problem["lsq3-variable"] == [40, 3, 40, 40, 40, 0, 0, 22, 0, 7]
@@ -83,6 +85,6 @@ def test_stock_basin_ok_counts_evaluations_and_stalls(monkeypatch):
     totals, _, evaluations, stalled = tally(stock_basin(), monkeypatch)
     assert totals == {"newton": 1704, "secant": 1783, "lsq3-fixed": 1613,
                       "lsq3-variable": 2133}
-    assert evaluations == {"newton": 112_952, "secant": 102_361, "lsq3-fixed": 382_234,
-                           "lsq3-variable": 170_469}
+    assert evaluations == {"newton": 111_413, "secant": 101_061, "lsq3-fixed": 376_888,
+                           "lsq3-variable": 168_785}
     assert stalled == {"newton": 203, "secant": 47, "lsq3-fixed": 430, "lsq3-variable": 166}

@@ -411,9 +411,9 @@ def test_all_methods_match_the_driver_without_replay(monkeypatch):
 
 
 def test_a_stuck_newton_run_replays_its_fixed_point(monkeypatch):
-    # Newton from -6.0 sits at x = 3.2375629840239215 for about 490 steps:
-    # the copied tail saves the evaluations, and all but its first checked
-    # copies save the cycle tests
+    # Newton from -6.0 sits at x = 3.2375629840239215 for 493 steps: the
+    # steps that return it reuse its y, the copied tail saves the
+    # evaluations, and all but its first checked copies save the cycle tests
     f = parse("sin(x) * exp(x) + ln(x^2 + 1)")
     real = lsqroots.baselines.evaluate
     real_detect_cycle = lsqroots.outcomes.detect_cycle
@@ -512,6 +512,66 @@ def test_a_failing_step_is_taken_once():
         assert out.status is Status.DIVERGED
         assert step.calls == 1
         assert out.iterations <= 1
+
+
+# ---------------------------------------------------------------------------
+# One evaluation per visited iterate
+# ---------------------------------------------------------------------------
+
+def counting(f):
+    """``f`` that lists the bits of every ``x`` it is called at in ``xs``."""
+    def counted(x):
+        counted.xs.append(_bits(x))
+        return f(x)
+    counted.xs = []
+    return counted
+
+
+def run_both(step, f, x0, max_iter=50):
+    """``iterate`` and ``reference_iterate`` on ``step`` from x0, each with
+    its own counting ``f``: the outcome, which must be the same bit for bit,
+    and the points ``f`` was called at after the start by each driver."""
+    ours, theirs = counting(f), counting(f)
+    out = iterate(step, ours, x0, f(x0), 1e-15, max_iter)
+    ref = reference_iterate(step, theirs, x0, f(x0), 1e-15, max_iter)
+    assert outcome_digest(out) == outcome_digest(ref)
+    return out, ours.xs, theirs.xs
+
+
+def test_a_step_that_stays_put_is_evaluated_once():
+    # every step returns cur.x: the second step's y is the first's
+    out, xs, ref_xs = run_both(lambda cur, prev: (cur.x, ()), fx, 5.0)
+    assert out.status is Status.MAX_ITERATIONS
+    assert xs == [_bits(5.0)]
+    assert len(ref_xs) == 50
+
+
+def test_an_exact_two_cycle_evaluates_each_iterate_once():
+    # 5 -> 1 -> 2 -> 1 -> 2 ...
+    out, xs, ref_xs = run_both(lambda cur, prev: (2.0 if cur.x == 1.0 else 1.0, ()), fx, 5.0)
+    assert out.status is Status.OSCILLATING
+    assert xs == [_bits(1.0), _bits(2.0)]
+    assert len(ref_xs) == out.iterations
+
+
+def test_a_step_back_onto_the_start_evaluates_it():
+    # 5 -> 1 -> 5 -> 1 ...: the start's y is taken as given, never reused
+    out, xs, _ = run_both(lambda cur, prev: (5.0 if cur.x == 1.0 else 1.0, ()), fx, 5.0)
+    assert out.status is Status.OSCILLATING
+    assert xs == [_bits(1.0), _bits(5.0)]
+
+
+def test_a_step_from_zero_to_minus_zero_evaluates_it():
+    # 5 -> 0.0 -> -0.0 -> 0.0 ...: f tells the zeros apart, and so does the
+    # driver, which reuses each zero's own y
+    def step(cur, prev):
+        return (-0.0 if math.copysign(1.0, cur.x) > 0.0 else 0.0) if cur.x == 0.0 else 0.0, ()
+
+    out, xs, ref_xs = run_both(step, lambda x: 2.0 + math.copysign(1.0, x), 5.0)
+    assert out.status is Status.MAX_ITERATIONS
+    assert [rec.y for rec in out.trace[:4]] == [3.0, 1.0, 3.0, 1.0]
+    assert xs == [_bits(0.0), _bits(-0.0)]
+    assert len(ref_xs) == 50
 
 
 def pure_table_step(seed):

@@ -8,8 +8,15 @@ package, so a change to either side alone fails.
 import re
 from pathlib import Path
 
+import lsqroots.baselines
 import lsqroots.lsq3
-from lsqroots.bench import run_benchmark
+import lsqroots.outcomes
+import test_outcomes
+from lsqroots.bench import METHOD_ORDER, SOLVERS, builtin_suite, run_benchmark
+from lsqroots.expressions import parse
+from lsqroots.outcomes import Status
+from test_acceptance import ROOT_TOL
+from test_family_f import FAMILY_F_OK, PROBLEMS, STARTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,13 +27,34 @@ SPACINGS = re.compile(
     r"1\)\. (\S+) of the (\S+) exceed the previous spacing\.")
 
 
-def readme_figures(pattern):
-    """The numbers that ``pattern`` captures in the README, its lines
-    joined by single spaces, as ints (thousands separators dropped)."""
+STUCK_NEWTON = re.compile(
+    r"Newton on `sin\(x\) \* exp\(x\) \+ ln\(x\^2 \+ 1\)` from -6\.0 sits at one "
+    r"point for (\S+) of its (\S+) steps and spends (\S+) evaluations of f and f′ and "
+    r"(\S+) cycle tests, where a driver that computes and tests every step spends "
+    r"(\S+) and (\S+)\.")
+
+FAMILY_F = re.compile(
+    r"the solves that converge to a point where \|f\| < 1e-9: Newton (\S+), secant "
+    r"(\S+), lsq3-fixed (\S+) and lsq3-variable (\S+) of (\S+)\.")
+
+TRIAGE = re.compile(
+    r"and (\S+) from (\S+) and (\S+) from (\S+) take (\S+) and (\S+) iterations "
+    r"where the paper reports (\S+) and (\S+) \(criterion 2\)\.")
+
+
+def readme_text(pattern):
+    """The groups that ``pattern`` captures in the README, its lines joined
+    by single spaces."""
     text = " ".join(README.read_text(encoding="utf-8").split())
     match = pattern.search(text)
     assert match, f"the README no longer states {pattern.pattern[:40]!r}..."
-    return [int(group.replace(",", "")) for group in match.groups()]
+    return match.groups()
+
+
+def readme_figures(pattern):
+    """The numbers that ``pattern`` captures in the README, as ints
+    (thousands separators dropped)."""
+    return [int(group.replace(",", "")) for group in readme_text(pattern)]
 
 
 def test_the_spacing_figures_are_those_of_one_bench_pass(monkeypatch):
@@ -56,3 +84,66 @@ def test_the_spacing_figures_are_those_of_one_bench_pass(monkeypatch):
     assert len(calls) == chosen
     assert kinds == {"beta": by_beta, "floor": at_floor, "none": no_beta}
     assert sum(delta > delta_prev for _, delta_prev, delta in calls) == larger
+
+
+def test_the_stuck_newton_figures_are_those_of_its_run(monkeypatch):
+    stuck, budget, evaluations, cycle_tests, every_evaluation, every_test = \
+        readme_figures(STUCK_NEWTON)
+    f = parse("sin(x) * exp(x) + ln(x^2 + 1)")
+    evaluate = lsqroots.baselines.evaluate
+    evaluated = []
+    tested = []
+
+    def counted(e, x):
+        evaluated.append(x)
+        return evaluate(e, x)
+
+    def counted_test(detect_cycle):
+        def test(xs):
+            tested.append(len(xs))
+            return detect_cycle(xs)
+        return test
+
+    monkeypatch.setattr(lsqroots.baselines, "evaluate", counted)
+    monkeypatch.setattr(lsqroots.outcomes, "detect_cycle",
+                        counted_test(lsqroots.outcomes.detect_cycle))
+    out = SOLVERS["newton"](f, -6.0)
+    assert out.status is Status.MAX_ITERATIONS and out.iterations == budget
+    assert sum(rec.x == out.trace[-1].x for rec in out.trace) == stuck
+    assert (len(evaluated), len(tested)) == (evaluations, cycle_tests)
+
+    # the driver without the periodic tail or the reused values
+    evaluated.clear()
+    tested.clear()
+    monkeypatch.setattr(lsqroots.baselines, "iterate", test_outcomes.reference_iterate)
+    monkeypatch.setattr(test_outcomes, "reference_detect_cycle",
+                        counted_test(test_outcomes.reference_detect_cycle))
+    assert test_outcomes.outcome_digest(SOLVERS["newton"](f, -6.0)) == \
+        test_outcomes.outcome_digest(out)
+    assert (len(evaluated), len(tested)) == (every_evaluation, every_test)
+
+
+def test_the_family_f_figures_are_the_pinned_totals():
+    *ok, starts = readme_figures(FAMILY_F)
+    assert dict(zip(METHOD_ORDER, ok)) == FAMILY_F_OK
+    assert starts == len(PROBLEMS) * STARTS
+
+
+def test_the_triaged_count_gaps_are_those_of_one_bench_pass():
+    # criterion 2's rows that converge to a listed root but miss the
+    # paper's count by more than 3 are exactly the two the README names
+    p1, s1, p2, s2, n1, n2, e1, e2 = readme_text(TRIAGE)
+    named = {(p1, float(s1.replace("−", "-")), int(n1), int(e1)),
+             (p2, float(s2.replace("−", "-")), int(n2), int(e2))}
+    problems = {p.id: p for p in builtin_suite()}
+    gaps = set()
+    for row in run_benchmark().rows:
+        problem = problems[row.problem]
+        if problem.table != 1 or not row.method.startswith("lsq3"):
+            continue
+        expected = problem.expected[row.start][row.method]
+        on_root = min(abs(row.root - r) for r in problem.reference_roots) <= ROOT_TOL
+        if row.status is Status.CONVERGED and on_root and abs(row.iterations - expected) > 3:
+            assert row.method == "lsq3-variable"
+            gaps.add((row.problem, row.start, row.iterations, expected))
+    assert gaps == named

@@ -18,7 +18,11 @@ Uses the standard library only; the inputs come from the benchmark's
    ``--starts`` starts per stock problem and method (status, root bits,
    note and the whole trace: every field of every record, ``k``, the
    bits of a float or ``None``), and the same suite CSV and Markdown.  A difference
-   is printed and the tool exits 1 without timing.
+   is printed and the tool exits 1 without timing.  The check also counts
+   each side's f and f' evaluations over its basin solves and its suite
+   pass, by rebinding ``evaluate`` in the copy's ``lsq3`` and ``baselines``
+   (and ``differentiate`` in ``baselines``, to tell f' apart) as the
+   benchmark's probes do; the counts are printed after the timing.
 2. **Timing.** ``--chunks`` chunks of 25 operations of one workload run
    on both sides, alternating which side runs first.  The tool prints each
    side's microseconds per operation and the quartiles of the per-chunk
@@ -36,6 +40,7 @@ CSV and Markdown reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
 import random
@@ -89,6 +94,53 @@ def solve_difference(oa, ob):
             if bu != bv:
                 return f"record {ra.k} {name}: {bu} != {bv}"
     return None
+
+
+class Evaluations:
+    """f and f' evaluations counted on one side."""
+
+    def __init__(self):
+        self.f = self.fp = 0
+
+    def __str__(self):
+        return f"{self.f:,} f + {self.fp:,} f'"
+
+
+@contextlib.contextmanager
+def counting(pkg, evaluations: Evaluations):
+    """Count into ``evaluations`` every ``evaluate`` call of ``pkg``'s
+    solvers while the block runs; an expression that ``baselines`` got from
+    ``differentiate`` counts as f'."""
+    lsq3, baselines = pkg.lsq3, pkg.baselines
+    saved = [(lsq3, "evaluate", lsq3.evaluate), (baselines, "evaluate", baselines.evaluate),
+             (baselines, "differentiate", baselines.differentiate)]
+    evaluate, differentiate = lsq3.evaluate, baselines.differentiate
+    derivatives = {}
+
+    def counted_differentiate(e):
+        d = differentiate(e)
+        derivatives[id(d)] = d          # keep d alive so its id stays unique
+        return d
+
+    def counted_evaluate(e, x):
+        if id(e) in derivatives:
+            evaluations.fp += 1
+        else:
+            evaluations.f += 1
+        return evaluate(e, x)
+
+    lsq3.evaluate = baselines.evaluate = counted_evaluate
+    baselines.differentiate = counted_differentiate
+    try:
+        yield
+    finally:
+        for module, name, value in saved:
+            setattr(module, name, value)
+
+
+def evaluations_line(scope: str, a: Evaluations, b: Evaluations) -> str:
+    ratio = (b.f + b.fp) / (a.f + a.fp) if a.f + a.fp else float("nan")
+    return f"evaluations, {scope}: A {a}, B {b}, B/A {ratio:.4f}"
 
 
 class Side:
@@ -159,8 +211,10 @@ def basin_inputs(reference, side: Side, seed: int, starts: int) -> list:
     return inputs
 
 
-def check(a: Side, b: Side, exprs: list, texts: list, solves: list) -> list:
-    """The differences between the two sides' outputs, as messages."""
+def check(a: Side, b: Side, exprs: list, texts: list, solves: list):
+    """The differences between the two sides' outputs, as messages, and
+    the lines that give each side's evaluations over the basin solves and
+    over the suite pass."""
     diffs = []
     for text in texts:
         oa, ob = a.parse_outcome(text), b.parse_outcome(text)
@@ -175,17 +229,21 @@ def check(a: Side, b: Side, exprs: list, texts: list, solves: list) -> list:
     for pa, pb in zip(a.suite, b.suite):
         if a.derivative_tree(pa.expression) != b.derivative_tree(pb.expression):
             diffs.append(f"differentiate {pa.id}: trees differ")
-    for inp in solves:
-        diff = solve_difference(a.basin(inp), b.basin(inp))
-        if diff is not None:
-            diffs.append(f"basin {a.suite[inp[0]].id}/{inp[1]!r}/{inp[2]}: {diff}")
-    csv_a, md_a = a.suite_pass(None)
-    csv_b, md_b = b.suite_pass(None)
+    basin_a, basin_b, suite_a, suite_b = (Evaluations() for _ in range(4))
+    with counting(a.pkg, basin_a), counting(b.pkg, basin_b):
+        for inp in solves:
+            diff = solve_difference(a.basin(inp), b.basin(inp))
+            if diff is not None:
+                diffs.append(f"basin {a.suite[inp[0]].id}/{inp[1]!r}/{inp[2]}: {diff}")
+    with counting(a.pkg, suite_a), counting(b.pkg, suite_b):
+        csv_a, md_a = a.suite_pass(None)
+        csv_b, md_b = b.suite_pass(None)
     if csv_a != csv_b:
         diffs.append("suite CSV differs")
     if md_a != md_b:
         diffs.append("suite Markdown differs")
-    return diffs
+    return diffs, [evaluations_line(f"{len(solves)} basin solves", basin_a, basin_b),
+                   evaluations_line("suite pass", suite_a, suite_b)]
 
 
 def _time_chunk(op, chunk: list) -> float:
@@ -216,7 +274,7 @@ def compare(args, reference, a: Side, b: Side) -> int:
     exprs = expr_inputs(reference, args.seed, args.inputs)
     texts = parse_texts(args.seed, PARSE_TEXTS)
     solves = basin_inputs(reference, a, args.seed, args.starts)
-    diffs = check(a, b, exprs, texts, solves)
+    diffs, evaluations = check(a, b, exprs, texts, solves)
     if diffs:
         for line in diffs[:20]:
             print(line)
@@ -239,6 +297,8 @@ def compare(args, reference, a: Side, b: Side) -> int:
     print(f"A {sum(times_a) / ops * 1e6:.1f} us/op  ({args.a})")
     print(f"B {sum(times_b) / ops * 1e6:.1f} us/op  ({args.b})")
     print(f"B/A per chunk: median {median:.3f}, IQR {q1:.3f}-{q3:.3f}")
+    for line in evaluations:
+        print(line)
     return 0
 
 
