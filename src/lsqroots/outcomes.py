@@ -275,21 +275,24 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     states: tuple = ()
     status = Status.MAX_ITERATIONS
     while k < max_iter:
-        for seen_prev, seen_cur, first in states:
-            if _same_fields(seen_cur, cur) and _same_fields(seen_prev, prev):
-                # The periodic tail (see the docstring): each copy zips its
-                # k with one cycle per field of the period, and
-                # _new_record, which builds every computed record, makes it.
-                root = best_iterate(x0, y0, trace)
-                columns = list(zip(*trace[first:]))[1:]
-                copies = map(_new_record, zip(range(k + 1, max_iter + 1), *map(cycle, columns)))
-                for rec in islice(copies, CHECKED_REPLAYS):
-                    trace.append(rec)
-                    accepted.append(rec.x)
-                    if detect_cycle(accepted):
-                        return SolveOutcome(Status.OSCILLATING, root, tuple(trace), note)
-                trace.extend(copies)
-                return SolveOutcome(Status.MAX_ITERATIONS, root, tuple(trace), note)
+        # Most passes reach a new x: the test spares them the loop's iterator.
+        if states:
+            for seen_prev, seen_cur, first in states:
+                if _same_fields(seen_cur, cur) and _same_fields(seen_prev, prev):
+                    # The periodic tail (see the docstring): each copy zips its
+                    # k with one cycle per field of the period, and
+                    # _new_record, which builds every computed record, makes it.
+                    root = best_iterate(x0, y0, trace)
+                    columns = list(zip(*trace[first:]))[1:]
+                    copies = map(_new_record,
+                                 zip(range(k + 1, max_iter + 1), *map(cycle, columns)))
+                    for rec in islice(copies, CHECKED_REPLAYS):
+                        trace.append(rec)
+                        accepted.append(rec.x)
+                        if detect_cycle(accepted):
+                            return SolveOutcome(Status.OSCILLATING, root, tuple(trace), note)
+                    trace.extend(copies)
+                    return SolveOutcome(Status.MAX_ITERATIONS, root, tuple(trace), note)
         seen[x] = states + ((prev, cur, k),)
         try:
             x_new, extras = step(cur, prev)

@@ -564,10 +564,8 @@ def test_a_step_back_onto_the_start_evaluates_it():
 def test_a_step_from_zero_to_minus_zero_evaluates_it():
     # 5 -> 0.0 -> -0.0 -> 0.0 ...: f tells the zeros apart, and so does the
     # driver, which reuses each zero's own y
-    def step(cur, prev):
-        return (-0.0 if math.copysign(1.0, cur.x) > 0.0 else 0.0) if cur.x == 0.0 else 0.0, ()
-
-    out, xs, ref_xs = run_both(step, lambda x: 2.0 + math.copysign(1.0, x), 5.0)
+    out, xs, ref_xs = run_both(lambda cur, prev: (-cur.x if cur.x == 0.0 else 0.0, ()),
+                               lambda x: 2.0 + math.copysign(1.0, x), 5.0)
     assert out.status is Status.MAX_ITERATIONS
     assert [rec.y for rec in out.trace[:4]] == [3.0, 1.0, 3.0, 1.0]
     assert xs == [_bits(0.0), _bits(-0.0)]
