@@ -104,7 +104,7 @@ def solve_baseline(method: str, f: Expr, x0: float,
         if y1 is None:
             return SolveOutcome(Status.DOMAIN_ERROR, x0, (),
                                 note=f"f undefined at second start x1={x1!r}")
-        prev = IterationRecord(0, x0, y0)
+        prev = IterationRecord(x0, y0)
         x0, y0 = x1, y1
 
         def step(cur, prev):

@@ -168,8 +168,8 @@ def _cmd_solve(args) -> int:
     outcome = _run_solver(args)
     if args.trace:
         print("k,x,y,delta,n,y_minus,y_plus")
-        for rec in outcome.trace:
-            cells = [str(rec.k), _fmt(rec.x), _fmt(rec.y)]
+        for k, rec in enumerate(outcome.trace, 1):
+            cells = [str(k), _fmt(rec.x), _fmt(rec.y)]
             for v in (rec.delta, rec.n_used, rec.y_minus, rec.y_plus):
                 cells.append("" if v is None else _fmt(v))
             print(",".join(cells))

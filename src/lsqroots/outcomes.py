@@ -6,11 +6,12 @@ share one stopping rule and one failure taxonomy and report results
 through the same :class:`SolveOutcome`: benchmark comparisons are
 like-for-like by construction.
 
-A step is a pure function of the last two accepted records (every field
-but ``k``), so once that pair recurs bit for bit the run is periodic: the
-driver writes the rest of the trace as copies of the record one period
-back instead of computing it.  Records (:class:`IterationRecord`) and
-outcomes are immutable named tuples.
+A step is a pure function of the last two accepted records (every
+field), so once that pair recurs bit for bit the run is periodic: the
+driver writes the rest of the trace by repeating the period's own records
+instead of computing it.  Records (:class:`IterationRecord`) and outcomes
+are immutable named tuples; a record's step number is its 1-based place
+in the trace.
 """
 
 from __future__ import annotations
@@ -35,14 +36,16 @@ class Status(Enum):
 class IterationRecord(NamedTuple):
     """One completed update step (an immutable named tuple).
 
-    ``x``/``y`` are the iterate produced by step ``k`` and its function
-    value (``y`` is NaN when the step landed outside the domain).  For the
+    ``x``/``y`` are the iterate the step produced and its function value
+    (``y`` is NaN when the step landed outside the domain).  For the
     three-point method, ``delta``/``n_used``/``y_minus``/``y_plus`` are the
     probe spacing, the power used, and the two side evaluations that made
-    the step; baselines leave them ``None``.
+    the step; baselines leave them ``None``.  A record holds no step
+    number: step k's record is ``trace[k - 1]``, so
+    ``enumerate(trace, 1)`` numbers them, and a periodic tail holds the
+    same record at several places.
     """
 
-    k: int
     x: float
     y: float
     delta: Optional[float] = None
@@ -135,8 +138,8 @@ class CheckedRecord:
 
 # Copies that :func:`iterate` still checks once a state recurs.  Say the
 # state made trace[first] and recurs at len(trace) == first + p: the copy
-# appended at length t repeats trace[t - p], and every record was
-# accepted, so the accepted iterates are the trace's x values.  detect_cycle
+# appended at length t is the record trace[t - p] itself, and every record
+# was accepted, so the accepted iterates are the trace's x values.  detect_cycle
 # is False on fewer than CYCLE_MIN_INDEX iterates and otherwise reads only
 # the last 2 * CYCLE_MAX_PERIOD, so from length
 # N0 = max(CYCLE_MIN_INDEX, first + 2 * CYCLE_MAX_PERIOD) on, its verdict
@@ -210,15 +213,14 @@ def best_iterate(x0: float, y0: float, trace: Sequence[IterationRecord]) -> floa
 
 def _same_fields(a: Optional[IterationRecord], b: Optional[IterationRecord]) -> bool:
     """True if ``a`` and ``b`` hold the same values bit for bit in every
-    field but ``k`` (or are both ``None``).  ``==`` alone matches 0.0 with
-    -0.0, so a zero field must also agree in sign."""
+    field (or are both ``None``).  ``==`` alone matches 0.0 with -0.0, so a
+    zero field must also agree in sign."""
     if a is None or b is None:
         return a is b
-    fa, fb = a[1:], b[1:]
-    if fa != fb:
+    if a != b:
         return False
-    return 0.0 not in fa or all(math.copysign(1.0, u) == math.copysign(1.0, v)
-                                for u, v in zip(fa, fb) if u == 0.0)
+    return 0.0 not in a or all(math.copysign(1.0, u) == math.copysign(1.0, v)
+                               for u, v in zip(a, b) if u == 0.0)
 
 
 def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
@@ -230,11 +232,11 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     holds or a failure is classified.
 
     ``step(cur, prev)`` gets the current and the previous accepted point as
-    records (the start is ``k=0``; ``prev`` starts as given) and returns the
-    next iterate with its record's extra fields, all four or ``()`` for
-    none, or raises :class:`StepError`, which ends the run.  Every record,
-    a copy included, is built by ``_new_record``, past the named tuple's
-    slower constructor.
+    records (the start is ``IterationRecord(x0, y0)``; ``prev`` starts as
+    given) and returns the next iterate with its record's extra fields, all
+    four or ``()`` for none, or raises :class:`StepError`, which ends the
+    run.  Every computed record is built by ``_new_record``, past the named
+    tuple's slower constructor.
     ``fx`` evaluates f, ``None`` off the domain; an off-domain iterate is
     recorded and ends the run Diverged.  A start whose ``y`` is exactly 0,
     ``prev`` (checked first) or (x0, y0), is a root: the run converges
@@ -242,13 +244,14 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     break that classifies it, unless ``note`` was already set.
 
     Contract: ``step`` and ``fx`` are pure, so a step's result depends only
-    on the fields of ``cur`` and ``prev`` other than ``k``.  Once the state
-    ``(prev, cur)`` recurs bit for bit, with ``p`` the distance from the
-    record the state first produced, every later record equals the one
-    ``p`` before it.  So at the first recurrence the driver stops calling
-    ``step`` and ``fx`` and makes the rest of the ``max_iter`` records, as
-    copies of the last ``p`` in turn, by one lazy iterator.  Only the
-    cycle test can end the run on a copy, and only on the first
+    on the fields of ``cur`` and ``prev``.  Once the state ``(prev, cur)``
+    recurs bit for bit, with ``p`` the distance from the record the state
+    first produced, every later record equals the one ``p`` before it.  So
+    at the first recurrence the driver stops calling ``step`` and ``fx``
+    and fills the rest of the ``max_iter`` places with the last ``p``
+    records themselves, in turn, from one lazy ``islice(cycle(...))``: a
+    copy is the record one period back, not a new one.  Only the cycle test
+    can end the run on a copy, and only on the first
     :data:`CHECKED_REPLAYS` (the argument is at that constant), which are
     appended and tested one at a time; if it does not fire, the run ends
     max-iterations, and the trace is extended by the rest of the iterator.
@@ -262,7 +265,7 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     calls ``fx``.  The table of states that the recurrence test reads is
     looked up by the new iterate right after the step, and serves both.
     """
-    cur = IterationRecord(0, x0, y0)
+    cur = IterationRecord(x0, y0)
     for start in (prev, cur):
         if start is not None and start.y == 0.0:
             return SolveOutcome(Status.CONVERGED, start.x, (), note)
@@ -279,13 +282,10 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
         if states:
             for seen_prev, seen_cur, first in states:
                 if _same_fields(seen_cur, cur) and _same_fields(seen_prev, prev):
-                    # The periodic tail (see the docstring): each copy zips its
-                    # k with one cycle per field of the period, and
-                    # _new_record, which builds every computed record, makes it.
+                    # The periodic tail (see the docstring): the period's
+                    # own records, repeated.
                     root = best_iterate(x0, y0, trace)
-                    columns = list(zip(*trace[first:]))[1:]
-                    copies = map(_new_record,
-                                 zip(range(k + 1, max_iter + 1), *map(cycle, columns)))
+                    copies = islice(cycle(trace[first:]), max_iter - k)
                     for rec in islice(copies, CHECKED_REPLAYS):
                         trace.append(rec)
                         accepted.append(rec.x)
@@ -301,16 +301,16 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
             note = note or str(err)
             break
         states = seen.get(x_new, ())
-        for _, seen_cur, _ in states:
-            # f at an iterate this run computed, the same zero included:
-            # the start's y is taken as given, so it is never reused.
-            if seen_cur.k and math.copysign(1.0, seen_cur.x) == math.copysign(1.0, x_new):
+        for _, seen_cur, first in states:
+            # f at an iterate this run computed (first > 0), the same zero
+            # included: the start's y is taken as given, so it is never reused.
+            if first and math.copysign(1.0, seen_cur.x) == math.copysign(1.0, x_new):
                 y_new = seen_cur.y
                 break
         else:
             y_new = fx(x_new) if math.isfinite(x_new) else None
         k += 1
-        rec = _new_record((k, x_new, math.nan if y_new is None else y_new)
+        rec = _new_record((x_new, math.nan if y_new is None else y_new)
                           + (extras or (None, None, None, None)))
         trace.append(rec)
         if y_new is None:

@@ -1,11 +1,18 @@
 """``tools/ab_inprocess.py`` at a tiny size, a checkout against itself."""
 
+import importlib.util
 import re
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
+from lsqroots.outcomes import IterationRecord, SolveOutcome, Status
+
 ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("ab_inprocess", ROOT / "tools" / "ab_inprocess.py")
+ab_inprocess = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_inprocess)
 
 
 def run_tool(*args):
@@ -99,8 +106,8 @@ def test_a_derivative_rule_that_builds_another_tree_fails_the_check(tmp_path):
 def test_a_periodic_tail_that_writes_one_wrong_field_fails_the_check(tmp_path):
     # The copied tail writes each y_minus into y_plus as well: status, root,
     # iterations and the suite reports stay the same, only the traces differ.
-    changed = changed_copy(tmp_path, "outcomes.py", "*map(cycle, columns)",
-                           "*map(cycle, columns[:-1] + columns[-2:-1])")
+    changed = changed_copy(tmp_path, "outcomes.py", "cycle(trace[first:])",
+                           "cycle([r._replace(y_plus=r.y_minus) for r in trace[first:]])")
     proc = run_tool(str(ROOT), str(changed), "--inputs", "2", "--starts", "1", "--seed", "3")
     assert proc.returncode == 1
     lines = proc.stdout.splitlines()
@@ -120,3 +127,26 @@ def test_an_extra_evaluation_per_lsq3_solve_is_counted(tmp_path):
     basin, suite = evaluations(proc.stdout.splitlines()[5:])
     for ((f_a, fp_a), (f_b, fp_b)), extra in ((basin, 28), (suite, 54)):
         assert (f_b - f_a, fp_b) == (extra, fp_a)
+
+
+# A record of the earlier format, whose first field is its step number.
+NumberedRecord = namedtuple("NumberedRecord", "k x y delta n_used y_minus y_plus",
+                            defaults=(None,) * 4)
+
+
+def test_records_with_and_without_a_step_number_compare_by_place():
+    # Records that carried their step number k match the k-less records at
+    # the same places; a k that is not the record's place is reported.
+    rows = [(2.0, -0.0, 0.5, 1.0, -1.0, 1.0), (1.5, 0.25)]
+    new = SolveOutcome(Status.MAX_ITERATIONS, 1.5, tuple(IterationRecord(*row) for row in rows))
+    old = new._replace(trace=tuple(NumberedRecord(k, *row) for k, row in enumerate(rows, 1)))
+    assert ab_inprocess.solve_difference(old, new) is None
+    assert ab_inprocess.solve_difference(new, old) is None
+    assert ab_inprocess.solve_difference(old, old) is None
+    misnumbered = old._replace(trace=(old.trace[0], old.trace[1]._replace(k=1)))
+    assert ab_inprocess.solve_difference(misnumbered, new) == "record 2 k: 1 != 2"
+    assert ab_inprocess.solve_difference(new, misnumbered) == "record 2 k: 1 != 2"
+    # the fields themselves are still compared bit for bit, a zero's sign too
+    signed = new._replace(trace=(IterationRecord(2.0, 0.0, 0.5, 1.0, -1.0, 1.0), new.trace[1]))
+    assert ab_inprocess.solve_difference(old, signed) == \
+        f"record 1 y: {(-0.0).hex()} != {(0.0).hex()}"

@@ -20,8 +20,8 @@ from lsqroots.expressions import evaluate, parse
 from lsqroots.outcomes import IterationRecord, Status
 
 
-def record(k, x):
-    return IterationRecord(k=k, x=x, y=0.0)
+def record(x):
+    return IterationRecord(x=x, y=0.0)
 
 
 def test_suite_shape():
@@ -76,30 +76,30 @@ def test_problem_checks_run_when_built_and_when_replaced(change, message):
 
 
 def test_rates_exact_powers():
-    trace = [record(1, 0.5), record(2, 1e-2), record(3, 1e-4)]
+    trace = [record(0.5), record(1e-2), record(1e-4)]
     rates = convergence_rates(trace, 0.0)
     assert rates[-1] == 2.0
 
 
 def test_rates_cubic_powers():
-    trace = [record(1, 0.5), record(2, 1e-3), record(3, 1e-9)]
+    trace = [record(0.5), record(1e-3), record(1e-9)]
     assert convergence_rates(trace, 0.0)[-1] == 3.0
 
 
 def test_rates_skip_pre_asymptotic_entries():
-    trace = [record(1, 3.0), record(2, 1.5), record(3, 1e-2), record(4, 1e-4)]
+    trace = [record(3.0), record(1.5), record(1e-2), record(1e-4)]
     # pairs touching errors >= 1 are dropped
     assert convergence_rates(trace, 0.0) == [math.log(1e-4) / math.log(1e-2)]
 
 
 def test_rates_truncate_at_exact_zero():
-    trace = [record(1, 1e-2), record(2, 1e-4), record(3, 0.0), record(4, 1e-3)]
+    trace = [record(1e-2), record(1e-4), record(0.0), record(1e-3)]
     assert convergence_rates(trace, 0.0) == [2.0]
 
 
 def test_rates_require_three_records():
     with pytest.raises(ValueError):
-        convergence_rates([record(1, 0.1), record(2, 0.01)], 0.0)
+        convergence_rates([record(0.1), record(0.01)], 0.0)
 
 
 def test_rates_match_brute_force_recomputation():
@@ -119,7 +119,7 @@ def test_rates_match_brute_force_recomputation():
 
 
 def test_final_rate_ignores_precision_floor():
-    trace = [record(1, 1e-2), record(2, 1e-4), record(3, 3e-15), record(4, 3e-15)]
+    trace = [record(1e-2), record(1e-4), record(3e-15), record(3e-15)]
     assert final_rate(trace, 0.0) == 2.0
 
 

@@ -35,8 +35,8 @@ def _bits(v):
 def outcome_digest(outcome) -> str:
     parts = [outcome.status.value, _bits(outcome.root), str(outcome.iterations),
              outcome.note]
-    for rec in outcome.trace:
-        parts.append(",".join([str(rec.k)] + [
+    for k, rec in enumerate(outcome.trace, 1):
+        parts.append(",".join([str(k)] + [
             _bits(v) for v in (rec.x, rec.y, rec.delta, rec.n_used,
                                rec.y_minus, rec.y_plus)]))
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()

@@ -282,7 +282,7 @@ def test_lsq3_step_matches_on_random_inputs(seed):
 
 
 def trace_of(xs):
-    return tuple(IterationRecord(k, x, 0.0) for k, x in enumerate(xs, 1))
+    return tuple(IterationRecord(x, 0.0) for x in xs)
 
 
 def test_final_rate_matches_on_edge_inputs():
@@ -329,7 +329,7 @@ def test_final_rate_matches_on_random_traces(seed):
 
 def records_of(ys):
     """A trace with the y values ``ys``, each record at an x of its own."""
-    return tuple(IterationRecord(k, float(k), y) for k, y in enumerate(ys, 1))
+    return tuple(IterationRecord(float(k), y) for k, y in enumerate(ys, 1))
 
 
 def test_best_iterate_matches_on_edge_inputs():
@@ -351,7 +351,7 @@ def test_best_iterate_matches_on_random_traces(seed):
         a, b = magnitude(rng), magnitude(rng)
         pool = (a, -a, b, 0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan)
         ys = [rng.choice(pool) for _ in range(rng.randint(0, 40))]
-        trace = tuple(IterationRecord(k, magnitude(rng), y) for k, y in enumerate(ys, 1))
+        trace = tuple(IterationRecord(magnitude(rng), y) for y in ys)
         cases.append((magnitude(rng), rng.choice(pool + (magnitude(rng),)), trace))
     assert_same(best_iterate, frozen_best_iterate, cases)
     # the start and a record of the trace are both chosen
@@ -459,7 +459,7 @@ def assert_same_fields(out, ref):
     assert len(out.trace) == len(ref.trace)
     for a, b in zip(out.trace, ref.trace):
         assert type(a) is IterationRecord
-        assert a.k == b.k and list(map(_bits, a[1:])) == list(map(_bits, b[1:])), (a, b)
+        assert list(map(_bits, a)) == list(map(_bits, b)), (a, b)
 
 
 def test_a_scripted_lsq3_cycle_is_copied_field_for_field():
@@ -501,7 +501,7 @@ def test_a_stock_lsq3_cycle_is_copied_field_for_field(monkeypatch):
     assert out.status is Status.MAX_ITERATIONS and out.iterations == 20_000
     assert len(calls) < 1_000
     assert all(None not in rec for rec in out.trace)
-    period = next(p for p in range(1, 100) if out.trace[-1][1:] == out.trace[-1 - p][1:])
+    period = next(p for p in range(1, 100) if out.trace[-1] == out.trace[-1 - p])
     assert period == 30
     monkeypatch.setattr(lsqroots.lsq3, "iterate", reference_iterate)
     assert_same_fields(out, solve(f, 1.0, config))

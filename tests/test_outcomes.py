@@ -178,7 +178,7 @@ def fx(x):
 def run(step, x0=5.0, max_iter=50, **kwargs):
     out = iterate(step, fx, x0, fx(x0), 1e-15, max_iter, **kwargs)
     assert out.iterations == len(out.trace)
-    assert [rec.k for rec in out.trace] == list(range(1, out.iterations + 1))
+    assert all(type(rec) is IterationRecord for rec in out.trace)
     if not out.converged:
         assert out.root == best_iterate(x0, fx(x0), out.trace)
     return out
@@ -272,7 +272,7 @@ def test_only_the_classifying_break_sets_the_note():
 
 
 def test_step_sees_the_last_two_accepted_points():
-    start = IterationRecord(0, 9.0, 9.0)
+    start = IterationRecord(9.0, 9.0)
     step = scripted(4.0, 3.0, 2.0, 1.0)
     out = run(step, max_iter=4, prev=start)
     xs = [(cur.x, prev.x) for cur, prev in step.calls]
@@ -285,9 +285,9 @@ def test_step_sees_the_last_two_accepted_points():
 
 
 def test_a_start_that_is_an_exact_root_converges_without_a_step():
-    for prev, x0, root in [(None, 0.0, 0.0), (IterationRecord(0, 0.0, 0.0), 3.0, 0.0),
-                           (IterationRecord(0, 2.0, 2.0), 0.0, 0.0),
-                           (IterationRecord(0, -0.0, -0.0), -0.0, -0.0)]:
+    for prev, x0, root in [(None, 0.0, 0.0), (IterationRecord(0.0, 0.0), 3.0, 0.0),
+                           (IterationRecord(2.0, 2.0), 0.0, 0.0),
+                           (IterationRecord(-0.0, -0.0), -0.0, -0.0)]:
         step = scripted()
         out = run(step, x0=x0, prev=prev, note="given")
         assert step.calls == []
@@ -317,13 +317,13 @@ def test_step_extras_fill_the_record():
     def step(cur, prev):
         return cur.x / 2.0, (0.1, 2.0, -1.0, 1.0)
     out = iterate(step, fx, 1.0, 1.0, 1e-15, 3)
-    assert out.trace[0] == IterationRecord(1, 0.5, 0.5, 0.1, 2.0, -1.0, 1.0)
+    assert out.trace[0] == IterationRecord(0.5, 0.5, 0.1, 2.0, -1.0, 1.0)
 
 
 def test_records_are_immutable_named_tuples():
-    rec = IterationRecord(1, 0.5, 0.25)
-    assert rec == (1, 0.5, 0.25, None, None, None, None)
-    assert IterationRecord._fields == ("k", "x", "y", "delta", "n_used", "y_minus", "y_plus")
+    rec = IterationRecord(0.5, 0.25)
+    assert rec == (0.5, 0.25, None, None, None, None)
+    assert IterationRecord._fields == ("x", "y", "delta", "n_used", "y_minus", "y_plus")
     with pytest.raises(AttributeError):
         rec.x = 1.0
 
@@ -334,7 +334,7 @@ def test_records_are_immutable_named_tuples():
 
 def reference_iterate(step, fx, x0, y0, tolerance, max_iter, prev=None, note=""):
     """The driver's rule with no periodic tail and the shortcut-free cycle test."""
-    cur = IterationRecord(0, x0, y0)
+    cur = IterationRecord(x0, y0)
     for start in (prev, cur):
         if start is not None and start.y == 0.0:
             return SolveOutcome(Status.CONVERGED, start.x, (), note)
@@ -350,8 +350,7 @@ def reference_iterate(step, fx, x0, y0, tolerance, max_iter, prev=None, note="")
             break
 
         y_new = fx(x_new) if math.isfinite(x_new) else None
-        rec = IterationRecord(len(trace) + 1, x_new,
-                              math.nan if y_new is None else y_new, *extras)
+        rec = IterationRecord(x_new, math.nan if y_new is None else y_new, *extras)
         trace.append(rec)
         if y_new is None:
             status = Status.DIVERGED
@@ -574,13 +573,13 @@ def test_a_step_from_zero_to_minus_zero_evaluates_it():
 
 def pure_table_step(seed):
     """A pure step: its move is drawn from a seeded table keyed by the bits
-    of every field of (cur, prev) but k, so +0.0 and -0.0 lead apart."""
+    of every field of (cur, prev), so +0.0 and -0.0 lead apart."""
     moves = [0.0, -0.0, 1.0, 2.0, 3.0, 3.0, 2.5, -1.0, StepError("no step")]
     zeros = [0.0, -0.0, None]
 
     def step(cur, prev):
         step.calls += 1
-        fields = cur[1:] + (() if prev is None else prev[1:])
+        fields = cur + (() if prev is None else prev)
         rng = random.Random(f"{seed}:" + ",".join(map(_bits, fields)))
         move = rng.choice(moves)
         if isinstance(move, Exception):
@@ -695,7 +694,7 @@ def test_a_verdict_on_the_last_checked_replay_still_fires():
             return c4, ()
         return head[pos], (float(pos), None, None, None)
 
-    start = IterationRecord(0, c4, fx(c4))
+    start = IterationRecord(c4, fx(c4))
     assert CYCLE_MIN_INDEX + 9 - 1 == 9 + CHECKED_REPLAYS
     for max_iter in (15, 16, 17, 500):
         out = iterate(step, fx, c5, fx(c5), 1e-15, max_iter, prev=start)

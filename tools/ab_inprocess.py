@@ -16,8 +16,10 @@ Uses the standard library only; the inputs come from the benchmark's
    malformed, the same derivative tree (its ``repr``) of every expr-scan
    expression and every stock expression, the same basin outcomes on
    ``--starts`` starts per stock problem and method (status, root bits,
-   note and the whole trace: every field of every record, ``k``, the
-   bits of a float or ``None``), and the same suite CSV and Markdown.  A difference
+   note and the whole trace: every field of every record by name, the
+   bits of a float or ``None``; a side whose records still carry a step
+   number ``k`` must hold each record's place in the trace there), and the
+   same suite CSV and Markdown.  A difference
    is printed and the tool exits 1 without timing.  The check also counts
    each side's f and f' evaluations over its basin solves and its suite
    pass, by rebinding ``evaluate`` in the copy's ``lsq3`` and ``baselines``
@@ -88,11 +90,18 @@ def solve_difference(oa, ob):
     kb = (ob.status.value, ob.root.hex(), ob.iterations, ob.note)
     if ka != kb:
         return f"{ka} != {kb}"
-    for ra, rb in zip(oa.trace, ob.trace):
-        for name, u, v in zip(ra._fields, ra, rb):
-            bu, bv = (u, v) if name == "k" else (_bits(u), _bits(v))
+    for k, (ra, rb) in enumerate(zip(oa.trace, ob.trace), 1):
+        fa, fb = ra._asdict(), rb._asdict()
+        # Records once carried their step number k; it must be their place.
+        for number in (fa.pop("k", k), fb.pop("k", k)):
+            if number != k:
+                return f"record {k} k: {number} != {k}"
+        if fa.keys() != fb.keys():
+            return f"record {k} fields: {tuple(fa)} != {tuple(fb)}"
+        for name, u in fa.items():
+            bu, bv = _bits(u), _bits(fb[name])
             if bu != bv:
-                return f"record {ra.k} {name}: {bu} != {bv}"
+                return f"record {k} {name}: {bu} != {bv}"
     return None
 
 
