@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import os
 import subprocess
 import sys
@@ -55,6 +56,23 @@ def test_solve_trace_line_count_matches_iterations(capsys):
     header_idx = lines.index("k,x,y,delta,n,y_minus,y_plus")
     trace_lines = [l for l in lines[header_idx + 1:] if l[:1].isdigit()]
     assert len(trace_lines) == iterations
+
+
+def test_solve_trace_of_a_periodic_run_is_pinned(capsys):
+    # cube-root from 1.0 settles into a period-30 cycle: rows 231-500 are
+    # the periodic tail, numbered by their place in the trace.  The digest
+    # was taken before records lost their k field, with
+    #   PYTHONPATH=src python -m lsqroots.cli solve --expr "cbrt(x)" --x0 1.0 \
+    #       --method lsq3 --trace | sha256sum
+    code, out, _ = run_cli(capsys, "solve", "--expr", "cbrt(x)", "--x0", "1.0",
+                           "--method", "lsq3", "--trace")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "k,x,y,delta,n,y_minus,y_plus" and len(lines) == 1 + 500 + 3
+    assert [line.split(",")[0] for line in lines[1:501]] == [str(k) for k in range(1, 501)]
+    assert lines[231].split(",")[1:] == lines[201].split(",")[1:]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "36484c0bb3a5e5e00ca00bba4673789ef31f59d3c3851110d81c95c78b3edf2d"
 
 
 def test_solve_domain_error_exit_code(capsys):

@@ -703,3 +703,37 @@ def test_a_verdict_on_the_last_checked_replay_still_fires():
         assert out.status is (Status.MAX_ITERATIONS if max_iter < 16 else Status.OSCILLATING)
         assert out.iterations == min(max_iter, 16)
 
+
+# ---------------------------------------------------------------------------
+# The periodic tail holds the period's own records
+# ---------------------------------------------------------------------------
+
+def assert_tail_repeats_the_period(out, p, first_copy):
+    """Every record from ``trace[first_copy]`` on is the record ``p``
+    places back itself, and every record before it is a record of its own."""
+    trace = out.trace
+    assert first_copy + p < len(trace)
+    assert len({id(rec) for rec in trace[:first_copy]}) == first_copy
+    assert all(trace[t] is trace[t - p] for t in range(first_copy, len(trace)))
+
+
+def test_a_scripted_periodic_tail_repeats_the_period_records():
+    # period 5, past the cycle test's periods, so the run ends max-iterations;
+    # the first copy is trace[len(prefix) + p + 2] (see periodic_step)
+    prefix, cycle = [7.0, 6.0, 9.0], [2.0, 3.0, 2.5, 4.0, 3.5]
+    out = iterate(periodic_step(prefix, cycle), fx, 20.0, 20.0, 1e-15, 200)
+    ref = reference_iterate(periodic_step(prefix, cycle), fx, 20.0, 20.0, 1e-15, 200)
+    assert outcome_digest(out) == outcome_digest(ref)
+    assert out.status is Status.MAX_ITERATIONS and out.iterations == 200
+    assert_tail_repeats_the_period(out, len(cycle), len(prefix) + len(cycle) + 2)
+
+
+def test_the_cube_root_tail_repeats_the_period_records(monkeypatch):
+    # cube-root from 1.0 with lsq3-fixed: a period-30 cycle whose state
+    # recurs after 230 records; the other 270 of the 500 are repeats
+    f = {p.id: p for p in builtin_suite()}["cube-root"].expression
+    out = SOLVERS["lsq3-fixed"](f, 1.0)
+    assert out.status is Status.MAX_ITERATIONS and out.iterations == 500
+    assert_tail_repeats_the_period(out, 30, 230)
+    monkeypatch.setattr(lsqroots.lsq3, "iterate", reference_iterate)
+    assert outcome_digest(SOLVERS["lsq3-fixed"](f, 1.0)) == outcome_digest(out)

@@ -33,6 +33,12 @@ STUCK_NEWTON = re.compile(
     r"(\S+) cycle tests, where a driver that computes and tests every step spends "
     r"(\S+) and (\S+)\.")
 
+TAIL_REPEATS = re.compile(
+    r"cube-root from 1\.0 with lsq3-fixed keeps (\S+) distinct records in its (\S+)-record "
+    r"trace, and over the (\S+) solves that `tests/golden/basin\.txt` pins \((\S+) seeded "
+    r"starts per stock problem and method, at (\S+) steps\), (\S+) of the (\S+) records "
+    r"\((\S+)%\) are repeats\.")
+
 FAMILY_F = re.compile(
     r"the solves that converge to a point where \|f\| < 1e-9: Newton (\S+), secant "
     r"(\S+), lsq3-fixed (\S+) and lsq3-variable (\S+) of (\S+)\.")
@@ -121,6 +127,29 @@ def test_the_stuck_newton_figures_are_those_of_its_run(monkeypatch):
     assert test_outcomes.outcome_digest(SOLVERS["newton"](f, -6.0)) == \
         test_outcomes.outcome_digest(out)
     assert (len(evaluated), len(tested)) == (every_evaluation, every_test)
+
+
+def distinct_records(outcome):
+    """How many records of ``outcome``'s trace are records of their own,
+    not a repeat of one at another place."""
+    return len({id(rec) for rec in outcome.trace})
+
+
+def test_the_tail_repeat_figures_are_those_of_their_runs():
+    kept, length, solves, per_problem, max_iter, repeats, records, percent = \
+        readme_figures(TAIL_REPEATS)
+    cube_root = {p.id: p for p in builtin_suite()}["cube-root"].expression
+    out = SOLVERS["lsq3-fixed"](cube_root, 1.0)
+    assert (distinct_records(out), out.iterations) == (kept, length)
+
+    # the sample of tests/golden/basin.txt (see test_golden_traces.basin_lines)
+    solvers = test_outcomes.solvers_with_max_iter(max_iter)
+    outcomes = [solvers[method](problem.expression, x0) for problem, method, x0
+                in test_outcomes.basin_runs(per_problem=per_problem, seed=2024)]
+    assert len(outcomes) == solves
+    assert sum(out.iterations for out in outcomes) == records
+    assert sum(out.iterations - distinct_records(out) for out in outcomes) == repeats
+    assert round(100 * repeats / records) == percent
 
 
 def test_the_family_f_figures_are_the_pinned_totals():
