@@ -32,16 +32,21 @@ off-domain iterates without catching exceptions.  Each node is compiled
 once, by the first ``evaluate`` that reaches it, into a closure that the
 node keeps, so a derivative reuses the closures of the subtrees it shares
 with its expression.  A node reads a Variable or finite Constant operand
-inline and calls the closure of any other operand.  A value that is not
-finite stays so through ``+ - *`` and unary minus, so finiteness is
-checked only where it could be lost: the divisor of ``/``, both operands
-of ``^`` and the argument of a call.  ``evaluate`` checks the final value
-once and turns the domain errors that the math raises into ``None``.
+inline and calls the closure of any other operand.  A binary node's
+closure comes from the factory of its form, its operator and how it
+reads each operand, which one rule generates on the form's first use.
+A value that is not finite stays so through ``+ - *`` and unary minus,
+so finiteness is checked only where it could be lost: the divisor of
+``/``, both operands of ``^`` and the argument of a call.  A hand-built
+constant that is not finite, an int beyond float range included, is
+read as inf or nan.  ``evaluate`` checks the final value once and turns
+the domain errors that the math raises into ``None``.
 ``differentiate`` caches its result on the expression's root node.  The
 caches are not part of a node's value, so equality, hashing, copying and
-pickling see only the tree.  They take no lock: two threads that reach a
-fresh node at once may both compile it, or both build its derivative,
-and either result serves, so a tree can be shared between threads.
+pickling see only the tree.  They take no lock, and nor does the table
+of generated forms: two threads that reach a fresh node at once may both
+compile it, build its derivative or generate its form, and either result
+serves, so a tree can be shared between threads.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from functools import partial
 from math import isfinite
 from typing import Callable, Optional, Tuple, Union
 
@@ -191,6 +195,19 @@ def _cbrt(v: float) -> float:
     if v == 0.0:
         return 0.0
     return math.copysign(abs(v) ** (1.0 / 3.0), v)
+
+
+def _ieee(v: float) -> float:
+    """``v``, or for an int beyond float range the infinity of its sign,
+    as IEEE arithmetic holds it.  ``isfinite`` and the float operations
+    raise OverflowError on such an int, so evaluation, differentiation and
+    rendering read a constant's value through this and treat a
+    ``Constant(10**400)`` as they treat ``Constant(inf)``."""
+    try:
+        isfinite(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+    return v
 
 
 # Each function: its value, and its derivative as a tree of its argument
@@ -399,95 +416,50 @@ def _atom(text: str, pos: int, groups: int):
 # Evaluation
 # --------------------------------------------------------------------------
 
-# A binary node, by how it reads its operands ``a`` and ``b``: "f" calls
-# the operand's closure, "x" reads the variable and "c" a finite constant.
-_PAIRS = {
-    "ff": lambda op, a, b: lambda x: op(a(x), b(x)),
-    "fx": lambda op, a, b: lambda x: op(a(x), x),
-    "fc": lambda op, a, b: lambda x: op(a(x), b),
-    "xf": lambda op, a, b: lambda x: op(x, b(x)),
-    "xx": lambda op, a, b: lambda x: op(x, x),
-    "xc": lambda op, a, b: lambda x: op(x, b),
-    "cf": lambda op, a, b: lambda x: op(a, b(x)),
-    "cx": lambda op, a, b: lambda x: op(a, x),
-    "cc": lambda op, a, b: lambda x: op(a, b),
-}
+# A binary node's form is its op and how it reads each operand: "x" reads
+# the variable, "c" a finite constant, and "f" calls the operand's
+# closure.  ``_form`` generates the closure factory of a form on its first
+# use and keeps it here, keyed by ``(op, left kind, right kind)``.  Like
+# ``_cached`` it takes no lock: two threads that race on a fresh form both
+# generate it, and either factory serves.
+_NODES: dict = {}
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv, "^": math.pow}
-
-# The ``+ - *`` nodes that apply their operator inline, keyed by op and
-# pair, which saves a call of ``_BINARY[op]`` per evaluation: the forms
-# that the stock problems and their derivatives contain.  Each costs
-# compile time on a cold import, so any other ``+ - *`` node goes through
-# ``_PAIRS``.
-_INLINE = {
-    "+ff": lambda a, b: lambda x: a(x) + b(x),
-    "+fc": lambda a, b: lambda x: a(x) + b,
-    "+cf": lambda a, b: lambda x: a + b(x),
-    "+xc": lambda a, b: lambda x: x + b,
-    "-ff": lambda a, b: lambda x: a(x) - b(x),
-    "-fx": lambda a, b: lambda x: a(x) - x,
-    "-fc": lambda a, b: lambda x: a(x) - b,
-    "-xf": lambda a, b: lambda x: x - b(x),
-    "-xc": lambda a, b: lambda x: x - b,
-    "-cf": lambda a, b: lambda x: a - b(x),
-    "*ff": lambda a, b: lambda x: a(x) * b(x),
-    "*cf": lambda a, b: lambda x: a * b(x),
-    "*cx": lambda a, b: lambda x: a * x,
-}
+_NAMES = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
 
 
-def _checked(pair: str, op, a, b) -> Callable[[float], float]:
-    """The ``_PAIRS[pair]`` node, raising ValueError where the value of a
-    closure operand is not finite."""
-    if pair == "ff":
-        def node(x: float) -> float:
-            u = a(x)
-            v = b(x)
-            if isfinite(u) and isfinite(v):
-                return op(u, v)
-            raise ValueError
-    elif pair == "fx":
-        def node(x: float) -> float:
-            u = a(x)
-            if isfinite(u):
-                return op(u, x)
-            raise ValueError
-    elif pair == "fc":
-        def node(x: float) -> float:
-            u = a(x)
-            if isfinite(u):
-                return op(u, b)
-            raise ValueError
-    elif pair == "xf":
-        def node(x: float) -> float:
-            v = b(x)
-            if isfinite(v):
-                return op(x, v)
-            raise ValueError
-    else:  # "cf"
-        def node(x: float) -> float:
-            v = b(x)
-            if isfinite(v):
-                return op(a, v)
-            raise ValueError
-    return node
+def _form_source(op: str, ka: str, kb: str) -> Tuple[str, str]:
+    """The name and source of the factory ``(a, b) -> closure`` of binary
+    ``op`` nodes whose operands read as ``ka`` and ``kb``.
+
+    The closure applies ``op`` inline, ``^`` through ``math.pow``.  Where
+    a non-finite closure value could turn finite (a closure operand of
+    ``^``, a closure divisor of ``/``), it reads both operands, left then
+    right, into ``u`` and ``v``, and raises ValueError unless each closure
+    value is finite.
+    """
+    checked = "f" in ka + kb and (op == "^" or op == "/" and kb == "f")
+    a = {"x": "x", "c": "a", "f": "u" if checked else "a(x)"}[ka]
+    b = {"x": "x", "c": "b", "f": "v" if checked else "b(x)"}[kb]
+    value = f"math.pow({a}, {b})" if op == "^" else f"{a} {op} {b}"
+    name = f"{_NAMES[op]}_{ka}{kb}"
+    if not checked:
+        return name, f"def {name}(a, b):\n    return lambda x: {value}\n"
+    reads = [(u, f) for u, f in (("u", "a"), ("v", "b")) if u in (a, b)]
+    return name, (f"def {name}(a, b):\n    def node(x):\n"
+                  + "".join(f"        {u} = {f}(x)\n" for u, f in reads)
+                  + f"        if {' and '.join(f'isfinite({u})' for u, _ in reads)}:\n"
+                  + f"            return {value}\n        raise ValueError\n    return node\n")
 
 
-def _node_factory(op: str, pair: str) -> Callable:
-    """``(a, b) -> closure`` of a binary ``op`` node whose operands read as
-    ``pair``: a checked node where a non-finite closure value could turn
-    finite, else the inlined form or the generic ``_PAIRS`` one."""
-    if "f" in pair and (op == "^" or op == "/" and pair[1] == "f"):
-        return partial(_checked, pair, _BINARY[op])
-    return _INLINE.get(op + pair) or partial(_PAIRS[pair], _BINARY[op])
-
-
-# The factory of each binary node, by op, then left and right operand kind,
-# chosen once here so compiling a node takes three lookups.
-_NODES = {op: {ka: {kb: _node_factory(op, ka + kb) for kb in "xcf"} for ka in "xcf"}
-          for op in _BINARY}
+def _form(key: Tuple[str, str, str]) -> Callable:
+    """The factory of the binary node form ``key``, compiled from its
+    ``_form_source`` and kept in ``_NODES``.  Its code names this module's
+    file and the form, so tracebacks and profiles place it here."""
+    name, source = _form_source(*key)
+    space: dict = {}
+    exec(compile(source, f"{__file__}<{name}>", "exec"), globals(), space)
+    factory = _NODES[key] = space[name]
+    return factory
 
 
 def _operand(e: Expr) -> Tuple[str, object]:
@@ -498,7 +470,7 @@ def _operand(e: Expr) -> Tuple[str, object]:
     trees, or within one, compiles once."""
     if isinstance(e, Variable):
         return "x", None
-    if isinstance(e, Constant) and isfinite(e.value):
+    if isinstance(e, Constant) and isfinite(_ieee(e.value)):
         return "c", e.value
     d = e.__dict__
     f = d.get("_compiled")
@@ -512,20 +484,24 @@ def _compile(e: Expr) -> Callable[[float], float]:
     operations, left operand before right.
 
     A node reads a Variable or finite Constant operand inline and calls
-    the closure of any other operand.  A non-finite value stays
-    non-finite through ``+ - *`` and unary minus, so only a node that
-    could map it to a finite value checks its closure operands: the
-    divisor of ``/`` (a/inf = 0), both operands of ``^`` (inf^0 = 1) and
-    the argument of a call (arctan(inf) = pi/2).  A ``/`` node that
-    calls both operands checks the dividend too, which is harmless: a
-    non-finite dividend over a finite divisor is not finite.  Off the
-    domain a closure raises ZeroDivisionError, ValueError or
-    OverflowError, or returns a value that is not finite.
+    the closure of any other operand.  A binary node's closure is made
+    by the factory of its form, ``(op, left kind, right kind)``, which
+    ``_form`` generates from ``_form_source`` on the form's first use and
+    keeps in ``_NODES``.  A non-finite value stays non-finite through
+    ``+ - *`` and unary minus, so only a node that could map it to a
+    finite value checks its closure operands: the divisor of ``/``
+    (a/inf = 0), both operands of ``^`` (inf^0 = 1) and the argument of a
+    call (arctan(inf) = pi/2).  A ``/`` node that calls both operands
+    checks the dividend too, which is harmless: a non-finite dividend
+    over a finite divisor is not finite.  Off the domain a closure raises
+    ZeroDivisionError, ValueError or OverflowError, or returns a value
+    that is not finite.
     """
     if isinstance(e, Binary):
         ka, a = _operand(e.left)
         kb, b = _operand(e.right)
-        return _NODES[e.op][ka][kb](a, b)
+        key = e.op, ka, kb
+        return (_NODES.get(key) or _form(key))(a, b)
     if isinstance(e, Call):
         fn = _CALLS[e.name][0]
         kind, a = _operand(e.arg)
@@ -552,7 +528,7 @@ def _compile(e: Expr) -> Callable[[float], float]:
     # A non-finite constant (the parser rejects them, but a tree built
     # directly or folded by differentiate can hold one) is read through
     # this closure, so the checks above and in evaluate see it.
-    c = e.value
+    c = _ieee(e.value)
     return lambda x: c
 
 
@@ -592,7 +568,7 @@ _ZERO, _ONE, _TWO = Constant(0.0), Constant(1.0), Constant(2.0)
 def _add(a: Expr, b: Expr) -> Expr:
     ca, cb = isinstance(a, Constant), isinstance(b, Constant)
     if ca and cb:
-        return Constant(a.value + b.value)
+        return Constant(_ieee(a.value) + _ieee(b.value))
     if ca and a.value == 0.0:
         return b
     if cb and b.value == 0.0:
@@ -603,7 +579,7 @@ def _add(a: Expr, b: Expr) -> Expr:
 def _sub(a: Expr, b: Expr) -> Expr:
     ca, cb = isinstance(a, Constant), isinstance(b, Constant)
     if ca and cb:
-        return Constant(a.value - b.value)
+        return Constant(_ieee(a.value) - _ieee(b.value))
     if cb and b.value == 0.0:
         return a
     if ca and a.value == 0.0:
@@ -614,8 +590,8 @@ def _sub(a: Expr, b: Expr) -> Expr:
 def _mul(a: Expr, b: Expr) -> Expr:
     ca, cb = isinstance(a, Constant), isinstance(b, Constant)
     if ca and cb:
-        v = a.value * b.value
-        if isfinite(v):
+        v = _ieee(a.value) * _ieee(b.value)
+        if isfinite(_ieee(v)):
             return Constant(v)
     if ca and a.value == 0.0 or cb and b.value == 0.0:
         return _ZERO
@@ -633,7 +609,7 @@ def _div(a: Expr, b: Expr) -> Expr:
     if cb and b.value == 1.0:
         return a
     if ca and cb and b.value != 0.0:
-        v = a.value / b.value
+        v = _ieee(a.value) / _ieee(b.value)
         if isfinite(v):
             return Constant(v)
     return Binary("/", a, b)
@@ -682,7 +658,7 @@ def _differentiate(e: Expr) -> Expr:
         # u^v
         if isinstance(v, Constant):
             # power rule: c * u^(c-1) * u'
-            return _mul(_mul(v, _pow(u, Constant(v.value - 1.0))), du)
+            return _mul(_mul(v, _pow(u, Constant(_ieee(v.value) - 1.0))), du)
         # general case: u^v * (v' ln u + v u'/u)
         return _mul(
             _pow(u, v),
@@ -710,7 +686,7 @@ def render(e: Expr) -> str:
 
 def _render(e: Expr) -> str:
     if isinstance(e, Constant):
-        if not isfinite(e.value):
+        if not isfinite(_ieee(e.value)):
             return "(0 / 0)"
         # The grammar has no negative literals: a set sign bit (-0.0
         # included) renders as a parenthesised unary minus.

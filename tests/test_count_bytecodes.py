@@ -55,10 +55,12 @@ def test_a_suite_pass_lists_the_bench_layer():
     names = {line.split()[-1] for line in lines[2:]}
     assert {"lsqroots.bench:final_rate", "lsqroots.lsq3:select_delta",
             "lsqroots.expressions:evaluate"} <= names
+    # the generated node closures are placed in their module, by form
+    assert "lsqroots.expressions:pow_fc.<locals>.node" in names
 
 
 def test_an_expr_scan_sample_counts_the_evaluator_and_the_parser():
-    outputs = [run_tool("--workload", "expr-scan", "--inputs", "20", "--seed", "3", "--top", "40")
+    outputs = [run_tool("--workload", "expr-scan", "--inputs", "20", "--seed", "3", "--top", "60")
                for _ in range(2)]
     assert all(proc.returncode == 0 for proc in outputs), outputs[0].stderr
     assert outputs[0].stdout == outputs[1].stdout
@@ -68,3 +70,8 @@ def test_an_expr_scan_sample_counts_the_evaluator_and_the_parser():
     assert {"lsqroots.expressions:parse", "lsqroots.expressions:_compile",
             "lsqroots.expressions:evaluate", "lsqroots.expressions:_differentiate"} <= names
     assert not any(name.startswith(("lsqroots.lsq3:", "lsqroots.outcomes:")) for name in names)
+    # the generated node closures are placed in their module, by form;
+    # no other code runs from a string here
+    assert not any(name.startswith("<string>:") for name in names)
+    assert {"lsqroots.expressions:mul_ff.<locals>.<lambda>",
+            "lsqroots.expressions:div_ff.<locals>.node"} <= names

@@ -9,6 +9,7 @@ result, including the sign of zero and where ``None`` appears.
 """
 
 import copy
+import itertools
 import math
 import pickle
 
@@ -24,8 +25,9 @@ from lsqroots.expressions import (
     Constant,
     Unary,
     Variable,
+    _NODES,
     _cbrt,
-    _INLINE,
+    _form_source,
     differentiate,
     evaluate,
     parse,
@@ -230,8 +232,8 @@ def test_non_finite_constant_anywhere_is_off_domain(value):
         assert all(evaluate(e, x) is None for x in XS), e
 
 
-# Operands of the inlined ``+ - *`` nodes, by kind: finite constants with
-# signed zeros, subnormals and values whose sum or product overflows, and
+# Operands of the binary node forms, by kind: finite constants with signed
+# zeros, subnormals and values whose sum or product overflows, and
 # closures, the hand-built non-finite constants among them.
 KIND_OPERANDS = {
     "x": [Variable()],
@@ -239,7 +241,7 @@ KIND_OPERANDS = {
     "f": [Unary("-", Variable()), Binary("*", Variable(), Constant(1e308)),
           Call("abs", Variable()), Constant(math.inf), Constant(-math.inf), Constant(math.nan)],
 }
-# The same kinds of value for x, and ints, which an inlined node keeps ints
+# The same kinds of value for x, and ints, which a ``+ - *`` node keeps ints
 INLINE_XS = [0.0, -0.0, 5e-324, -5e-324, 0.5, -2.0, 1e308, -1.7976931348623157e308,
              math.inf, math.nan, 0, 3, -7, 2 ** 60]
 
@@ -249,17 +251,54 @@ def exact(v):
     return v if v is None or isinstance(v, int) else v.hex()
 
 
-@pytest.mark.parametrize("key", sorted(_INLINE))
+FORMS = ["".join(form) for form in itertools.product("+-*/^", "xcf", "xcf")]
+
+
+@pytest.mark.parametrize("key", FORMS)
 def test_every_inlined_node_matches_reference(key):
-    op, (ka, kb) = key[0], key[1:]
-    inner = _INLINE[key](None, None).__code__
+    op, ka, kb = key
     for left in KIND_OPERANDS[ka]:
         for right in KIND_OPERANDS[kb]:
             e = Binary(op, left, right)
             for x in INLINE_XS:
                 assert exact(evaluate(e, x)) == exact(reference_evaluate(e, x)), (e, x)
-            # the node was compiled to the inlined closure
+            # the node was compiled to its form's generated closure
+            inner = _NODES[op, ka, kb](None, None).__code__
             assert e.__dict__["_compiled"].__code__ is inner, e
+
+
+def test_the_generated_forms_read_as_written():
+    assert len(FORMS) == 45
+    assert _form_source("+", "f", "c") == ("add_fc", (
+        "def add_fc(a, b):\n"
+        "    return lambda x: a(x) + b\n"))
+    assert _form_source("^", "x", "f") == ("pow_xf", (
+        "def pow_xf(a, b):\n"
+        "    def node(x):\n"
+        "        v = b(x)\n"
+        "        if isfinite(v):\n"
+        "            return math.pow(x, v)\n"
+        "        raise ValueError\n"
+        "    return node\n"))
+    checked = [key for key in FORMS if "isfinite" in _form_source(*key)[1]]
+    assert checked == ["/xf", "/cf", "/ff", "^xf", "^cf", "^fx", "^fc", "^ff"]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_int_constant_beyond_float_range_reads_as_inf(sign):
+    huge, inf = Constant(sign * 10 ** 400), Constant(sign * math.inf)
+    pairs = [(huge, inf), (Unary("-", huge), Unary("-", inf))]
+    for op in "+-*/^":
+        for other in OPERANDS:
+            pairs += [(Binary(op, huge, other), Binary(op, inf, other)),
+                      (Binary(op, other, huge), Binary(op, other, inf))]
+    for e, like in pairs:
+        assert "(0 / 0)" in render(e)
+        assert render(e) == render(like)
+        assert all(evaluate(e, x) is None for x in XS + [0, 3]), e
+        de, dlike = differentiate(e), differentiate(like)
+        for x in XS:
+            assert bits(evaluate(de, x)) == bits(evaluate(dlike, x)), (e, x)
 
 
 # ---------------------------------------------------------------------------

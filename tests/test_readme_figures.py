@@ -13,7 +13,8 @@ import lsqroots.lsq3
 import lsqroots.outcomes
 import test_outcomes
 from lsqroots.bench import METHOD_ORDER, SOLVERS, builtin_suite, run_benchmark
-from lsqroots.expressions import parse
+import lsqroots.expressions
+from lsqroots.expressions import Binary, Call, Constant, Variable, evaluate, parse
 from lsqroots.outcomes import Status
 from test_acceptance import ROOT_TOL
 from test_family_f import FAMILY_F_OK, PROBLEMS, STARTS
@@ -46,6 +47,14 @@ FAMILY_F = re.compile(
 TRIAGE = re.compile(
     r"and (\S+) from (\S+) and (\S+) from (\S+) take (\S+) and (\S+) iterations "
     r"where the paper reports (\S+) and (\S+) \(criterion 2\)\.")
+
+FORMS = re.compile(
+    r"(\S+) operators by (\S+) kinds on each side give (\S+) forms\.")
+
+CHECKED_FORMS = re.compile(
+    r"Of the (\S+) forms, the (\S+) with a closure operand of `\^` or a closure "
+    r"divisor of `/` read both operands, left then right, and raise unless each "
+    r"closure value is finite\.")
 
 
 def readme_text(pattern):
@@ -176,3 +185,25 @@ def test_the_triaged_count_gaps_are_those_of_one_bench_pass():
             assert row.method == "lsq3-variable"
             gaps.add((row.problem, row.start, row.iterations, expected))
     assert gaps == named
+
+
+def test_the_form_figures_are_those_of_the_generated_forms(monkeypatch):
+    operators, kinds, forms = readme_figures(FORMS)
+    forms_again, checked = readme_figures(CHECKED_FORMS)
+    assert forms_again == forms
+    # one operand of each kind: the variable, a finite constant, a closure
+    operands = {"x": Variable(), "c": Constant(2.0), "f": Call("abs", Variable())}
+    monkeypatch.setattr(lsqroots.expressions, "_NODES", {})
+    for op in "+-*/^":
+        for left in operands.values():
+            for right in operands.values():
+                evaluate(Binary(op, left, right), 1.5)
+    nodes = lsqroots.expressions._NODES
+    assert len({op for op, _, _ in nodes}) == operators
+    assert len({kind for _, ka, kb in nodes for kind in (ka, kb)}) == kinds
+    assert len(nodes) == forms
+    tested = sorted(op + ka + kb for (op, ka, kb), factory in nodes.items()
+                    if "isfinite" in factory(None, None).__code__.co_names)
+    assert len(tested) == checked
+    assert tested == sorted(op + ka + kb for op, ka, kb in nodes
+                            if "f" in ka + kb and (op == "^" or op == "/" and kb == "f"))
