@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lsqroots import expressions
 from lsqroots.bench import builtin_suite
 from lsqroots.expressions import (
     FUNCTIONS,
@@ -25,7 +26,6 @@ from lsqroots.expressions import (
     Constant,
     Unary,
     Variable,
-    _NODES,
     _cbrt,
     _form_source,
     differentiate,
@@ -263,7 +263,7 @@ def test_every_inlined_node_matches_reference(key):
             for x in INLINE_XS:
                 assert exact(evaluate(e, x)) == exact(reference_evaluate(e, x)), (e, x)
             # the node was compiled to its form's generated closure
-            inner = _NODES[op, ka, kb](None, None).__code__
+            inner = expressions._NODES[op, ka, kb](None, None).__code__
             assert e.__dict__["_compiled"].__code__ is inner, e
 
 
