@@ -444,7 +444,7 @@ def _form_source(op: str, ka: str, kb: str) -> Tuple[str, str]:
     name = f"{_NAMES[op]}_{ka}{kb}"
     if not checked:
         return name, f"def {name}(a, b):\n    return lambda x: {value}\n"
-    reads = [(u, f) for u, f in (("u", "a"), ("v", "b")) if u in (a, b)]
+    reads = [(u, f) for u, f, kind in (("u", "a", ka), ("v", "b", kb)) if kind == "f"]
     return name, (f"def {name}(a, b):\n    def node(x):\n"
                   + "".join(f"        {u} = {f}(x)\n" for u, f in reads)
                   + f"        if {' and '.join(f'isfinite({u})' for u, _ in reads)}:\n"
@@ -527,7 +527,8 @@ def _compile(e: Expr) -> Callable[[float], float]:
         return lambda x: x
     # A non-finite constant (the parser rejects them, but a tree built
     # directly or folded by differentiate can hold one) is read through
-    # this closure, so the checks above and in evaluate see it.
+    # this closure, an int beyond float range as inf, so the checks above
+    # and in evaluate see it.
     c = _ieee(e.value)
     return lambda x: c
 
