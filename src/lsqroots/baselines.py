@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 from .expressions import Expr, differentiate, evaluate
 from .outcomes import (CheckedRecord, IterationRecord, SolveOutcome, Status, StepError,
-                       check_budget, is_finite, iterate)
+                       check_budget, compile_tree, is_finite, iterate)
 # Only ``outcomes`` calls these; they stay module globals here because the
 # benchmark's probes rebind them by module.
 from .outcomes import best_iterate, detect_cycle  # noqa: F401
@@ -70,7 +70,8 @@ def solve_baseline(method: str, f: Expr, x0: float,
     Failures are statuses, never exceptions; a zero or undefined
     derivative, a flat chord or an off-domain iterate ends the run as
     Diverged.  A non-finite ``x0`` or ``x1`` is an argument error and
-    raises ``ValueError``.
+    raises ``ValueError``.  Every evaluation of f, and of Newton's f',
+    runs one function compiled from the whole tree (``compile_tree``).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -81,6 +82,7 @@ def solve_baseline(method: str, f: Expr, x0: float,
     if x1 is not None and not is_finite(x1):
         raise ValueError("x1 must be finite")
 
+    compile_tree(f)
     fx = partial(evaluate, f)
     y0 = fx(x0)
     if y0 is None:
@@ -89,7 +91,9 @@ def solve_baseline(method: str, f: Expr, x0: float,
     note = ""
     prev = None
     if method == "newton":
-        dfx = partial(evaluate, differentiate(f))
+        df = differentiate(f)
+        compile_tree(df)
+        dfx = partial(evaluate, df)
 
         def step(cur, prev):
             dy = dfx(cur.x)

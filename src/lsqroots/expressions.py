@@ -41,11 +41,18 @@ so finiteness is checked only where it could be lost: the divisor of
 constant that is not finite, an int beyond float range included, is
 read as inf or nan.  ``evaluate`` checks the final value once and turns
 the domain errors that the math raises into ``None``.
+The same rule also writes code at a second granularity:
+``outcomes.compile_tree`` compiles a whole tree into one straight-line
+function with every operator inline and every check where a closure has
+it, and keeps it as the root's closure, marked ``_tree``.  The solvers
+call it on each expression they iterate on; a tree that only
+``evaluate`` sees keeps its node closures, which cost far less to build
+than one ``compile()``.
 ``differentiate`` caches its result on the expression's root node.  The
 caches are not part of a node's value, so equality, hashing, copying and
-pickling see only the tree.  They take no lock, and nor does the table
-of generated forms: two threads that reach a fresh node at once may both
-compile it, build its derivative or generate its form, and either result
+pickling see only the tree.  They take no lock, and nor do the tables
+of generated code: two threads that reach a fresh node at once may both
+compile it, build its derivative or generate its code, and either result
 serves, so a tree can be shared between threads.
 """
 
@@ -141,11 +148,10 @@ class _Node:
         return _differentiate(self)
 
     def __getstate__(self):
-        # The caches are rebuilt on demand; the closures cannot be pickled.
-        state = dict(self.__dict__)
-        state.pop("_compiled", None)
-        state.pop("_derivative", None)
-        return state
+        # Only the fields: the caches are rebuilt on demand, and the
+        # compiled functions cannot be pickled.
+        d = self.__dict__
+        return {name: d[name] for name in self._fields}
 
 
 class Constant(_Node):
@@ -427,20 +433,32 @@ _NODES: dict = {}
 _NAMES = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
 
 
+def _checked(op: str, ka: str, kb: str) -> bool:
+    """Whether a binary ``op`` node whose operands read as ``ka`` and
+    ``kb`` checks that each closure operand is finite: where a non-finite
+    value could turn finite, a closure operand of ``^`` or a closure
+    divisor of ``/``."""
+    return "f" in ka + kb and (op == "^" or op == "/" and kb == "f")
+
+
+def _value(op: str, a: str, b: str) -> str:
+    """The source of a binary ``op`` node's value, its operands written
+    ``a`` and ``b``: the operator inline, ``^`` through ``math.pow``."""
+    return f"math.pow({a}, {b})" if op == "^" else f"{a} {op} {b}"
+
+
 def _form_source(op: str, ka: str, kb: str) -> Tuple[str, str]:
     """The name and source of the factory ``(a, b) -> closure`` of binary
     ``op`` nodes whose operands read as ``ka`` and ``kb``.
 
-    The closure applies ``op`` inline, ``^`` through ``math.pow``.  Where
-    a non-finite closure value could turn finite (a closure operand of
-    ``^``, a closure divisor of ``/``), it reads both operands, left then
-    right, into ``u`` and ``v``, and raises ValueError unless each closure
-    value is finite.
+    The closure applies ``op`` inline (``_value``).  Where it checks
+    (``_checked``), it reads both operands, left then right, into ``u``
+    and ``v``, and raises ValueError unless each closure value is finite.
     """
-    checked = "f" in ka + kb and (op == "^" or op == "/" and kb == "f")
+    checked = _checked(op, ka, kb)
     a = {"x": "x", "c": "a", "f": "u" if checked else "a(x)"}[ka]
     b = {"x": "x", "c": "b", "f": "v" if checked else "b(x)"}[kb]
-    value = f"math.pow({a}, {b})" if op == "^" else f"{a} {op} {b}"
+    value = _value(op, a, b)
     name = f"{_NAMES[op]}_{ka}{kb}"
     if not checked:
         return name, f"def {name}(a, b):\n    return lambda x: {value}\n"
@@ -451,14 +469,19 @@ def _form_source(op: str, ka: str, kb: str) -> Tuple[str, str]:
                   + f"            return {value}\n        raise ValueError\n    return node\n")
 
 
-def _form(key: Tuple[str, str, str]) -> Callable:
-    """The factory of the binary node form ``key``, compiled from its
-    ``_form_source`` and kept in ``_NODES``.  Its code names this module's
-    file and the form, so tracebacks and profiles place it here."""
-    name, source = _form_source(*key)
+def _generated(name: str, source: str) -> Callable:
+    """The function ``name`` that ``source`` defines, run in this module's
+    globals.  Its code names this module's file and ``name``, so
+    tracebacks and profiles place it here."""
     space: dict = {}
     exec(compile(source, f"{__file__}<{name}>", "exec"), globals(), space)
-    factory = _NODES[key] = space[name]
+    return space[name]
+
+
+def _form(key: Tuple[str, str, str]) -> Callable:
+    """The factory of the binary node form ``key``, compiled from its
+    ``_form_source`` and kept in ``_NODES``."""
+    factory = _NODES[key] = _generated(*_form_source(*key))
     return factory
 
 

@@ -35,8 +35,8 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from .expressions import Expr, evaluate
-from .outcomes import (CheckedRecord, SolveOutcome, Status, StepError, check_budget, is_finite,
-                       iterate)
+from .outcomes import (CheckedRecord, SolveOutcome, Status, StepError, check_budget,
+                       compile_tree, is_finite, iterate)
 # Only ``outcomes`` calls these; they stay module globals here because the
 # benchmark's probes rebind them by module.
 from .outcomes import best_iterate, detect_cycle  # noqa: F401
@@ -237,12 +237,14 @@ def solve(f: Expr, x0: float, config: Optional[SolverConfig] = None) -> SolveOut
     Failures come back as statuses, never exceptions: Diverged (iterate
     beyond the divergence bound, off the domain, or probes that stay off
     it), Oscillating (a period 2..4 cycle), SymmetricStall, DomainError
-    (f undefined at x0), or MaxIterations.
+    (f undefined at x0), or MaxIterations.  Every evaluation of f runs
+    one function compiled from the whole tree (``compile_tree``).
     """
     if config is None:
         config = SolverConfig()
     if not is_finite(x0):
         raise ValueError("x0 must be finite")
+    compile_tree(f)
     fx = partial(evaluate, f)
     y0 = fx(x0)
     if y0 is None:

@@ -4,7 +4,9 @@ Every solver in this package (the three-point least-squares iteration and
 the Newton/secant baselines) runs through :func:`iterate`, so all of them
 share one stopping rule and one failure taxonomy and report results
 through the same :class:`SolveOutcome`: benchmark comparisons are
-like-for-like by construction.
+like-for-like by construction.  Each also compiles the expressions it
+iterates on with :func:`compile_tree`, which lives here rather than in
+``expressions`` so that ``import lsqroots`` does not compile it.
 
 A step is a pure function of the last two accepted records (every
 field), so once that pair recurs bit for bit the run is periodic: the
@@ -22,6 +24,9 @@ from enum import Enum
 from functools import partial
 from itertools import cycle, islice
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+
+from .expressions import (Binary, Call, Constant, Expr, Variable, _CALLS, _checked, _generated,
+                          _ieee, _value)
 
 
 class Status(Enum):
@@ -330,3 +335,78 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
         prev, cur, x = cur, rec, x_new
 
     return SolveOutcome(status, best_iterate(x0, y0, trace), tuple(trace), note)
+
+
+# The factories of whole-tree functions, keyed by their source.  The source
+# names no constant and no function, so fresh trees of one shape share a
+# factory.  The table is emptied when it holds _TREE_TABLE of them; like the
+# expression caches it takes no lock, and either of two racing factories
+# serves.
+_TREES: dict = {}
+_TREE_TABLE = 128
+
+
+def compile_tree(f: Expr) -> None:
+    """Compile ``f`` into one function, which ``evaluate`` runs from then
+    on in place of its node closures, with the same results.  Each solver
+    calls it on the expressions it iterates on; a later call returns at once.
+
+    The function computes each distinct node of ``f`` once, left operand
+    before right, in a statement of its own, by the rule of the node
+    forms: a binary node's value by ``expressions._value``, its checks by
+    ``_checked``, a call's closure argument checked, and operands read as
+    ``expressions._operand`` reads them.  It is kept as the root's
+    ``_compiled``, marked ``_tree``.  The writer recurses twice per level,
+    as ``expressions._compile`` does, so a tree too deep for one keeps its
+    closures and ``evaluate`` raises its ValueError.
+    """
+    d = f.__dict__
+    if "_tree" in d:
+        return
+    lines: list = []
+    bound: list = []        # the constants and math functions, as k0, k1, ...
+    temps: dict = {}        # id of a node -> the local that holds its value
+
+    def read(node: Expr) -> Tuple[str, str]:
+        if isinstance(node, Variable):
+            return "x", "x"
+        if isinstance(node, Constant):
+            bound.append(_ieee(node.value))
+            return "c" if is_finite(node.value) else "f", f"k{len(bound) - 1}"
+        if id(node) not in temps:
+            temps[id(node)] = emit(node)
+        return "f", temps[id(node)]
+
+    def emit(node: Expr) -> str:
+        if isinstance(node, Binary):
+            op = node.op
+            ka, a = read(node.left)
+            kb, b = read(node.right)
+            if _checked(op, ka, kb):
+                test = " and ".join(f"isfinite({u})" for u, k in ((a, ka), (b, kb)) if k == "f")
+                lines.append(f"        if not ({test}):\n            raise ValueError\n")
+            value = _value(op, a, b)
+        elif isinstance(node, Call):
+            kind, a = read(node.arg)
+            if kind == "f":
+                lines.append(f"        if not isfinite({a}):\n            raise ValueError\n")
+            bound.append(_CALLS[node.name][0])
+            value = f"k{len(bound) - 1}({a})"
+        else:
+            value = f"-{read(node.operand)[1]}"
+        temp = f"t{len(temps)}"
+        lines.append(f"        {temp} = {value}\n")
+        return temp
+
+    try:
+        result = read(f)[1]
+    except RecursionError:
+        return
+    source = (f"def tree({', '.join(f'k{i}' for i in range(len(bound)))}):\n"
+              f"    def f(x):\n{''.join(lines)}        return {result}\n    return f\n")
+    factory = _TREES.get(source)
+    if factory is None:
+        if len(_TREES) >= _TREE_TABLE:
+            _TREES.clear()
+        factory = _TREES[source] = _generated("tree", source)
+    d["_compiled"] = d["_tree"] = factory(*bound)

@@ -116,6 +116,17 @@ def test_a_periodic_tail_that_writes_one_wrong_field_fails_the_check(tmp_path):
                               for line in lines[:-1])
 
 
+def test_a_short_lsq3_solve_that_differs_fails_the_check(tmp_path):
+    # another first probe spacing: the short solves of the random
+    # expressions differ, as the stock basin solves do
+    changed = changed_copy(tmp_path, "lsq3.py", "delta0: float = 0.1", "delta0: float = 0.11")
+    proc = run_tool(str(ROOT), str(changed), "--inputs", "4", "--starts", "1", "--seed", "3")
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert lines[-1].startswith("check failed: ")
+    assert any(line.startswith("lsq3 ") for line in lines), lines
+
+
 def test_an_extra_evaluation_per_lsq3_solve_is_counted(tmp_path):
     # Each lsq3 solve evaluates f at its start twice: the outputs stay the
     # same, and B counts one f more per lsq3 solve: 28 of the 56 basin

@@ -1,5 +1,6 @@
 """``tools/count_bytecodes.py``: counts per function, the same on every run."""
 
+import collections
 import importlib.util
 import subprocess
 import sys
@@ -31,6 +32,17 @@ def test_each_loop_pass_costs_the_same_bytecodes():
     assert count_bytecodes.label(loop.__code__) == "test_count_bytecodes:loop"
 
 
+def test_code_compiled_from_a_string_is_placed_in_its_frames_module():
+    point = collections.namedtuple("Point", "x y")
+    modules = {}
+    counts = count_bytecodes.count_opcodes(lambda i: point(i, i), [1, 2], modules)
+    names = count_bytecodes.by_function(counts, modules)
+    # the namedtuple's __new__, compiled from a string in a namespace of its own
+    assert names["namedtuple_Point:<lambda>"] > 0
+    assert not any(name.startswith("<string>:") for name in names)
+    assert count_bytecodes.label(loop.__code__, "elsewhere") == "test_count_bytecodes:loop"
+
+
 def test_basin_sample_counts_are_deterministic():
     outputs = [run_tool("--workload", "basin", "--starts", "1", "--seed", "3", "--top", "5")
                for _ in range(2)]
@@ -55,8 +67,9 @@ def test_a_suite_pass_lists_the_bench_layer():
     names = {line.split()[-1] for line in lines[2:]}
     assert {"lsqroots.bench:final_rate", "lsqroots.lsq3:select_delta",
             "lsqroots.expressions:evaluate"} <= names
-    # the generated node closures are placed in their module, by form
-    assert "lsqroots.expressions:pow_fc.<locals>.node" in names
+    # generated code is placed in its module: the whole-tree function
+    # that each of the suite's solves runs
+    assert "lsqroots.expressions:tree.<locals>.f" in names
 
 
 def test_an_expr_scan_sample_counts_the_evaluator_and_the_parser():

@@ -5,7 +5,8 @@ documented semantics directly: IEEE double operations, left operand
 before right, and ``None`` for any step that leaves the real domain or
 produces a non-finite value (a non-finite constant or ``x`` included).  The
 compiled closures in ``lsqroots.expressions`` must agree with it on every
-result, including the sign of zero and where ``None`` appears.
+result, including the sign of zero and where ``None`` appears, and so
+must the one function that a solver compiles from a whole tree.
 """
 
 import copy
@@ -33,6 +34,7 @@ from lsqroots.expressions import (
     parse,
     render,
 )
+from lsqroots.outcomes import compile_tree
 
 
 class _Off(Exception):
@@ -119,6 +121,28 @@ def assert_parity(e, xs):
         assert bits(evaluate(e, x)) == bits(reference_evaluate(e, x)), (e, x)
 
 
+def exact(v):
+    """``None``, the bits of a float or an int with its type."""
+    return v if v is None or isinstance(v, int) else v.hex()
+
+
+def whole(e):
+    """A copy of ``e`` compiled as a solver compiles it: one function for
+    the whole tree, which ``evaluate`` then runs."""
+    clone = copy.deepcopy(e)
+    compile_tree(clone)
+    assert "_tree" in vars(clone)
+    return clone
+
+
+def assert_granularities_agree(e, xs):
+    """``e``'s node closures and a whole-tree copy give the same bits, or
+    both ``None``, at each of ``xs``."""
+    w = whole(e)
+    for x in xs:
+        assert exact(evaluate(w, x)) == exact(evaluate(e, x)), (e, x)
+
+
 # ---------------------------------------------------------------------------
 # Random trees
 # ---------------------------------------------------------------------------
@@ -147,10 +171,38 @@ points = st.lists(st.one_of(numbers, st.sampled_from([math.inf, -math.inf, math.
 @given(trees, points)
 def test_random_trees_match_reference(e, xs):
     assert_parity(e, xs)
+    assert_parity(whole(e), xs)
     assert_parity(differentiate(e), xs)
     again = parse(render(e))
     for x in xs:
         assert bits(evaluate(again, x)) == bits(reference_evaluate(e, x)), (render(e), x)
+
+
+# Besides the numbers above, constants that only a tree built by hand can
+# hold: infinities, nan, ints beyond float range and small ints; and int
+# points, which the operators keep ints.
+wide_numbers = st.one_of(numbers, st.sampled_from(
+    [math.inf, -math.inf, math.nan, 10 ** 400, -10 ** 400, 0, 3, -7]))
+
+wide_trees = st.recursive(
+    st.one_of(st.builds(Constant, wide_numbers), st.just(Variable())),
+    lambda kids: st.one_of(
+        st.builds(Unary, st.just("-"), kids),
+        st.builds(Binary, st.sampled_from("+-*/^"), kids, kids),
+        st.builds(Call, st.sampled_from(FUNCTIONS), kids),
+    ),
+    max_leaves=20,
+)
+
+wide_points = st.lists(st.one_of(numbers, st.sampled_from(
+    [math.inf, -math.inf, math.nan, 0, 3, -7, 2 ** 60, 10 ** 400])), min_size=1, max_size=8)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(wide_trees, wide_points)
+def test_a_solver_compiled_tree_matches_its_node_closures(e, xs):
+    assert_granularities_agree(e, xs)
+    assert_granularities_agree(differentiate(e), xs)
 
 
 def test_suite_expressions_and_derivatives_match_reference():
@@ -230,6 +282,7 @@ def test_non_finite_constant_anywhere_is_off_domain(value):
     for e in trees:
         assert_parity(e, XS)
         assert all(evaluate(e, x) is None for x in XS), e
+        assert_granularities_agree(e, XS)
 
 
 # Operands of the binary node forms, by kind: finite constants with signed
@@ -246,11 +299,6 @@ INLINE_XS = [0.0, -0.0, 5e-324, -5e-324, 0.5, -2.0, 1e308, -1.7976931348623157e3
              math.inf, math.nan, 0, 3, -7, 2 ** 60]
 
 
-def exact(v):
-    """``None``, the bits of a float or an int with its type."""
-    return v if v is None or isinstance(v, int) else v.hex()
-
-
 FORMS = ["".join(form) for form in itertools.product("+-*/^", "xcf", "xcf")]
 
 
@@ -265,6 +313,7 @@ def test_every_inlined_node_matches_reference(key):
             # the node was compiled to its form's generated closure
             inner = expressions._NODES[op, ka, kb](None, None).__code__
             assert e.__dict__["_compiled"].__code__ is inner, e
+            assert_granularities_agree(e, INLINE_XS)
 
 
 def test_the_generated_forms_read_as_written():
@@ -296,6 +345,7 @@ def test_an_int_constant_beyond_float_range_reads_as_inf(sign):
         assert "(0 / 0)" in render(e)
         assert render(e) == render(like)
         assert all(evaluate(e, x) is None for x in XS + [0, 3]), e
+        assert_granularities_agree(e, XS + [0, 3])
         de, dlike = differentiate(e), differentiate(like)
         for x in XS:
             assert bits(evaluate(de, x)) == bits(evaluate(dlike, x)), (e, x)

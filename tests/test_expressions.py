@@ -10,6 +10,7 @@ import pytest
 
 import lsqroots.expressions as expressions
 from lsqroots.cli import main
+from lsqroots.outcomes import compile_tree
 from lsqroots.expressions import (
     FUNCTIONS,
     MAX_DEPTH,
@@ -390,14 +391,18 @@ def test_compiled_subtrees_pickle_copy_compare_and_evaluate_as_fresh(text):
     d = differentiate(e)
     evaluate(e, 0.7)
     evaluate(d, 0.7)
+    # and the roots compiled whole, as the solvers compile them
+    compile_tree(e)
+    compile_tree(d)
     pairs = [*paired_nodes(e, parse(text)), *paired_nodes(d, differentiate(parse(text)))]
     assert any("_compiled" in vars(used) for used, _ in pairs[1:])
+    assert "_tree" in vars(e) and "_tree" in vars(d)
     for used, fresh in pairs:
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
         assert pickle.dumps(used) == pickle.dumps(fresh)
         for clone in (pickle.loads(pickle.dumps(used)), copy.copy(used), copy.deepcopy(used)):
             assert clone == fresh and hash(clone) == hash(fresh)
-            assert "_compiled" not in vars(clone)
+            assert "_compiled" not in vars(clone) and "_tree" not in vars(clone)
         deep = copy.deepcopy(used)
         assert all("_compiled" not in vars(node) for node, _ in paired_nodes(deep, deep))
     for used, fresh in pairs:

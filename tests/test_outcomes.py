@@ -11,6 +11,8 @@ state recurs, must give the same outcome, trace included, bit for bit.
 
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ import lsqroots.lsq3
 import lsqroots.outcomes
 from lsqroots.baselines import BaselineConfig, solve_baseline
 from lsqroots.bench import SOLVERS, builtin_suite, n_grid
-from lsqroots.expressions import parse
+from lsqroots.expressions import ParseError, parse, render
 from lsqroots.lsq3 import SolverConfig, solve
 from lsqroots.outcomes import (
     CHECKED_REPLAYS,
@@ -446,6 +448,65 @@ def test_a_stuck_newton_run_replays_its_fixed_point(monkeypatch):
 def test_a_tree_too_deep_to_evaluate_is_an_argument_error(method):
     with pytest.raises(ValueError, match="nested too deeply to evaluate"):
         SOLVERS[method](sum_chain(5000), 1.0)
+
+
+def node_closures_only(monkeypatch):
+    """Make the solvers keep each tree's node closures, as they did before
+    they compiled the trees they iterate on."""
+    for module in (lsqroots.lsq3, lsqroots.baselines):
+        monkeypatch.setattr(module, "compile_tree", lambda e: None)
+
+
+def nested(levels):
+    """An expression ``levels`` nodes deep with its root at 0.5: a call, a
+    product or a quotient around each level, around ``x - 0.5``."""
+    text = "x - 0.5"
+    for k in range(levels - 1):
+        text = ("sin({})", "2 * ({})", "arctan({})", "({}) / 2")[k % 4].format(text)
+    return text
+
+
+@pytest.mark.parametrize("method", list(SOLVERS))
+def test_each_method_solves_an_expression_as_deep_as_the_parser_allows(method, monkeypatch):
+    with pytest.raises(ParseError, match="deeper than 100 levels"):
+        parse(nested(101))
+    e = parse(nested(100))
+    out = SOLVERS[method](e, 0.45)
+    assert out.converged and out.root == 0.5
+    assert "_tree" in vars(e)
+    node_closures_only(monkeypatch)
+    assert outcome_digest(SOLVERS[method](parse(nested(100)), 0.45)) == outcome_digest(out)
+
+
+@pytest.mark.parametrize("method", list(SOLVERS))
+def test_four_threads_racing_on_a_fresh_trees_first_solve_get_one_outcome(method, monkeypatch):
+    problems = builtin_suite()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for problem in problems:
+            text, x0 = render(problem.expression), problem.starts[0]
+            want = outcome_digest(SOLVERS[method](parse(text), x0))
+            shared = parse(text)
+            # no whole-tree function is compiled yet: the threads race on those too
+            monkeypatch.setattr(lsqroots.outcomes, "_TREES", {})
+            start = threading.Barrier(4)
+            got = [None] * 4
+
+            def work(i):
+                start.wait(timeout=30)
+                got[i] = outcome_digest(SOLVERS[method](shared, x0))
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == [want] * 4, problem.id
+            assert "_tree" in vars(shared)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # Each argument that must be finite, as a call that passes it ``v``, and

@@ -9,6 +9,7 @@ import re
 from pathlib import Path
 
 import lsqroots.baselines
+import lsqroots.bench
 import lsqroots.lsq3
 import lsqroots.outcomes
 import test_outcomes
@@ -55,6 +56,12 @@ CHECKED_FORMS = re.compile(
     r"Of the (\S+) forms, the (\S+) with a closure operand of `\^` or a closure "
     r"divisor of `/` read both operands, left then right, and raise unless each "
     r"closure value is finite\.")
+
+WHOLE_TREES = re.compile(
+    r"kept by its source in `outcomes\._TREES`, a table of at most (\S+) that "
+    r"is emptied when full\..* Of the (\S+) evaluations in one `lsqroots bench` "
+    r"pass, (\S+) run a whole-tree function: every solver evaluation\. The other "
+    r"(\S+) are the root checks made when the suite's problems are built\.")
 
 
 def readme_text(pattern):
@@ -207,3 +214,23 @@ def test_the_form_figures_are_those_of_the_generated_forms(monkeypatch):
     assert len(tested) == checked
     assert tested == sorted(op + ka + kb for op, ka, kb in nodes
                             if "f" in ka + kb and (op == "^" or op == "/" and kb == "f"))
+
+
+def test_the_whole_tree_figures_are_those_of_one_bench_pass(monkeypatch):
+    table, total, whole, checks = readme_figures(WHOLE_TREES)
+    assert lsqroots.outcomes._TREE_TABLE == table
+    # evaluations by the module that makes them, and by whether they run
+    # a whole-tree function
+    counts = {}
+    for module in (lsqroots.bench, lsqroots.lsq3, lsqroots.baselines):
+        def counted(e, x, name=module.__name__):
+            key = name, "_tree" in vars(e)
+            counts[key] = counts.get(key, 0) + 1
+            return evaluate(e, x)
+        monkeypatch.setattr(module, "evaluate", counted)
+    run_benchmark(builtin_suite())
+    assert sum(counts.values()) == total
+    assert counts.keys() == {("lsqroots.bench", False), ("lsqroots.lsq3", True),
+                             ("lsqroots.baselines", True)}
+    assert counts["lsqroots.bench", False] == checks
+    assert counts["lsqroots.lsq3", True] + counts["lsqroots.baselines", True] == whole

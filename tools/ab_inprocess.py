@@ -10,16 +10,18 @@ Uses the standard library only; the inputs come from the benchmark's
 ``perfbench/reference.py`` next to this tool, which is read, never edited.
 
 1. **Check.** Both sides must give the same expr-scan values (bits and
-   ``None``) on ``--inputs`` random expressions, the same ``parse``
-   outcome (the tree's ``repr``, or the ``ParseError`` message and
-   position) on PARSE_TEXTS seeded random token texts, most of them
+   ``None``) on ``--inputs`` random expressions, the same outcome of a
+   short lsq3 solve of each (SHORT_STEPS steps at most, fixed and
+   variable power in turn, from one of its grid points), the same
+   ``parse`` outcome (the tree's ``repr``, or the ``ParseError`` message
+   and position) on PARSE_TEXTS seeded random token texts, most of them
    malformed, the same derivative tree (its ``repr``) of every expr-scan
    expression and every stock expression, the same basin outcomes on
-   ``--starts`` starts per stock problem and method (status, root bits,
-   note and the whole trace: every field of every record by name, the
-   bits of a float or ``None``; a side whose records still carry a step
-   number ``k`` must hold each record's place in the trace there), and the
-   same suite CSV and Markdown.  A difference
+   ``--starts`` starts per stock problem and method, and the same suite
+   CSV and Markdown.  Solve outcomes compare by status, root bits, note
+   and the whole trace: every field of every record by name, the bits of
+   a float or ``None``; a side whose records still carry a step number
+   ``k`` must hold each record's place in the trace there.  A difference
    is printed and the tool exits 1 without timing.  The check also counts
    each side's f and f' evaluations over its basin solves and its suite
    pass, by rebinding ``evaluate`` in the copy's ``lsq3`` and ``baselines``
@@ -56,6 +58,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CHUNK = 25
 GRID = 16
+SHORT_STEPS = 5
 PARSE_TEXTS = 2000
 # Tokens that reach every branch of the parser: numbers with exponents,
 # operators, whitespace, names that are and are not functions, and
@@ -168,6 +171,11 @@ class Side:
         return ([evaluate(e, x) for x in grid], [evaluate(d, x) for x in grid],
                 [evaluate(e2, x) for x in grid])
 
+    def short_solve(self, text, x0, mode):
+        pkg = self.pkg
+        config = pkg.SolverConfig(mode=mode, max_iter=SHORT_STEPS)
+        return pkg.solve(pkg.parse(text), x0, config)
+
     def parse_outcome(self, text):
         try:
             return repr(self.pkg.parse(text))
@@ -227,10 +235,14 @@ def check(a: Side, b: Side, exprs: list, texts: list, solves: list):
         oa, ob = a.parse_outcome(text), b.parse_outcome(text)
         if oa != ob:
             diffs.append(f"parse {text!r}: {oa!r} != {ob!r}")
-    for text, grid in exprs:
+    for i, (text, grid) in enumerate(exprs):
         ra, rb = a.expr_scan((text, grid)), b.expr_scan((text, grid))
         if [[_bits(v) for v in vs] for vs in ra] != [[_bits(v) for v in vs] for vs in rb]:
             diffs.append(f"expr-scan {text!r}: values differ")
+        x0, mode = grid[i % GRID], ("fixed", "variable")[i % 2]
+        diff = solve_difference(a.short_solve(text, x0, mode), b.short_solve(text, x0, mode))
+        if diff is not None:
+            diffs.append(f"lsq3 {text!r}/{x0!r}/{mode}: {diff}")
         if a.derivative_tree(a.pkg.parse(text)) != b.derivative_tree(b.pkg.parse(text)):
             diffs.append(f"differentiate {text!r}: trees differ")
     for pa, pb in zip(a.suite, b.suite):

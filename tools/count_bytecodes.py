@@ -23,8 +23,9 @@ bytecodes is not the same as less time (one bytecode can call a costly C
 function), so it is a guide before timed runs, not a substitute for them.
 
 Prints the total and the count per operation, then the ``--top`` functions
-by count, each as ``module:qualified name``.  Uses the standard library
-only.
+by count, each as ``module:qualified name``.  Code compiled from a string
+(a namedtuple's ``__new__``, the package's generated code) is placed in
+the module its frame runs in.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -39,8 +40,10 @@ TOOLS = Path(__file__).resolve().parent
 ROOT = TOOLS.parent
 
 
-def count_opcodes(op, inputs) -> Counter:
-    """Bytecodes executed per code object while ``op`` runs on each input."""
+def count_opcodes(op, inputs, modules=None) -> Counter:
+    """Bytecodes executed per code object while ``op`` runs on each input.
+    A ``modules`` dict, if given, gets the module that each code object's
+    frame runs in (its globals' ``__name__``)."""
     counts: Counter = Counter()
 
     def local(frame, event, arg):
@@ -50,6 +53,8 @@ def count_opcodes(op, inputs) -> Counter:
 
     def start(frame, event, arg):
         frame.f_trace_opcodes = True
+        if modules is not None:
+            modules.setdefault(frame.f_code, frame.f_globals.get("__name__"))
         return local
 
     previous = sys.gettrace()
@@ -62,10 +67,14 @@ def count_opcodes(op, inputs) -> Counter:
     return counts
 
 
-def label(code) -> str:
-    """``module:qualified name`` of a code object, the module named by its
-    file's path from its top package, or by the file's name."""
+def label(code, module=None) -> str:
+    """``module:qualified name`` of a code object.  Code compiled from a
+    string, whose file name names no file, is placed in ``module`` when it
+    is given; other code in the module named by its file's path from its
+    top package, or by the file's name."""
     path = Path(code.co_filename)
+    if module is not None and not path.is_file():
+        return f"{module}:{code.co_qualname}"
     parts = [path.stem]
     parent = path.parent
     while (parent / "__init__.py").exists():
@@ -76,11 +85,12 @@ def label(code) -> str:
     return f"{'.'.join(parts)}:{code.co_qualname}"
 
 
-def by_function(counts: Counter) -> Counter:
-    """The counts of ``count_opcodes`` keyed by :func:`label`."""
+def by_function(counts: Counter, modules=None) -> Counter:
+    """The counts of ``count_opcodes`` keyed by :func:`label`, string code
+    placed by the ``modules`` it filled."""
     totals: Counter = Counter()
     for code, n in counts.items():
-        totals[label(code)] += n
+        totals[label(code, (modules or {}).get(code))] += n
     return totals
 
 
@@ -116,7 +126,8 @@ def main(argv=None) -> int:
         inputs = ab_inprocess.expr_inputs(ab_inprocess.load_reference(), args.seed, args.inputs)
         op, what = side.expr_scan, f"{len(inputs)} expressions, seed {args.seed}"
 
-    totals = by_function(count_opcodes(op, inputs))
+    modules: dict = {}
+    totals = by_function(count_opcodes(op, inputs, modules), modules)
     total = sum(totals.values())
     print(f"{args.workload}: {what}: {total:,} bytecodes, "
           f"{total / len(inputs):,.1f} per operation")
