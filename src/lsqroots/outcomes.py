@@ -378,22 +378,23 @@ def compile_tree(f: Expr) -> None:
         return "f", temps[id(node)]
 
     def emit(node: Expr) -> str:
+        checks = ()
         if isinstance(node, Binary):
-            op = node.op
             ka, a = read(node.left)
             kb, b = read(node.right)
-            if _checked(op, ka, kb):
-                test = " and ".join(f"isfinite({u})" for u, k in ((a, ka), (b, kb)) if k == "f")
-                lines.append(f"        if not ({test}):\n            raise ValueError\n")
-            value = _value(op, a, b)
+            if _checked(node.op, ka, kb):
+                checks = [u for u, k in ((a, ka), (b, kb)) if k == "f"]
+            value = _value(node.op, a, b)
         elif isinstance(node, Call):
             kind, a = read(node.arg)
-            if kind == "f":
-                lines.append(f"        if not isfinite({a}):\n            raise ValueError\n")
+            checks = [a] if kind == "f" else ()
             bound.append(_CALLS[node.name][0])
             value = f"k{len(bound) - 1}({a})"
         else:
             value = f"-{read(node.operand)[1]}"
+        if checks:
+            test = " and ".join(f"isfinite({u})" for u in checks)
+            lines.append(f"        if not ({test}):\n            raise ValueError\n")
         temp = f"t{len(temps)}"
         lines.append(f"        {temp} = {value}\n")
         return temp
