@@ -269,6 +269,10 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     ``y0`` (and ``prev.y``) is taken as given, so a step back onto a start
     calls ``fx``.  The table of states that the recurrence test reads is
     looked up by the new iterate right after the step, and serves both.
+    It maps an iterate to the trace length at which the run stepped from
+    it, or to a tuple of lengths where it did so more than once, and the
+    states' records are read back from the trace and the two start
+    records, so a step adds an int to it and builds no tuple.
     """
     cur = IterationRecord(x0, y0)
     for start in (prev, cur):
@@ -277,16 +281,20 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     x, k = x0, 0                        # cur.x and len(trace)
     trace: list[IterationRecord] = []
     accepted: list[float] = []
-    # cur.x -> ((prev, cur, trace index of the record it produced), ...)
-    # for every state stepped from; states is the entry at x
-    seen: dict[float, tuple] = {}
-    states: tuple = ()
+    # cur.x -> len(trace) when each state at that x was stepped from: an
+    # int, or a tuple of them where several states share an x.  The state
+    # stepped from at length i is (back(i - 2), back(i - 1)), where back(j)
+    # is trace[j] for j >= 0 and heads[j], a start record, for j < 0.
+    seen: dict = {}
+    heads = (prev, cur)
+    hits = None                         # seen's entry at x as a tuple, or None
     status = Status.MAX_ITERATIONS
     while k < max_iter:
-        # Most passes reach a new x: the test spares them the loop's iterator.
-        if states:
-            for seen_prev, seen_cur, first in states:
-                if _same_fields(seen_cur, cur) and _same_fields(seen_prev, prev):
+        # Most passes reach a new x: the test spares them the loop.
+        if hits:
+            for first in hits:
+                if (_same_fields((trace if first else heads)[first - 1], cur)
+                        and _same_fields((trace if first > 1 else heads)[first - 2], prev)):
                     # The periodic tail (see the docstring): the period's
                     # own records, repeated.
                     root = best_iterate(x0, y0, trace)
@@ -298,22 +306,27 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
                             return SolveOutcome(Status.OSCILLATING, root, tuple(trace), note)
                     trace.extend(copies)
                     return SolveOutcome(Status.MAX_ITERATIONS, root, tuple(trace), note)
-        seen[x] = states + ((prev, cur, k),)
+        seen[x] = hits + (k,) if hits else k
         try:
             x_new, extras = step(cur, prev)
         except StepError as err:
             status = err.status or Status.DIVERGED
             note = note or str(err)
             break
-        states = seen.get(x_new, ())
-        for _, seen_cur, first in states:
-            # f at an iterate this run computed (first > 0), the same zero
-            # included: the start's y is taken as given, so it is never reused.
-            if first and math.copysign(1.0, seen_cur.x) == math.copysign(1.0, x_new):
-                y_new = seen_cur.y
-                break
-        else:
-            y_new = fx(x_new) if math.isfinite(x_new) else None
+        y_new = None
+        hits = seen.get(x_new)
+        if hits is not None:
+            if hits.__class__ is int:
+                hits = (hits,)
+            for first in hits:
+                # f at an iterate this run computed (first > 0), the same
+                # zero included: the start's y is taken as given, so it is
+                # never reused.
+                if first and math.copysign(1.0, trace[first - 1].x) == math.copysign(1.0, x_new):
+                    y_new = trace[first - 1].y
+                    break
+        if y_new is None and math.isfinite(x_new):
+            y_new = fx(x_new)
         k += 1
         rec = _new_record((x_new, math.nan if y_new is None else y_new)
                           + (extras or (None, None, None, None)))
@@ -337,13 +350,40 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     return SolveOutcome(status, best_iterate(x0, y0, trace), tuple(trace), note)
 
 
-# The factories of whole-tree functions, keyed by their source.  The source
-# names no constant and no function, so fresh trees of one shape share a
-# factory.  The table is emptied when it holds _TREE_TABLE of them; like the
-# expression caches it takes no lock, and either of two racing factories
-# serves.
+# The factories of whole-tree functions, keyed by their shape (see
+# compile_tree), which names no constant and no function, so fresh trees
+# of one shape share a factory.  The table is emptied when it holds
+# _TREE_TABLE of them; like the expression caches it takes no lock, and
+# either of two racing factories serves.
 _TREES: dict = {}
 _TREE_TABLE = 128
+
+
+def _tree_source(shape: tuple, slots: int) -> str:
+    """The source of ``tree(k0, ..., k<slots - 1>)``, the factory of the
+    whole-tree functions of ``shape``: a statement ``t<i> = ...`` for
+    entry i, its checks before it, then ``return`` of the last (a leaf
+    root's entry is the ``return`` alone)."""
+    lines: list = []
+    result = ""
+    for i, (tag, *tokens) in enumerate(shape):
+        fn = f"k{tokens.pop()}" if tag == "call" else ""
+        # (kind, name) of each operand
+        reads = [("x", "x") if t == "x" else ("f", f"t{t}") if t.__class__ is int
+                 else (t[0], f"k{t[1]}") for t in tokens]
+        (ka, a), (kb, b) = reads[0], reads[-1]
+        if tag == "read":
+            result = a
+            continue
+        if fn or _checked(tag, ka, kb):
+            test = " and ".join(f"isfinite({u})" for k, u in reads if k == "f")
+            if test:
+                lines.append(f"        if not ({test}):\n            raise ValueError\n")
+        value = f"-{a}" if tag == "neg" else f"{fn}({a})" if fn else _value(tag, a, b)
+        result = f"t{i}"
+        lines.append(f"        {result} = {value}\n")
+    return (f"def tree({', '.join(f'k{i}' for i in range(slots))}):\n"
+            f"    def f(x):\n{''.join(lines)}        return {result}\n    return f\n")
 
 
 def compile_tree(f: Expr) -> None:
@@ -351,63 +391,64 @@ def compile_tree(f: Expr) -> None:
     on in place of its node closures, with the same results.  Each solver
     calls it on the expressions it iterates on; a later call returns at once.
 
-    The function computes each distinct node of ``f`` once, left operand
-    before right, in a statement of its own, by the rule of the node
-    forms: a binary node's value by ``expressions._value``, its checks by
-    ``_checked``, a call's closure argument checked, and operands read as
-    ``expressions._operand`` reads them.  It is kept as the root's
-    ``_compiled``, marked ``_tree``.  The writer recurses twice per level,
-    as ``expressions._compile`` does, so a tree too deep for one keeps its
+    One walk of the tree collects the values the function binds (the
+    constants and math functions, as ``k0``, ``k1``, ...) and its shape:
+    one entry per distinct node, left operand before right, of the node's
+    tag (its operator, ``neg`` for unary minus, ``call``, or ``read`` for
+    a leaf root) and its operand tokens.  A token is ``x``, a constant's
+    kind (``c`` finite, ``f`` not) with its slot, or the index of an
+    earlier entry; a call's entry ends with its function's slot.  So a
+    node held twice is one entry, computed once, and the shape fixes the
+    source.  The factory is kept in ``_TREES`` by the shape; only a shape
+    it does not hold is written (:func:`_tree_source`) and compiled, a
+    statement per entry by the rule of the node forms: a binary node's
+    value by ``expressions._value``, its checks by ``_checked``, a call's
+    closure argument checked, and operands read as ``expressions._operand``
+    reads them.  The function is kept as the root's ``_compiled``, marked
+    ``_tree``.  The walk keeps two frames per level, as
+    ``expressions._compile`` does, so a tree too deep for one keeps its
     closures and ``evaluate`` raises its ValueError.
     """
     d = f.__dict__
     if "_tree" in d:
         return
-    lines: list = []
-    bound: list = []        # the constants and math functions, as k0, k1, ...
-    temps: dict = {}        # id of a node -> the local that holds its value
+    shape: list = []
+    bound: list = []
+    index: dict = {}        # id of a node -> its entry's index in shape
 
-    def read(node: Expr) -> Tuple[str, str]:
+    def read(node: Expr):
         if isinstance(node, Variable):
-            return "x", "x"
+            return "x"
         if isinstance(node, Constant):
-            bound.append(_ieee(node.value))
-            return "c" if is_finite(node.value) else "f", f"k{len(bound) - 1}"
-        if id(node) not in temps:
-            temps[id(node)] = emit(node)
-        return "f", temps[id(node)]
+            value = _ieee(node.value)
+            bound.append(value)
+            return "c" if math.isfinite(value) else "f", len(bound) - 1
+        i = index.get(id(node))
+        if i is None:
+            walk(node)
+            i = index[id(node)] = len(shape) - 1
+        return i
 
-    def emit(node: Expr) -> str:
-        checks = ()
+    def walk(node: Expr) -> None:
         if isinstance(node, Binary):
-            ka, a = read(node.left)
-            kb, b = read(node.right)
-            if _checked(node.op, ka, kb):
-                checks = [u for u, k in ((a, ka), (b, kb)) if k == "f"]
-            value = _value(node.op, a, b)
+            shape.append((node.op, read(node.left), read(node.right)))
         elif isinstance(node, Call):
-            kind, a = read(node.arg)
-            checks = [a] if kind == "f" else ()
+            a = read(node.arg)
             bound.append(_CALLS[node.name][0])
-            value = f"k{len(bound) - 1}({a})"
+            shape.append(("call", a, len(bound) - 1))
+        elif isinstance(node, (Variable, Constant)):
+            shape.append(("read", read(node)))
         else:
-            value = f"-{read(node.operand)[1]}"
-        if checks:
-            test = " and ".join(f"isfinite({u})" for u in checks)
-            lines.append(f"        if not ({test}):\n            raise ValueError\n")
-        temp = f"t{len(temps)}"
-        lines.append(f"        {temp} = {value}\n")
-        return temp
+            shape.append(("neg", read(node.operand)))
 
     try:
-        result = read(f)[1]
+        walk(f)
     except RecursionError:
         return
-    source = (f"def tree({', '.join(f'k{i}' for i in range(len(bound)))}):\n"
-              f"    def f(x):\n{''.join(lines)}        return {result}\n    return f\n")
-    factory = _TREES.get(source)
+    key = tuple(shape)
+    factory = _TREES.get(key)
     if factory is None:
         if len(_TREES) >= _TREE_TABLE:
             _TREES.clear()
-        factory = _TREES[source] = _generated("tree", source)
+        factory = _TREES[key] = _generated("tree", _tree_source(key, len(bound)))
     d["_compiled"] = d["_tree"] = factory(*bound)

@@ -127,6 +127,22 @@ def test_a_short_lsq3_solve_that_differs_fails_the_check(tmp_path):
     assert any(line.startswith("lsq3 ") for line in lines), lines
 
 
+def test_a_whole_tree_shape_that_ignores_sharing_fails_the_check(tmp_path):
+    # Each node operand reads as the entry walked last, as if no node were
+    # held twice: parsed trees share no node, so f compiles right, but the
+    # derivatives of the random expressions do, and the short Newton solves
+    # that compile them whole differ
+    changed = changed_copy(tmp_path, "outcomes.py",
+                           "index[id(node)] = len(shape) - 1\n        return i\n",
+                           "index[id(node)] = len(shape) - 1\n        return len(shape) - 1\n")
+    proc = run_tool(str(ROOT), str(changed), "--inputs", "5", "--starts", "1", "--seed", "3")
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert lines[-1].startswith("check failed: ")
+    assert any(line.startswith("newton ") for line in lines), lines
+    assert not any(line.startswith(("lsq3 ", "expr-scan ")) for line in lines), lines
+
+
 def test_an_extra_evaluation_per_lsq3_solve_is_counted(tmp_path):
     # Each lsq3 solve evaluates f at its start twice: the outputs stay the
     # same, and B counts one f more per lsq3 solve: 28 of the 56 basin

@@ -13,12 +13,13 @@ import copy
 import itertools
 import math
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsqroots import expressions
+from lsqroots import expressions, outcomes
 from lsqroots.bench import builtin_suite
 from lsqroots.expressions import (
     FUNCTIONS,
@@ -135,6 +136,17 @@ def whole(e):
     return clone
 
 
+def assert_tables_agree(e, xs):
+    """A whole-tree copy of ``e`` compiled with ``_TREES`` as earlier trees
+    left it, and one compiled with ``_TREES`` emptied, give the same bits,
+    or both ``None``, at each of ``xs``."""
+    warm = whole(e)
+    with mock.patch.object(outcomes, "_TREES", {}):
+        cold = whole(e)
+    for x in xs:
+        assert exact(evaluate(warm, x)) == exact(evaluate(cold, x)), (e, x)
+
+
 def assert_granularities_agree(e, xs):
     """``e``'s node closures and a whole-tree copy give the same bits, or
     both ``None``, at each of ``xs``."""
@@ -173,6 +185,8 @@ def test_random_trees_match_reference(e, xs):
     assert_parity(e, xs)
     assert_parity(whole(e), xs)
     assert_parity(differentiate(e), xs)
+    assert_tables_agree(e, xs)
+    assert_tables_agree(differentiate(e), xs)
     again = parse(render(e))
     for x in xs:
         assert bits(evaluate(again, x)) == bits(reference_evaluate(e, x)), (render(e), x)
@@ -203,6 +217,8 @@ wide_points = st.lists(st.one_of(numbers, st.sampled_from(
 def test_a_solver_compiled_tree_matches_its_node_closures(e, xs):
     assert_granularities_agree(e, xs)
     assert_granularities_agree(differentiate(e), xs)
+    assert_tables_agree(e, xs)
+    assert_tables_agree(differentiate(e), xs)
 
 
 def test_suite_expressions_and_derivatives_match_reference():
@@ -349,6 +365,54 @@ def test_an_int_constant_beyond_float_range_reads_as_inf(sign):
         de, dlike = differentiate(e), differentiate(like)
         for x in XS:
             assert bits(evaluate(de, x)) == bits(evaluate(dlike, x)), (e, x)
+
+
+# ---------------------------------------------------------------------------
+# Whole-tree factories, kept by the shape of the tree
+# ---------------------------------------------------------------------------
+
+def _sum(c=1.0):
+    return Binary("+", Variable(), Constant(c))
+
+
+_U, _V = _sum(), Binary("+", _sum(), Variable())
+# Trees that differ only where a shape key could lose track: sharing, the
+# two minuses, a constant's kind, a leaf root.
+APART = {
+    "a node held twice, two equal nodes": (Binary("*", _U, _U), Binary("*", _sum(), _sum())),
+    "the same entries, other operands": (Binary("*", _V, _V), Binary("*", _V, _V.left)),
+    "unary minus, binary minus": (Unary("-", _U), Binary("-", _U, _U)),
+    "(x-1)^2, -x": (Binary("^", Binary("-", Variable(), Constant(1.0)), Constant(2.0)),
+                    Unary("-", Variable())),
+    "a finite divisor, a non-finite one": (Binary("/", Variable(), Constant(2.0)),
+                                           Binary("/", Variable(), Constant(math.inf))),
+    "a constant root, an x root": (Constant(2.0), Variable()),
+}
+
+
+@pytest.mark.parametrize("pair", list(APART), ids=list(APART))
+def test_trees_of_other_shapes_get_factories_of_their_own(pair):
+    for first, second in (APART[pair], APART[pair][::-1]):
+        with mock.patch.object(outcomes, "_TREES", {}):
+            compiled = [whole(first), whole(second)]
+            assert len(outcomes._TREES) == 2
+        codes = [vars(e)["_compiled"].__code__ for e in compiled]
+        assert codes[0] is not codes[1]
+        for e in compiled:
+            assert_parity(e, XS)
+            assert_granularities_agree(e, XS + [0, 3])
+
+
+def test_sin_and_cos_of_one_operand_share_a_factory_but_not_a_function():
+    u = Binary("*", Constant(3.0), Variable())
+    with mock.patch.object(outcomes, "_TREES", {}):
+        sin, cos = whole(Call("sin", u)), whole(Call("cos", u))
+        assert len(outcomes._TREES) == 1
+    f, g = vars(sin)["_compiled"], vars(cos)["_compiled"]
+    assert f is not g and f.__code__ is g.__code__
+    assert_parity(sin, XS)
+    assert_parity(cos, XS)
+    assert evaluate(sin, 0.5) == math.sin(1.5) and evaluate(cos, 0.5) == math.cos(1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import lsqroots.lsq3
 import lsqroots.outcomes
 from lsqroots.baselines import BaselineConfig, solve_baseline
 from lsqroots.bench import SOLVERS, builtin_suite, n_grid
-from lsqroots.expressions import ParseError, parse, render
+from lsqroots.expressions import ParseError, evaluate, parse, render
 from lsqroots.lsq3 import SolverConfig, solve
 from lsqroots.outcomes import (
     CHECKED_REPLAYS,
@@ -450,6 +450,41 @@ def test_a_tree_too_deep_to_evaluate_is_an_argument_error(method):
         SOLVERS[method](sum_chain(5000), 1.0)
 
 
+def outcome_or_error(run, levels):
+    """``run`` on a fresh ``sum_chain(levels)``, or the ValueError it raised."""
+    try:
+        return run(sum_chain(levels))
+    except ValueError as err:
+        return err
+
+
+@pytest.mark.parametrize("method", list(SOLVERS))
+def test_a_solver_takes_exactly_the_chains_that_evaluate_takes(method):
+    # The deepest chain evaluate takes from here, found by bisection: the
+    # solver, called the same way, solves it and refuses one level more.
+    # Both walks keep two frames per level, so the frame each starts from
+    # moves both bounds alike.
+    def evaluated(e):
+        return evaluate(e, 1.0)
+
+    def solved(e):
+        return SOLVERS[method](e, 1.0)
+
+    evaluated(sum_chain(1))             # the chain's node form, generated once
+    lo, hi = 1, 5000
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if isinstance(outcome_or_error(evaluated, mid), ValueError):
+            hi = mid
+        else:
+            lo = mid
+    assert 100 < lo < sys.getrecursionlimit() // 2
+    out = outcome_or_error(solved, lo)
+    assert not isinstance(out, ValueError) and out.converged and abs(out.root) < 1e-12
+    err = outcome_or_error(solved, lo + 1)
+    assert isinstance(err, ValueError) and "nested too deeply to evaluate" in str(err)
+
+
 def node_closures_only(monkeypatch):
     """Make the solvers keep each tree's node closures, as they did before
     they compiled the trees they iterate on."""
@@ -666,6 +701,32 @@ def test_pure_steps_on_a_small_state_space_match_the_driver_without_replay():
         statuses.add(outs[iterate].status)
     assert statuses == {Status.CONVERGED, Status.OSCILLATING, Status.DIVERGED,
                         Status.MAX_ITERATIONS}
+    assert calls[iterate] < calls[reference_iterate]
+
+
+def test_pure_steps_from_a_given_start_state_match_the_driver_without_replay():
+    # A given prev, no extras and a start y0 that need not be f(x0): the
+    # two start records recur bit for bit only where a computed record
+    # matches them, so a table that reads any other record for a start
+    # finds recurrences that are not there, or misses ones that are.
+    statuses = set()
+    calls = {iterate: 0, reference_iterate: 0}
+    for seed in range(1500):
+        rng = random.Random(seed)
+        x0, px = rng.choice([1.0, 2.0, 3.0]), rng.choice([1.0, 2.0, 3.0])
+        y0 = rng.choice([x0, 4.0])
+        prev = rng.choice([None, IterationRecord(px, px), IterationRecord(px, 4.0)])
+        outs = {}
+        for driver in calls:
+            def step(cur, prev):
+                calls[driver] += 1
+                fields = cur + (() if prev is None else prev)
+                rng = random.Random(f"{seed}:" + ",".join(map(_bits, fields)))
+                return rng.choice([1.0, 2.0, 3.0, 3.0]), ()
+            outs[driver] = driver(step, fx, x0, y0, 1e-15, 40, prev)
+        assert outcome_digest(outs[iterate]) == outcome_digest(outs[reference_iterate]), seed
+        statuses.add(outs[iterate].status)
+    assert statuses == {Status.OSCILLATING, Status.MAX_ITERATIONS}
     assert calls[iterate] < calls[reference_iterate]
 
 

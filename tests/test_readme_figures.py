@@ -58,10 +58,14 @@ CHECKED_FORMS = re.compile(
     r"closure value is finite\.")
 
 WHOLE_TREES = re.compile(
-    r"kept by its source in `outcomes\._TREES`, a table of at most (\S+) that "
+    r"kept by its shape in `outcomes\._TREES`, a table of at most (\S+) that "
     r"is emptied when full\..* Of the (\S+) evaluations in one `lsqroots bench` "
     r"pass, (\S+) run a whole-tree function: every solver evaluation\. The other "
     r"(\S+) are the root checks made when the suite's problems are built\.")
+
+SECOND_PASS = re.compile(
+    r"the fresh trees of a second `lsqroots bench` pass, (\S+) expressions and "
+    r"Newton's (\S+) derivatives, find every factory there\.")
 
 
 def readme_text(pattern):
@@ -234,3 +238,27 @@ def test_the_whole_tree_figures_are_those_of_one_bench_pass(monkeypatch):
                              ("lsqroots.baselines", True)}
     assert counts["lsqroots.bench", False] == checks
     assert counts["lsqroots.lsq3", True] + counts["lsqroots.baselines", True] == whole
+
+
+def test_a_second_bench_pass_compiles_no_whole_tree(monkeypatch):
+    expressions, derivatives = readme_figures(SECOND_PASS)
+    monkeypatch.setattr(lsqroots.outcomes, "_TREES", {})
+    run_benchmark(builtin_suite())
+    real_compile_tree = lsqroots.outcomes.compile_tree
+    compiled = []
+
+    def counted(e):
+        compiled.append(e)
+        real_compile_tree(e)
+    for module in (lsqroots.lsq3, lsqroots.baselines):
+        monkeypatch.setattr(module, "compile_tree", counted)
+    generated = len(lsqroots.outcomes._TREES)
+    monkeypatch.setattr(lsqroots.outcomes, "_generated", None)     # a miss would raise
+    suite = builtin_suite()
+    run_benchmark(suite)
+    roots = {id(p.expression) for p in suite}
+    derived = {id(vars(p.expression)["_derivative"]) for p in suite}
+    assert (len(roots), len(derived)) == (expressions, derivatives)
+    assert {id(e) for e in compiled} == roots | derived
+    assert all("_tree" in vars(e) for e in compiled)
+    assert len(lsqroots.outcomes._TREES) == generated

@@ -10,9 +10,11 @@ Uses the standard library only; the inputs come from the benchmark's
 ``perfbench/reference.py`` next to this tool, which is read, never edited.
 
 1. **Check.** Both sides must give the same expr-scan values (bits and
-   ``None``) on ``--inputs`` random expressions, the same outcome of a
+   ``None``) on ``--inputs`` random expressions, the same outcomes of a
    short lsq3 solve of each (SHORT_STEPS steps at most, fixed and
-   variable power in turn, from one of its grid points), the same
+   variable power in turn, from one of its grid points) and of a short
+   Newton solve from the same point, which also compiles the random
+   derivative, where the differentiation rules share nodes, the same
    ``parse`` outcome (the tree's ``repr``, or the ``ParseError`` message
    and position) on PARSE_TEXTS seeded random token texts, most of them
    malformed, the same derivative tree (its ``repr``) of every expr-scan
@@ -171,9 +173,14 @@ class Side:
         return ([evaluate(e, x) for x in grid], [evaluate(d, x) for x in grid],
                 [evaluate(e2, x) for x in grid])
 
-    def short_solve(self, text, x0, mode):
+    def short_solve(self, text, x0, method):
+        """At most SHORT_STEPS steps of ``method`` (``newton``, or an lsq3
+        power mode) on ``text`` from ``x0``."""
         pkg = self.pkg
-        config = pkg.SolverConfig(mode=mode, max_iter=SHORT_STEPS)
+        if method == "newton":
+            config = pkg.BaselineConfig(max_iter=SHORT_STEPS)
+            return pkg.solve_baseline("newton", pkg.parse(text), x0, None, config)
+        config = pkg.SolverConfig(mode=method, max_iter=SHORT_STEPS)
         return pkg.solve(pkg.parse(text), x0, config)
 
     def parse_outcome(self, text):
@@ -240,9 +247,12 @@ def check(a: Side, b: Side, exprs: list, texts: list, solves: list):
         if [[_bits(v) for v in vs] for vs in ra] != [[_bits(v) for v in vs] for vs in rb]:
             diffs.append(f"expr-scan {text!r}: values differ")
         x0, mode = grid[i % GRID], ("fixed", "variable")[i % 2]
-        diff = solve_difference(a.short_solve(text, x0, mode), b.short_solve(text, x0, mode))
-        if diff is not None:
-            diffs.append(f"lsq3 {text!r}/{x0!r}/{mode}: {diff}")
+        for method, label in ((mode, f"lsq3 {text!r}/{x0!r}/{mode}"),
+                              ("newton", f"newton {text!r}/{x0!r}")):
+            diff = solve_difference(a.short_solve(text, x0, method),
+                                    b.short_solve(text, x0, method))
+            if diff is not None:
+                diffs.append(f"{label}: {diff}")
         if a.derivative_tree(a.pkg.parse(text)) != b.derivative_tree(b.pkg.parse(text)):
             diffs.append(f"differentiate {text!r}: trees differ")
     for pa, pb in zip(a.suite, b.suite):
