@@ -32,22 +32,23 @@ off-domain iterates without catching exceptions.  Each node is compiled
 once, by the first ``evaluate`` that reaches it, into a closure that the
 node keeps, so a derivative reuses the closures of the subtrees it shares
 with its expression.  A node reads a Variable or finite Constant operand
-inline and calls the closure of any other operand.  A binary node's
-closure comes from the factory of its form, its operator and how it
-reads each operand, which one rule generates on the form's first use.
+inline and calls the closure of any other operand.  A node's closure
+comes from the factory of its form, its operator and how it reads each
+operand, generated on the form's first use (a call or unary minus of
+``x`` is the function itself).
 A value that is not finite stays so through ``+ - *`` and unary minus,
 so finiteness is checked only where it could be lost: the divisor of
 ``/``, both operands of ``^`` and the argument of a call.  A hand-built
 constant that is not finite, an int beyond float range included, is
 read as inf or nan.  ``evaluate`` checks the final value once and turns
 the domain errors that the math raises into ``None``.
-The same rule also writes code at a second granularity:
-``outcomes.compile_tree`` compiles a whole tree into one straight-line
-function with every operator inline and every check where a closure has
-it, and keeps it as the root's closure, marked ``_tree``.  The solvers
-call it on each expression they iterate on; a tree that only
-``evaluate`` sees keeps its node closures, which cost far less to build
-than one ``compile()``.
+One writer, ``_tree_source``, writes all generated code: a form is the
+tree of one node, and ``outcomes.compile_tree`` has it write a whole
+tree as one straight-line function with every operator inline and every
+check where a closure has it, which it keeps as the root's closure,
+marked ``_tree``.  The solvers call it on each expression they iterate
+on; a tree that only ``evaluate`` sees keeps its node closures, which
+cost far less to build than one ``compile()``.
 ``differentiate`` caches its result on the expression's root node.  The
 caches are not part of a node's value, so equality, hashing, copying and
 pickling see only the tree.  They take no lock, and nor do the tables
@@ -422,51 +423,51 @@ def _atom(text: str, pos: int, groups: int):
 # Evaluation
 # --------------------------------------------------------------------------
 
-# A binary node's form is its op and how it reads each operand: "x" reads
-# the variable, "c" a finite constant, and "f" calls the operand's
-# closure.  ``_form`` generates the closure factory of a form on its first
-# use and keeps it here, keyed by ``(op, left kind, right kind)``.  Like
-# ``_cached`` it takes no lock: two threads that race on a fresh form both
-# generate it, and either factory serves.
+# A node's form is its op and how it reads each operand: "x" reads the
+# variable, "c" a finite constant, and "f" calls the operand's closure.
+# ``_form`` generates the closure factory of a form on its first use and
+# keeps it here, keyed by ``(op, left kind, right kind)``, or by
+# ``("call" | "neg", kind)``.  Like ``_cached`` it takes no lock: two
+# threads that race on a fresh form both generate it, and either serves.
 _NODES: dict = {}
 
 _NAMES = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
 
 
-def _checked(op: str, ka: str, kb: str) -> bool:
-    """Whether a binary ``op`` node whose operands read as ``ka`` and
-    ``kb`` checks that each closure operand is finite: where a non-finite
-    value could turn finite, a closure operand of ``^`` or a closure
-    divisor of ``/``."""
-    return "f" in ka + kb and (op == "^" or op == "/" and kb == "f")
+def _tree_source(shape: tuple, slots: int, name: str = "tree") -> str:
+    """The source of ``name(k0, ..., k<slots - 1>)``, the factory of the
+    functions of ``shape``: the one writer of the package's generated code.
 
-
-def _value(op: str, a: str, b: str) -> str:
-    """The source of a binary ``op`` node's value, its operands written
-    ``a`` and ``b``: the operator inline, ``^`` through ``math.pow``."""
-    return f"math.pow({a}, {b})" if op == "^" else f"{a} {op} {b}"
-
-
-def _form_source(op: str, ka: str, kb: str) -> Tuple[str, str]:
-    """The name and source of the factory ``(a, b) -> closure`` of binary
-    ``op`` nodes whose operands read as ``ka`` and ``kb``.
-
-    The closure applies ``op`` inline (``_value``).  Where it checks
-    (``_checked``), it reads both operands, left then right, into ``u``
-    and ``v``, and raises ValueError unless each closure value is finite.
+    A shape is a tuple of entries ``(tag, *operands)``, one per node, each
+    operand before the nodes that read it.  The tag is a binary operator,
+    ``neg`` for unary minus, ``call`` (whose entry ends with the slot of
+    its function) or ``read`` for a leaf root.  An operand is ``x``, a
+    constant's kind (``c`` finite, ``f`` not) with its slot, or the index
+    of an earlier entry.  Entry i is a statement ``t<i> = ...`` with the
+    operator inline (``^`` through ``math.pow``), and the last entry is
+    returned.  A non-finite value stays so through ``+ - *`` and unary
+    minus, so before its statement an entry checks that each entry or
+    non-finite constant it reads is finite only where that could be lost:
+    a call's argument (arctan(inf) = pi/2), both operands of ``^``
+    (inf^0 = 1) and the divisor of ``/`` (a/inf = 0).
     """
-    checked = _checked(op, ka, kb)
-    a = {"x": "x", "c": "a", "f": "u" if checked else "a(x)"}[ka]
-    b = {"x": "x", "c": "b", "f": "v" if checked else "b(x)"}[kb]
-    value = _value(op, a, b)
-    name = f"{_NAMES[op]}_{ka}{kb}"
-    if not checked:
-        return name, f"def {name}(a, b):\n    return lambda x: {value}\n"
-    reads = [(u, f) for u, f, kind in (("u", "a", ka), ("v", "b", kb)) if kind == "f"]
-    return name, (f"def {name}(a, b):\n    def node(x):\n"
-                  + "".join(f"        {u} = {f}(x)\n" for u, f in reads)
-                  + f"        if {' and '.join(f'isfinite({u})' for u, _ in reads)}:\n"
-                  + f"            return {value}\n        raise ValueError\n    return node\n")
+    lines = []
+    last = len(shape) - 1
+    for i, (tag, *tokens) in enumerate(shape):
+        fn = f"k{tokens.pop()}" if tag == "call" else ""
+        # (kind, name) of each operand
+        reads = [("x", "x") if t == "x" else ("f", f"t{t}") if t.__class__ is int
+                 else (t[0], f"k{t[1]}") for t in tokens]
+        (_, a), (kb, b) = reads[0], reads[-1]
+        if fn or tag == "^" or tag == "/" and kb == "f":
+            test = " and ".join(f"isfinite({u})" for k, u in reads if k == "f")
+            if test:
+                lines.append(f"        if not ({test}):\n            raise ValueError\n")
+        value = (a if tag == "read" else f"-{a}" if tag == "neg" else f"{fn}({a})" if fn
+                 else f"math.pow({a}, {b})" if tag == "^" else f"{a} {tag} {b}")
+        lines.append(f"        {'return' if i == last else f't{i} ='} {value}\n")
+    return (f"def {name}({', '.join(f'k{i}' for i in range(slots))}):\n"
+            f"    def f(x):\n{''.join(lines)}    return f\n")
 
 
 def _generated(name: str, source: str) -> Callable:
@@ -478,10 +479,24 @@ def _generated(name: str, source: str) -> Callable:
     return space[name]
 
 
-def _form(key: Tuple[str, str, str]) -> Callable:
-    """The factory of the binary node form ``key``, compiled from its
-    ``_form_source`` and kept in ``_NODES``."""
-    factory = _NODES[key] = _generated(*_form_source(*key))
+def _form(key: tuple) -> Callable:
+    """The factory of the node form ``key``, kept in ``_NODES``: the
+    factory of a one-node shape, whose operands are the factory's
+    arguments in order, a call's function after its argument.  A closure
+    operand is an entry of its own that calls it on ``x``."""
+    tag, *kinds = key
+    shape, tokens = [], []
+    for slot, kind in enumerate(kinds):
+        if kind == "f":
+            shape.append(("call", "x", slot))
+            tokens.append(len(shape) - 1)
+        else:
+            tokens.append("x" if kind == "x" else ("c", slot))
+    if tag == "call":
+        tokens.append(1)
+    shape.append((tag, *tokens))
+    name = f"{_NAMES.get(tag, tag)}_{''.join(kinds)}"
+    factory = _NODES[key] = _generated(name, _tree_source(tuple(shape), len(tokens), name))
     return factory
 
 
@@ -493,8 +508,14 @@ def _operand(e: Expr) -> Tuple[str, object]:
     trees, or within one, compiles once."""
     if isinstance(e, Variable):
         return "x", None
-    if isinstance(e, Constant) and isfinite(_ieee(e.value)):
-        return "c", e.value
+    if isinstance(e, Constant):
+        c = _ieee(e.value)
+        if isfinite(c):
+            return "c", e.value
+        # A non-finite constant (only a hand-built or folded tree holds
+        # one) is read through a closure, which the checks then see; built
+        # here, it costs the frames that compile_tree's walk gives it.
+        return "f", lambda x: c
     d = e.__dict__
     f = d.get("_compiled")
     if f is None:
@@ -507,18 +528,13 @@ def _compile(e: Expr) -> Callable[[float], float]:
     operations, left operand before right.
 
     A node reads a Variable or finite Constant operand inline and calls
-    the closure of any other operand.  A binary node's closure is made
-    by the factory of its form, ``(op, left kind, right kind)``, which
-    ``_form`` generates from ``_form_source`` on the form's first use and
-    keeps in ``_NODES``.  A non-finite value stays non-finite through
-    ``+ - *`` and unary minus, so only a node that could map it to a
-    finite value checks its closure operands: the divisor of ``/``
-    (a/inf = 0), both operands of ``^`` (inf^0 = 1) and the argument of a
-    call (arctan(inf) = pi/2).  A ``/`` node that calls both operands
-    checks the dividend too, which is harmless: a non-finite dividend
-    over a finite divisor is not finite.  Off the domain a closure raises
-    ZeroDivisionError, ValueError or OverflowError, or returns a value
-    that is not finite.
+    the closure of any other operand.  A call or unary minus of ``x`` is
+    the function itself, or ``operator.neg``; any other node's closure is
+    made by the factory of its form (``_form``).  A ``/`` node that calls
+    both operands checks the dividend too, which is harmless: a non-finite
+    dividend over a finite divisor is not finite.  Off the domain a
+    closure raises ZeroDivisionError, ValueError or OverflowError, or
+    returns a value that is not finite.
     """
     if isinstance(e, Binary):
         ka, a = _operand(e.left)
@@ -530,28 +546,16 @@ def _compile(e: Expr) -> Callable[[float], float]:
         kind, a = _operand(e.arg)
         if kind == "x":
             return fn
-        if kind == "c":
-            return lambda x: fn(a)
-
-        def call(x: float) -> float:
-            u = a(x)
-            if isfinite(u):
-                return fn(u)
-            raise ValueError
-        return call
+        key = "call", kind
+        return (_NODES.get(key) or _form(key))(a, fn)
     if isinstance(e, Unary):
         kind, a = _operand(e.operand)
         if kind == "x":
             return operator.neg
-        if kind == "c":
-            return lambda x: -a
-        return lambda x: -a(x)
+        key = "neg", kind
+        return (_NODES.get(key) or _form(key))(a)
     if isinstance(e, Variable):
         return lambda x: x
-    # A non-finite constant (the parser rejects them, but a tree built
-    # directly or folded by differentiate can hold one) is read through
-    # this closure, an int beyond float range as inf, so the checks above
-    # and in evaluate see it.
     c = _ieee(e.value)
     return lambda x: c
 

@@ -6,7 +6,9 @@ share one stopping rule and one failure taxonomy and report results
 through the same :class:`SolveOutcome`: benchmark comparisons are
 like-for-like by construction.  Each also compiles the expressions it
 iterates on with :func:`compile_tree`, which lives here rather than in
-``expressions`` so that ``import lsqroots`` does not compile it.
+``expressions`` so that ``import lsqroots`` does not compile it; the
+source it compiles comes from ``expressions._tree_source``, the writer
+of the node forms too.
 
 A step is a pure function of the last two accepted records (every
 field), so once that pair recurs bit for bit the run is periodic: the
@@ -25,8 +27,8 @@ from functools import partial
 from itertools import cycle, islice
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
-from .expressions import (Binary, Call, Constant, Expr, Variable, _CALLS, _checked, _generated,
-                          _ieee, _value)
+from .expressions import (Binary, Call, Constant, Expr, Variable, _CALLS, _generated, _ieee,
+                          _tree_source)
 
 
 class Status(Enum):
@@ -359,33 +361,6 @@ _TREES: dict = {}
 _TREE_TABLE = 128
 
 
-def _tree_source(shape: tuple, slots: int) -> str:
-    """The source of ``tree(k0, ..., k<slots - 1>)``, the factory of the
-    whole-tree functions of ``shape``: a statement ``t<i> = ...`` for
-    entry i, its checks before it, then ``return`` of the last (a leaf
-    root's entry is the ``return`` alone)."""
-    lines: list = []
-    result = ""
-    for i, (tag, *tokens) in enumerate(shape):
-        fn = f"k{tokens.pop()}" if tag == "call" else ""
-        # (kind, name) of each operand
-        reads = [("x", "x") if t == "x" else ("f", f"t{t}") if t.__class__ is int
-                 else (t[0], f"k{t[1]}") for t in tokens]
-        (ka, a), (kb, b) = reads[0], reads[-1]
-        if tag == "read":
-            result = a
-            continue
-        if fn or _checked(tag, ka, kb):
-            test = " and ".join(f"isfinite({u})" for k, u in reads if k == "f")
-            if test:
-                lines.append(f"        if not ({test}):\n            raise ValueError\n")
-        value = f"-{a}" if tag == "neg" else f"{fn}({a})" if fn else _value(tag, a, b)
-        result = f"t{i}"
-        lines.append(f"        {result} = {value}\n")
-    return (f"def tree({', '.join(f'k{i}' for i in range(slots))}):\n"
-            f"    def f(x):\n{''.join(lines)}        return {result}\n    return f\n")
-
-
 def compile_tree(f: Expr) -> None:
     """Compile ``f`` into one function, which ``evaluate`` runs from then
     on in place of its node closures, with the same results.  Each solver
@@ -400,14 +375,14 @@ def compile_tree(f: Expr) -> None:
     earlier entry; a call's entry ends with its function's slot.  So a
     node held twice is one entry, computed once, and the shape fixes the
     source.  The factory is kept in ``_TREES`` by the shape; only a shape
-    it does not hold is written (:func:`_tree_source`) and compiled, a
-    statement per entry by the rule of the node forms: a binary node's
-    value by ``expressions._value``, its checks by ``_checked``, a call's
-    closure argument checked, and operands read as ``expressions._operand``
-    reads them.  The function is kept as the root's ``_compiled``, marked
-    ``_tree``.  The walk keeps two frames per level, as
-    ``expressions._compile`` does, so a tree too deep for one keeps its
-    closures and ``evaluate`` raises its ValueError.
+    it does not hold is written and compiled, by
+    ``expressions._tree_source``, the writer of the node forms, so each
+    entry's statement and checks are those of its node's form, with its
+    operands read as ``expressions._operand`` reads them.  The function
+    is kept as the root's ``_compiled``, marked ``_tree``.  The walk
+    keeps two frames per level, as ``expressions._compile`` does, so a
+    tree too deep for one keeps its closures and ``evaluate`` raises its
+    ValueError.
     """
     d = f.__dict__
     if "_tree" in d:

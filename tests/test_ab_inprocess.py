@@ -143,6 +143,22 @@ def test_a_whole_tree_shape_that_ignores_sharing_fails_the_check(tmp_path):
     assert not any(line.startswith(("lsq3 ", "expr-scan ")) for line in lines), lines
 
 
+def test_a_call_that_skips_its_argument_check_fails_the_check(tmp_path):
+    # A call no longer checks that its argument is finite, so arctan(inf)
+    # reads pi/2 and exp(-inf) 0 where the value should be None.  Parsed
+    # text holds no constant that is not finite, so only the random
+    # expressions with a leaf constant replaced by inf or 10**400 tell
+    # the two sides apart.
+    changed = changed_copy(tmp_path, "expressions.py", 'if fn or tag == "^"', 'if tag == "^"')
+    proc = run_tool(str(ROOT), str(changed), "--inputs", "10", "--starts", "1", "--seed", "1")
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert lines[-1].startswith("check failed: ")
+    assert lines[:-1] and all(line.startswith("leaf ") and line.endswith(": values differ")
+                              for line in lines[:-1]), lines
+    assert {line.split()[1] for line in lines[:-1]} == {"inf", "10**400"}
+
+
 def test_an_extra_evaluation_per_lsq3_solve_is_counted(tmp_path):
     # Each lsq3 solve evaluates f at its start twice: the outputs stay the
     # same, and B counts one f more per lsq3 solve: 28 of the 56 basin

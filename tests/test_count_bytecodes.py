@@ -86,5 +86,6 @@ def test_an_expr_scan_sample_counts_the_evaluator_and_the_parser():
     # the generated node closures are placed in their module, by form;
     # no other code runs from a string here
     assert not any(name.startswith("<string>:") for name in names)
-    assert {"lsqroots.expressions:mul_ff.<locals>.<lambda>",
-            "lsqroots.expressions:div_ff.<locals>.node"} <= names
+    assert {"lsqroots.expressions:mul_ff.<locals>.f",
+            "lsqroots.expressions:div_ff.<locals>.f"} <= names
+    assert "lsqroots.expressions:tree.<locals>.f" not in names

@@ -3,10 +3,11 @@
 ``reference_evaluate`` walks the tree recursively and applies the
 documented semantics directly: IEEE double operations, left operand
 before right, and ``None`` for any step that leaves the real domain or
-produces a non-finite value (a non-finite constant or ``x`` included).  The
-compiled closures in ``lsqroots.expressions`` must agree with it on every
-result, including the sign of zero and where ``None`` appears, and so
-must the one function that a solver compiles from a whole tree.
+produces a non-finite value (a non-finite constant or ``x`` included, an
+int constant beyond float range among them).  The compiled closures in
+``lsqroots.expressions`` must agree with it on every result, including
+the sign of zero and where ``None`` appears, and so must the one function
+that a solver compiles from a whole tree.
 """
 
 import copy
@@ -29,7 +30,6 @@ from lsqroots.expressions import (
     Unary,
     Variable,
     _cbrt,
-    _form_source,
     differentiate,
     evaluate,
     parse,
@@ -44,7 +44,11 @@ class _Off(Exception):
 
 def _walk(e, x):
     if isinstance(e, Constant):
-        if not math.isfinite(e.value):
+        try:
+            finite = math.isfinite(e.value)
+        except OverflowError:           # an int beyond float range
+            finite = False
+        if not finite:
             raise _Off
         return e.value
     if isinstance(e, Variable):
@@ -316,6 +320,20 @@ INLINE_XS = [0.0, -0.0, 5e-324, -5e-324, 0.5, -2.0, 1e308, -1.7976931348623157e3
 
 
 FORMS = ["".join(form) for form in itertools.product("+-*/^", "xcf", "xcf")]
+# The forms of a call of each function and of unary minus, by the kind of
+# their one operand; a call or minus of ``x`` is the function itself.
+ONE_OPERAND_FORMS = [(name, kind) for name in FUNCTIONS + ("neg",) for kind in "cf"]
+
+
+def assert_runs_its_form(e, key, *args):
+    """``e`` matches the reference at each of ``INLINE_XS``, runs the
+    closure that the factory of its form ``key`` makes, and matches a
+    whole-tree copy."""
+    for x in INLINE_XS:
+        assert exact(evaluate(e, x)) == exact(reference_evaluate(e, x)), (e, x)
+    inner = expressions._NODES[key](*args).__code__
+    assert e.__dict__["_compiled"].__code__ is inner, e
+    assert_granularities_agree(e, INLINE_XS)
 
 
 @pytest.mark.parametrize("key", FORMS)
@@ -323,29 +341,58 @@ def test_every_inlined_node_matches_reference(key):
     op, ka, kb = key
     for left in KIND_OPERANDS[ka]:
         for right in KIND_OPERANDS[kb]:
-            e = Binary(op, left, right)
-            for x in INLINE_XS:
-                assert exact(evaluate(e, x)) == exact(reference_evaluate(e, x)), (e, x)
-            # the node was compiled to its form's generated closure
-            inner = expressions._NODES[op, ka, kb](None, None).__code__
-            assert e.__dict__["_compiled"].__code__ is inner, e
-            assert_granularities_agree(e, INLINE_XS)
+            assert_runs_its_form(Binary(op, left, right), (op, ka, kb), None, None)
+
+
+@pytest.mark.parametrize("name, kind", ONE_OPERAND_FORMS)
+def test_every_call_and_minus_form_matches_reference(name, kind):
+    # with the constants only a hand-built tree holds among the operands
+    operands = KIND_OPERANDS[kind] + [Constant(10 ** 400), Constant(-10 ** 400)] * (kind == "f")
+    for operand in operands:
+        if name == "neg":
+            assert_runs_its_form(Unary("-", operand), ("neg", kind), None)
+        else:
+            assert_runs_its_form(Call(name, operand), ("call", kind), None, None)
+
+
+def form_source(key):
+    """The name and source that ``_form`` writes for the form ``key``."""
+    with mock.patch.object(expressions, "_NODES", {}), \
+            mock.patch.object(expressions, "_generated", lambda name, source: (name, source)):
+        return expressions._form(key)
 
 
 def test_the_generated_forms_read_as_written():
     assert len(FORMS) == 45
-    assert _form_source("+", "f", "c") == ("add_fc", (
-        "def add_fc(a, b):\n"
-        "    return lambda x: a(x) + b\n"))
-    assert _form_source("^", "x", "f") == ("pow_xf", (
-        "def pow_xf(a, b):\n"
-        "    def node(x):\n"
-        "        v = b(x)\n"
-        "        if isfinite(v):\n"
-        "            return math.pow(x, v)\n"
-        "        raise ValueError\n"
-        "    return node\n"))
-    checked = [key for key in FORMS if "isfinite" in _form_source(*key)[1]]
+    assert form_source(("+", "f", "c")) == ("add_fc", (
+        "def add_fc(k0, k1):\n"
+        "    def f(x):\n"
+        "        t0 = k0(x)\n"
+        "        return t0 + k1\n"
+        "    return f\n"))
+    assert form_source(("^", "x", "f")) == ("pow_xf", (
+        "def pow_xf(k0, k1):\n"
+        "    def f(x):\n"
+        "        t0 = k1(x)\n"
+        "        if not (isfinite(t0)):\n"
+        "            raise ValueError\n"
+        "        return math.pow(x, t0)\n"
+        "    return f\n"))
+    assert form_source(("call", "f")) == ("call_f", (
+        "def call_f(k0, k1):\n"
+        "    def f(x):\n"
+        "        t0 = k0(x)\n"
+        "        if not (isfinite(t0)):\n"
+        "            raise ValueError\n"
+        "        return k1(t0)\n"
+        "    return f\n"))
+    assert form_source(("neg", "f")) == ("neg_f", (
+        "def neg_f(k0):\n"
+        "    def f(x):\n"
+        "        t0 = k0(x)\n"
+        "        return -t0\n"
+        "    return f\n"))
+    checked = [key for key in FORMS if "isfinite" in form_source(tuple(key))[1]]
     assert checked == ["/xf", "/cf", "/ff", "^xf", "^cf", "^fx", "^fc", "^ff"]
 
 

@@ -23,7 +23,7 @@ import lsqroots.lsq3
 import lsqroots.outcomes
 from lsqroots.baselines import BaselineConfig, solve_baseline
 from lsqroots.bench import SOLVERS, builtin_suite, n_grid
-from lsqroots.expressions import ParseError, evaluate, parse, render
+from lsqroots.expressions import Binary, Constant, ParseError, Variable, evaluate, parse, render
 from lsqroots.lsq3 import SolverConfig, solve
 from lsqroots.outcomes import (
     CHECKED_REPLAYS,
@@ -450,38 +450,60 @@ def test_a_tree_too_deep_to_evaluate_is_an_argument_error(method):
         SOLVERS[method](sum_chain(5000), 1.0)
 
 
-def outcome_or_error(run, levels):
-    """``run`` on a fresh ``sum_chain(levels)``, or the ValueError it raised."""
+def inf_chain(n):
+    """``x + inf + ... + inf``, ``n`` ``Binary("+")`` nodes deep, built by
+    hand: off the domain at every x, its deepest operand a constant that
+    a parent reads through a closure."""
+    e = Variable()
+    for _ in range(n):
+        e = Binary("+", e, Constant(math.inf))
+    return e
+
+
+# Each chain kind, and whether a solver that takes the chain converges
+# (True) or ends with f undefined at the start (False).
+CHAINS = {"sum": (sum_chain, True), "inf": (inf_chain, False)}
+
+
+def outcome_or_error(run, levels, chain):
+    """``run`` on a fresh ``chain(levels)``, or the ValueError it raised."""
     try:
-        return run(sum_chain(levels))
+        return run(chain(levels))
     except ValueError as err:
         return err
 
 
+@pytest.mark.parametrize("kind", list(CHAINS))
 @pytest.mark.parametrize("method", list(SOLVERS))
-def test_a_solver_takes_exactly_the_chains_that_evaluate_takes(method):
+def test_a_solver_takes_exactly_the_chains_that_evaluate_takes(method, kind):
     # The deepest chain evaluate takes from here, found by bisection: the
-    # solver, called the same way, solves it and refuses one level more.
+    # solver, called the same way, takes it and refuses one level more.
     # Both walks keep two frames per level, so the frame each starts from
     # moves both bounds alike.
+    chain, solvable = CHAINS[kind]
+
     def evaluated(e):
         return evaluate(e, 1.0)
 
     def solved(e):
         return SOLVERS[method](e, 1.0)
 
-    evaluated(sum_chain(1))             # the chain's node form, generated once
+    evaluated(chain(2))                 # the chain's node forms, generated once
     lo, hi = 1, 5000
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if isinstance(outcome_or_error(evaluated, mid), ValueError):
+        if isinstance(outcome_or_error(evaluated, mid, chain), ValueError):
             hi = mid
         else:
             lo = mid
     assert 100 < lo < sys.getrecursionlimit() // 2
-    out = outcome_or_error(solved, lo)
-    assert not isinstance(out, ValueError) and out.converged and abs(out.root) < 1e-12
-    err = outcome_or_error(solved, lo + 1)
+    out = outcome_or_error(solved, lo, chain)
+    assert not isinstance(out, ValueError)
+    if solvable:
+        assert out.converged and abs(out.root) < 1e-12
+    else:
+        assert out.status is Status.DOMAIN_ERROR and out.note == "f undefined at starting point"
+    err = outcome_or_error(solved, lo + 1, chain)
     assert isinstance(err, ValueError) and "nested too deeply to evaluate" in str(err)
 
 

@@ -15,7 +15,8 @@ import lsqroots.outcomes
 import test_outcomes
 from lsqroots.bench import METHOD_ORDER, SOLVERS, builtin_suite, run_benchmark
 import lsqroots.expressions
-from lsqroots.expressions import Binary, Call, Constant, Variable, evaluate, parse
+from lsqroots.expressions import (FUNCTIONS, Binary, Call, Constant, Unary, Variable,
+                                  evaluate, parse)
 from lsqroots.outcomes import Status
 from test_acceptance import ROOT_TOL
 from test_family_f import FAMILY_F_OK, PROBLEMS, STARTS
@@ -51,6 +52,11 @@ TRIAGE = re.compile(
 
 FORMS = re.compile(
     r"(\S+) operators by (\S+) kinds on each side give (\S+) forms\.")
+
+CALL_FORMS = re.compile(
+    r"A call or unary minus of `x` is the function itself, or `operator\.neg`; of a "
+    r"finite constant or a closure, a call and a unary minus each have a form of their "
+    r"own: (\S+) more\.")
 
 CHECKED_FORMS = re.compile(
     r"Of the (\S+) forms, the (\S+) with a closure operand of `\^` or a closure "
@@ -218,6 +224,20 @@ def test_the_form_figures_are_those_of_the_generated_forms(monkeypatch):
     assert len(tested) == checked
     assert tested == sorted(op + ka + kb for op, ka, kb in nodes
                             if "f" in ka + kb and (op == "^" or op == "/" and kb == "f"))
+
+
+def test_the_call_and_minus_form_figure_is_that_of_the_generated_forms(monkeypatch):
+    more, = readme_figures(CALL_FORMS)
+    operands = {"x": Variable(), "c": Constant(2.0), "f": Call("abs", Variable())}
+    monkeypatch.setattr(lsqroots.expressions, "_NODES", {})
+    for operand in operands.values():
+        evaluate(Unary("-", operand), 1.5)
+        for name in FUNCTIONS:
+            evaluate(Call(name, operand), 1.5)
+    # a call or minus of x generates nothing: it is the function itself
+    assert sorted(lsqroots.expressions._NODES) == [("call", "c"), ("call", "f"),
+                                                    ("neg", "c"), ("neg", "f")]
+    assert len(lsqroots.expressions._NODES) == more
 
 
 def test_the_whole_tree_figures_are_those_of_one_bench_pass(monkeypatch):

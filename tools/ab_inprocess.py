@@ -18,9 +18,13 @@ Uses the standard library only; the inputs come from the benchmark's
    ``parse`` outcome (the tree's ``repr``, or the ``ParseError`` message
    and position) on PARSE_TEXTS seeded random token texts, most of them
    malformed, the same derivative tree (its ``repr``) of every expr-scan
-   expression and every stock expression, the same basin outcomes on
-   ``--starts`` starts per stock problem and method, and the same suite
-   CSV and Markdown.  Solve outcomes compare by status, root bits, note
+   expression and every stock expression, the same values (bits and
+   ``None``) on each random expression's grid, from its node closures and
+   from a whole-tree copy, with one of its constant leaves replaced by
+   ``Constant(inf)`` and then by ``Constant(10**400)``, which parsed text
+   cannot hold (diff lines ``leaf inf <text>: ...``), the same basin
+   outcomes on ``--starts`` starts per stock problem and method, and the
+   same suite CSV and Markdown.  Solve outcomes compare by status, root bits, note
    and the whole trace: every field of every record by name, the bits of
    a float or ``None``; a side whose records still carry a step number
    ``k`` must hold each record's place in the trace there.  A difference
@@ -49,6 +53,7 @@ import argparse
 import contextlib
 import importlib
 import importlib.util
+import math
 import random
 import shutil
 import statistics
@@ -192,6 +197,37 @@ class Side:
     def derivative_tree(self, e):
         return repr(self.pkg.differentiate(e))
 
+    def non_finite_leaf(self, text, grid, i, value):
+        """The bits on ``grid`` of ``text`` with its constant leaf ``i``
+        (counted left to right, modulo their number) replaced by
+        ``Constant(value)``, a constant that parsed text cannot hold: from
+        the node closures, then from a whole-tree copy.  ``None`` when the
+        text holds no constant."""
+        ex = self.pkg.expressions
+        nodes = (ex.Constant, ex.Variable, ex.Unary, ex.Binary, ex.Call)
+
+        def fields(e):
+            return [getattr(e, name) for name in e.__match_args__]
+
+        def constants(e):
+            if isinstance(e, ex.Constant):
+                return [e]
+            return [c for v in fields(e) if isinstance(v, nodes) for c in constants(v)]
+
+        def rebuilt(e):
+            if e is target:
+                return ex.Constant(value)
+            return type(e)(*(rebuilt(v) if isinstance(v, nodes) else v for v in fields(e)))
+
+        e = self.pkg.parse(text)
+        leaves = constants(e)
+        if not leaves:
+            return None
+        target = leaves[i % len(leaves)]
+        closures, whole = rebuilt(e), rebuilt(e)
+        self.pkg.outcomes.compile_tree(whole)
+        return [[_bits(self.pkg.evaluate(t, x)) for x in grid] for t in (closures, whole)]
+
     def basin(self, inp):
         index, x0, method = inp
         return self.solvers[method](self.suite[index].expression, x0)
@@ -255,6 +291,9 @@ def check(a: Side, b: Side, exprs: list, texts: list, solves: list):
                 diffs.append(f"{label}: {diff}")
         if a.derivative_tree(a.pkg.parse(text)) != b.derivative_tree(b.pkg.parse(text)):
             diffs.append(f"differentiate {text!r}: trees differ")
+        for value, label in ((math.inf, "inf"), (10 ** 400, "10**400")):
+            if a.non_finite_leaf(text, grid, i, value) != b.non_finite_leaf(text, grid, i, value):
+                diffs.append(f"leaf {label} {text!r}: values differ")
     for pa, pb in zip(a.suite, b.suite):
         if a.derivative_tree(pa.expression) != b.derivative_tree(pb.expression):
             diffs.append(f"differentiate {pa.id}: trees differ")
