@@ -442,14 +442,16 @@ def _tree_source(shape: tuple, slots: int, name: str = "tree") -> str:
     operand before the nodes that read it.  The tag is a binary operator,
     ``neg`` for unary minus, ``call`` (whose entry ends with the slot of
     its function) or ``read`` for a leaf root.  An operand is ``x``, a
-    constant's kind (``c`` finite, ``f`` not) with its slot, or the index
-    of an earlier entry.  Entry i is a statement ``t<i> = ...`` with the
-    operator inline (``^`` through ``math.pow``), and the last entry is
-    returned.  A non-finite value stays so through ``+ - *`` and unary
-    minus, so before its statement an entry checks that each entry or
-    non-finite constant it reads is finite only where that could be lost:
-    a call's argument (arctan(inf) = pi/2), both operands of ``^``
-    (inf^0 = 1) and the divisor of ``/`` (a/inf = 0).
+    constant's kind (``c`` finite, ``f`` not) with its slot, the index of
+    an earlier entry, or, for a node form's closure operand,
+    ``("call", slot)``: the slot's function called on ``x`` where it is
+    read.  Entry i is a statement ``t<i> = ...`` with the operator inline
+    (``^`` through ``math.pow``), and the last entry is returned.  A
+    non-finite value stays so through ``+ - *`` and unary minus, so before
+    its statement an entry checks that each operand but ``x`` and a finite
+    constant is finite only where that could be lost: a call's argument
+    (arctan(inf) = pi/2), both operands of ``^`` (inf^0 = 1) and the
+    divisor of ``/`` (a/inf = 0).
     """
     lines = []
     last = len(shape) - 1
@@ -457,12 +459,17 @@ def _tree_source(shape: tuple, slots: int, name: str = "tree") -> str:
         fn = f"k{tokens.pop()}" if tag == "call" else ""
         # (kind, name) of each operand
         reads = [("x", "x") if t == "x" else ("f", f"t{t}") if t.__class__ is int
-                 else (t[0], f"k{t[1]}") for t in tokens]
-        (_, a), (kb, b) = reads[0], reads[-1]
-        if fn or tag == "^" or tag == "/" and kb == "f":
+                 else ("f", f"k{t[1]}(x)") if t[0] == "call" else (t[0], f"k{t[1]}")
+                 for t in tokens]
+        if fn or tag == "^" or tag == "/" and reads[-1][0] == "f":
+            for j, (_, u) in enumerate(reads):
+                if u.endswith("(x)"):       # called once, into a name the check reads
+                    lines.append(f"        u{j} = {u}\n")
+                    reads[j] = "f", f"u{j}"
             test = " and ".join(f"isfinite({u})" for k, u in reads if k == "f")
             if test:
                 lines.append(f"        if not ({test}):\n            raise ValueError\n")
+        (_, a), (_, b) = reads[0], reads[-1]
         value = (a if tag == "read" else f"-{a}" if tag == "neg" else f"{fn}({a})" if fn
                  else f"math.pow({a}, {b})" if tag == "^" else f"{a} {tag} {b}")
         lines.append(f"        {'return' if i == last else f't{i} ='} {value}\n")
@@ -483,20 +490,14 @@ def _form(key: tuple) -> Callable:
     """The factory of the node form ``key``, kept in ``_NODES``: the
     factory of a one-node shape, whose operands are the factory's
     arguments in order, a call's function after its argument.  A closure
-    operand is an entry of its own that calls it on ``x``."""
+    operand is a ``call`` operand, called on ``x`` where it is read."""
     tag, *kinds = key
-    shape, tokens = [], []
-    for slot, kind in enumerate(kinds):
-        if kind == "f":
-            shape.append(("call", "x", slot))
-            tokens.append(len(shape) - 1)
-        else:
-            tokens.append("x" if kind == "x" else ("c", slot))
+    tokens = ["x" if kind == "x" else ("call" if kind == "f" else "c", slot)
+              for slot, kind in enumerate(kinds)]
     if tag == "call":
         tokens.append(1)
-    shape.append((tag, *tokens))
     name = f"{_NAMES.get(tag, tag)}_{''.join(kinds)}"
-    factory = _NODES[key] = _generated(name, _tree_source(tuple(shape), len(tokens), name))
+    factory = _NODES[key] = _generated(name, _tree_source(((tag, *tokens),), len(tokens), name))
     return factory
 
 

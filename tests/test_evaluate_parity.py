@@ -305,14 +305,15 @@ def test_non_finite_constant_anywhere_is_off_domain(value):
         assert_granularities_agree(e, XS)
 
 
-# Operands of the binary node forms, by kind: finite constants with signed
-# zeros, subnormals and values whose sum or product overflows, and
-# closures, the hand-built non-finite constants among them.
+# Operands of the node forms, by kind: finite constants with signed zeros,
+# subnormals and values whose sum or product overflows, and closures, the
+# hand-built non-finite constants among them, ints beyond float range too.
 KIND_OPERANDS = {
     "x": [Variable()],
     "c": [Constant(v) for v in (0.0, -0.0, 5e-324, -5e-324, 2.5, 1e308, -1.7976931348623157e308)],
     "f": [Unary("-", Variable()), Binary("*", Variable(), Constant(1e308)),
-          Call("abs", Variable()), Constant(math.inf), Constant(-math.inf), Constant(math.nan)],
+          Call("abs", Variable()), Constant(math.inf), Constant(-math.inf), Constant(math.nan),
+          Constant(10 ** 400), Constant(-10 ** 400)],
 }
 # The same kinds of value for x, and ints, which a ``+ - *`` node keeps ints
 INLINE_XS = [0.0, -0.0, 5e-324, -5e-324, 0.5, -2.0, 1e308, -1.7976931348623157e308,
@@ -320,39 +321,28 @@ INLINE_XS = [0.0, -0.0, 5e-324, -5e-324, 0.5, -2.0, 1e308, -1.7976931348623157e3
 
 
 FORMS = ["".join(form) for form in itertools.product("+-*/^", "xcf", "xcf")]
-# The forms of a call of each function and of unary minus, by the kind of
-# their one operand; a call or minus of ``x`` is the function itself.
-ONE_OPERAND_FORMS = [(name, kind) for name in FUNCTIONS + ("neg",) for kind in "cf"]
+# A call of each function and unary minus, of a constant or a closure: the
+# forms ("call", kind) and ("neg", kind).  Of x, each is the function itself.
+ONE_OPERAND_FORMS = [f"{name} {kind}" for name in FUNCTIONS + ("neg",) for kind in "cf"]
 
 
-def assert_runs_its_form(e, key, *args):
-    """``e`` matches the reference at each of ``INLINE_XS``, runs the
-    closure that the factory of its form ``key`` makes, and matches a
-    whole-tree copy."""
-    for x in INLINE_XS:
-        assert exact(evaluate(e, x)) == exact(reference_evaluate(e, x)), (e, x)
-    inner = expressions._NODES[key](*args).__code__
-    assert e.__dict__["_compiled"].__code__ is inner, e
-    assert_granularities_agree(e, INLINE_XS)
-
-
-@pytest.mark.parametrize("key", FORMS)
+@pytest.mark.parametrize("key", FORMS + ONE_OPERAND_FORMS)
 def test_every_inlined_node_matches_reference(key):
-    op, ka, kb = key
-    for left in KIND_OPERANDS[ka]:
-        for right in KIND_OPERANDS[kb]:
-            assert_runs_its_form(Binary(op, left, right), (op, ka, kb), None, None)
-
-
-@pytest.mark.parametrize("name, kind", ONE_OPERAND_FORMS)
-def test_every_call_and_minus_form_matches_reference(name, kind):
-    # with the constants only a hand-built tree holds among the operands
-    operands = KIND_OPERANDS[kind] + [Constant(10 ** 400), Constant(-10 ** 400)] * (kind == "f")
-    for operand in operands:
-        if name == "neg":
-            assert_runs_its_form(Unary("-", operand), ("neg", kind), None)
-        else:
-            assert_runs_its_form(Call(name, operand), ("call", kind), None, None)
+    if " " in key:
+        name, kind = key.split()
+        form = ("neg" if name == "neg" else "call"), kind
+        nodes = [Unary("-", a) if name == "neg" else Call(name, a) for a in KIND_OPERANDS[kind]]
+    else:
+        form = op, ka, kb = tuple(key)
+        nodes = [Binary(op, a, b) for a in KIND_OPERANDS[ka] for b in KIND_OPERANDS[kb]]
+    for e in nodes:
+        for x in INLINE_XS:
+            assert exact(evaluate(e, x)) == exact(reference_evaluate(e, x)), (e, x)
+        # the node was compiled to its form's generated closure
+        factory = expressions._NODES[form]
+        inner = factory(*[None] * factory.__code__.co_argcount).__code__
+        assert e.__dict__["_compiled"].__code__ is inner, e
+        assert_granularities_agree(e, INLINE_XS)
 
 
 def form_source(key):
@@ -367,30 +357,28 @@ def test_the_generated_forms_read_as_written():
     assert form_source(("+", "f", "c")) == ("add_fc", (
         "def add_fc(k0, k1):\n"
         "    def f(x):\n"
-        "        t0 = k0(x)\n"
-        "        return t0 + k1\n"
+        "        return k0(x) + k1\n"
         "    return f\n"))
     assert form_source(("^", "x", "f")) == ("pow_xf", (
         "def pow_xf(k0, k1):\n"
         "    def f(x):\n"
-        "        t0 = k1(x)\n"
-        "        if not (isfinite(t0)):\n"
+        "        u1 = k1(x)\n"
+        "        if not (isfinite(u1)):\n"
         "            raise ValueError\n"
-        "        return math.pow(x, t0)\n"
+        "        return math.pow(x, u1)\n"
         "    return f\n"))
     assert form_source(("call", "f")) == ("call_f", (
         "def call_f(k0, k1):\n"
         "    def f(x):\n"
-        "        t0 = k0(x)\n"
-        "        if not (isfinite(t0)):\n"
+        "        u0 = k0(x)\n"
+        "        if not (isfinite(u0)):\n"
         "            raise ValueError\n"
-        "        return k1(t0)\n"
+        "        return k1(u0)\n"
         "    return f\n"))
     assert form_source(("neg", "f")) == ("neg_f", (
         "def neg_f(k0):\n"
         "    def f(x):\n"
-        "        t0 = k0(x)\n"
-        "        return -t0\n"
+        "        return -k0(x)\n"
         "    return f\n"))
     checked = [key for key in FORMS if "isfinite" in form_source(tuple(key))[1]]
     assert checked == ["/xf", "/cf", "/ff", "^xf", "^cf", "^fx", "^fc", "^ff"]

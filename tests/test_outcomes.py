@@ -460,12 +460,12 @@ def inf_chain(n):
     return e
 
 
-# Each chain kind, and whether a solver that takes the chain converges
-# (True) or ends with f undefined at the start (False).
-CHAINS = {"sum": (sum_chain, True), "inf": (inf_chain, False)}
+# Each chain, and whether a solver that takes it converges (True) or ends
+# with f undefined at the start (False).
+CHAINS = [(sum_chain, True), (inf_chain, False)]
 
 
-def outcome_or_error(run, levels, chain):
+def outcome_or_error(run, chain, levels):
     """``run`` on a fresh ``chain(levels)``, or the ValueError it raised."""
     try:
         return run(chain(levels))
@@ -473,38 +473,37 @@ def outcome_or_error(run, levels, chain):
         return err
 
 
-@pytest.mark.parametrize("kind", list(CHAINS))
 @pytest.mark.parametrize("method", list(SOLVERS))
-def test_a_solver_takes_exactly_the_chains_that_evaluate_takes(method, kind):
+def test_a_solver_takes_exactly_the_chains_that_evaluate_takes(method):
     # The deepest chain evaluate takes from here, found by bisection: the
     # solver, called the same way, takes it and refuses one level more.
     # Both walks keep two frames per level, so the frame each starts from
     # moves both bounds alike.
-    chain, solvable = CHAINS[kind]
-
     def evaluated(e):
         return evaluate(e, 1.0)
 
     def solved(e):
         return SOLVERS[method](e, 1.0)
 
-    evaluated(chain(2))                 # the chain's node forms, generated once
-    lo, hi = 1, 5000
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if isinstance(outcome_or_error(evaluated, mid, chain), ValueError):
-            hi = mid
+    for chain, solvable in CHAINS:
+        evaluated(chain(2))             # the chain's node forms, generated once
+        lo, hi = 1, 5000
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if isinstance(outcome_or_error(evaluated, chain, mid), ValueError):
+                hi = mid
+            else:
+                lo = mid
+        assert 100 < lo < sys.getrecursionlimit() // 2
+        out = outcome_or_error(solved, chain, lo)
+        assert not isinstance(out, ValueError), (chain.__name__, lo)
+        if solvable:
+            assert out.converged and abs(out.root) < 1e-12
         else:
-            lo = mid
-    assert 100 < lo < sys.getrecursionlimit() // 2
-    out = outcome_or_error(solved, lo, chain)
-    assert not isinstance(out, ValueError)
-    if solvable:
-        assert out.converged and abs(out.root) < 1e-12
-    else:
-        assert out.status is Status.DOMAIN_ERROR and out.note == "f undefined at starting point"
-    err = outcome_or_error(solved, lo + 1, chain)
-    assert isinstance(err, ValueError) and "nested too deeply to evaluate" in str(err)
+            assert out.status is Status.DOMAIN_ERROR and out.note == "f undefined at starting point"
+        err = outcome_or_error(solved, chain, lo + 1)
+        assert isinstance(err, ValueError) and "nested too deeply to evaluate" in str(err), \
+            (chain.__name__, lo)
 
 
 def node_closures_only(monkeypatch):
