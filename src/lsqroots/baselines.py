@@ -13,8 +13,8 @@ from functools import partial
 from typing import NamedTuple, Optional
 
 from .expressions import Expr, differentiate, evaluate
-from .outcomes import (CheckedRecord, IterationRecord, SolveOutcome, Status, StepError,
-                       check_budget, compile_tree, is_finite, iterate)
+from .outcomes import (CheckedRecord, SolveOutcome, StepError, check_budget, compile_tree,
+                       is_finite, iterate)
 # Only ``outcomes`` calls these; they stay module globals here because the
 # benchmark's probes rebind them by module.
 from .outcomes import best_iterate, detect_cycle  # noqa: F401
@@ -65,13 +65,18 @@ def secant_step(x0: float, y0: float, x1: float, y1: float) -> float:
 def solve_baseline(method: str, f: Expr, x0: float,
                    x1: Optional[float] = None,
                    config: Optional[BaselineConfig] = None) -> SolveOutcome:
-    """Run Newton or secant from x0 and classify the outcome.
+    """Run Newton from x0, or secant from x0 and x1, and classify the
+    outcome.
 
     Failures are statuses, never exceptions; a zero or undefined
     derivative, a flat chord or an off-domain iterate ends the run as
-    Diverged.  A non-finite ``x0`` or ``x1`` is an argument error and
-    raises ``ValueError``.  Every evaluation of f, and of Newton's f',
-    runs one function compiled from the whole tree (``compile_tree``).
+    Diverged, and f undefined at a start ends it DomainError.  The starts
+    go to :func:`~lsqroots.outcomes.iterate`, which evaluates and
+    classifies them: secant's first start is checked before its second.
+    A non-finite ``x0`` or ``x1``, an ``x1`` given to Newton, or a tree
+    too deep to evaluate is an argument error and raises ``ValueError``.
+    Every evaluation of f, and of Newton's f', runs one function compiled
+    from the whole tree (``compile_tree``).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -81,15 +86,11 @@ def solve_baseline(method: str, f: Expr, x0: float,
         raise ValueError("x0 must be finite")
     if x1 is not None and not is_finite(x1):
         raise ValueError("x1 must be finite")
+    if x1 is not None and method == "newton":
+        raise ValueError("x1 applies to method 'secant' only")
 
     compile_tree(f)
     fx = partial(evaluate, f)
-    y0 = fx(x0)
-    if y0 is None:
-        return SolveOutcome(Status.DOMAIN_ERROR, x0, (), note="f undefined at starting point")
-
-    note = ""
-    prev = None
     if method == "newton":
         df = differentiate(f)
         compile_tree(df)
@@ -100,18 +101,13 @@ def solve_baseline(method: str, f: Expr, x0: float,
             if dy is None:
                 raise ZeroDerivativeError(f"derivative undefined at x={cur.x!r}")
             return newton_step(cur.x, cur.y, dy), ()
-    else:
-        if x1 is None:
-            x1 = x0 + 0.1
-            note = f"secant second start defaulted to x1={x1!r}"
-        y1 = fx(x1)
-        if y1 is None:
-            return SolveOutcome(Status.DOMAIN_ERROR, x0, (),
-                                note=f"f undefined at second start x1={x1!r}")
-        prev = IterationRecord(x0, y0)
-        x0, y0 = x1, y1
+        return iterate(step, fx, (x0,), config.tolerance, config.max_iter)
 
-        def step(cur, prev):
-            return secant_step(prev.x, prev.y, cur.x, cur.y), ()
+    note = ""
+    if x1 is None:
+        x1 = x0 + 0.1
+        note = f"secant second start defaulted to x1={x1!r}"
 
-    return iterate(step, fx, x0, y0, config.tolerance, config.max_iter, prev, note)
+    def step(cur, prev):
+        return secant_step(prev.x, prev.y, cur.x, cur.y), ()
+    return iterate(step, fx, (x0, x1), config.tolerance, config.max_iter, note)

@@ -254,7 +254,7 @@ def f_n_curve(E: float, n_grid: Iterable[float]) -> List[Tuple[float, float]]:
         raise ValueError("E must lie strictly between 0 and 1")
     out = []
     for n in n_grid:
-        if n <= 0.0:
+        if not n > 0.0:                 # a NaN fails the test too
             raise ValueError("grid values must be positive")
         out.append((n, E ** (n / 4.0) + E ** (1.0 / n) - E))
     return out

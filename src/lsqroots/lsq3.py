@@ -237,7 +237,9 @@ def solve(f: Expr, x0: float, config: Optional[SolverConfig] = None) -> SolveOut
     Failures come back as statuses, never exceptions: Diverged (iterate
     beyond the divergence bound, off the domain, or probes that stay off
     it), Oscillating (a period 2..4 cycle), SymmetricStall, DomainError
-    (f undefined at x0), or MaxIterations.  Every evaluation of f runs
+    (f undefined at x0), or MaxIterations; :func:`~lsqroots.outcomes.iterate`
+    evaluates and classifies the start.  A non-finite ``x0`` or a tree too
+    deep to evaluate raises ``ValueError``.  Every evaluation of f runs
     one function compiled from the whole tree (``compile_tree``).
     """
     if config is None:
@@ -246,9 +248,6 @@ def solve(f: Expr, x0: float, config: Optional[SolverConfig] = None) -> SolveOut
         raise ValueError("x0 must be finite")
     compile_tree(f)
     fx = partial(evaluate, f)
-    y0 = fx(x0)
-    if y0 is None:
-        return SolveOutcome(Status.DOMAIN_ERROR, x0, (), note="f undefined at starting point")
 
     delta0, n_value = config.delta0, config.n_value
     variable = config.mode == "variable"
@@ -261,4 +260,4 @@ def solve(f: Expr, x0: float, config: Optional[SolverConfig] = None) -> SolveOut
         n = estimate_power(y_minus, y, y_plus, delta) if variable else n_value
         return lsq3_step(x, y_minus, y, y_plus, delta, n), (delta, n, y_minus, y_plus)
 
-    return iterate(step, fx, x0, y0, config.tolerance, config.max_iter)
+    return iterate(step, fx, (x0,), config.tolerance, config.max_iter)

@@ -2,9 +2,9 @@
 
 Every solver in this package (the three-point least-squares iteration and
 the Newton/secant baselines) runs through :func:`iterate`, so all of them
-share one stopping rule and one failure taxonomy and report results
-through the same :class:`SolveOutcome`: benchmark comparisons are
-like-for-like by construction.  Each also compiles the expressions it
+share one start rule, one stopping rule and one failure taxonomy and
+report results through the same :class:`SolveOutcome`: benchmark
+comparisons are like-for-like by construction.  Each also compiles the expressions it
 iterates on with :func:`compile_tree`, which lives here rather than in
 ``expressions`` so that ``import lsqroots`` does not compile it; the
 source it compiles comes from ``expressions._tree_source``, the writer
@@ -28,7 +28,7 @@ from itertools import cycle, islice
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .expressions import (Binary, Call, Constant, Expr, Variable, _CALLS, _generated, _ieee,
-                          _tree_source)
+                          _nested_too_deep, _tree_source)
 
 
 class Status(Enum):
@@ -232,23 +232,28 @@ def _same_fields(a: Optional[IterationRecord], b: Optional[IterationRecord]) -> 
 
 def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
                            Tuple[float, tuple]],
-            fx: Callable[[float], Optional[float]], x0: float, y0: float,
-            tolerance: float, max_iter: int,
-            prev: Optional[IterationRecord] = None, note: str = "") -> SolveOutcome:
-    """Run ``step`` from (x0, y0) until |x_k - x_{k-1}| + |y_k| < tolerance
+            fx: Callable[[float], Optional[float]], starts: Tuple[float, ...],
+            tolerance: float, max_iter: int, note: str = "") -> SolveOutcome:
+    """Run ``step`` from ``starts`` until |x_k - x_{k-1}| + |y_k| < tolerance
     holds or a failure is classified.
 
+    ``starts`` is ``(x0,)``, or secant's ``(x0, x1)``.  ``fx`` evaluates f,
+    ``None`` off the domain, and the driver evaluates each start through
+    it, in order.  At the first start where f is undefined the run ends
+    domain-error with root x0 and no trace ("f undefined at starting
+    point", or "... at second start x1=..."); at the first whose ``y`` is
+    exactly 0 it converges there, with no step and an empty trace, before
+    it evaluates the next start.  A failure's note comes from the break
+    that classifies it, unless ``note`` was already set; a domain-error
+    start always names itself.
+
     ``step(cur, prev)`` gets the current and the previous accepted point as
-    records (the start is ``IterationRecord(x0, y0)``; ``prev`` starts as
-    given) and returns the next iterate with its record's extra fields, all
-    four or ``()`` for none, or raises :class:`StepError`, which ends the
-    run.  Every computed record is built by ``_new_record``, past the named
-    tuple's slower constructor.
-    ``fx`` evaluates f, ``None`` off the domain; an off-domain iterate is
-    recorded and ends the run Diverged.  A start whose ``y`` is exactly 0,
-    ``prev`` (checked first) or (x0, y0), is a root: the run converges
-    there with no step and an empty trace.  A failure's note comes from the
-    break that classifies it, unless ``note`` was already set.
+    records (the last start's record first, with the one before it or
+    ``None`` as ``prev``) and returns the next iterate with its record's
+    extra fields, all four or ``()`` for none, or raises
+    :class:`StepError`, which ends the run.  Every computed record is built
+    by ``_new_record``, past the named tuple's slower constructor.  An
+    off-domain iterate is recorded and ends the run Diverged.
 
     Contract: ``step`` and ``fx`` are pure, so a step's result depends only
     on the fields of ``cur`` and ``prev``.  Once the state ``(prev, cur)``
@@ -265,21 +270,27 @@ def iterate(step: Callable[[IterationRecord, Optional[IterationRecord]],
     A copy is never strictly better than the record it copies, so the
     best iterate comes from before the copies.
 
-    ``fx`` is called once per iterate the run visits: a computed record's
-    ``y`` is ``fx`` at its ``x``, so a step back onto an iterate the run
-    computed (0.0 and -0.0 apart) reuses that record's ``y``.  The start's
-    ``y0`` (and ``prev.y``) is taken as given, so a step back onto a start
-    calls ``fx``.  The table of states that the recurrence test reads is
-    looked up by the new iterate right after the step, and serves both.
-    It maps an iterate to the trace length at which the run stepped from
-    it, or to a tuple of lengths where it did so more than once, and the
-    states' records are read back from the trace and the two start
-    records, so a step adds an int to it and builds no tuple.
+    ``fx`` is called once per start and once per iterate the run visits:
+    a computed record's ``y`` is ``fx`` at its ``x``, so a step back onto
+    an iterate the run computed (0.0 and -0.0 apart) reuses that record's
+    ``y``.  A step back onto a start calls ``fx`` again.  The table of
+    states that the recurrence test reads is looked up by the new iterate
+    right after the step, and serves both.  It maps an iterate to the
+    trace length at which the run stepped from it, or to a tuple of
+    lengths where it did so more than once, and the states' records are
+    read back from the trace and the two start records, so a step adds an
+    int to it and builds no tuple.
     """
-    cur = IterationRecord(x0, y0)
-    for start in (prev, cur):
-        if start is not None and start.y == 0.0:
-            return SolveOutcome(Status.CONVERGED, start.x, (), note)
+    cur = None
+    for x0 in starts:                   # x0, y0 end as the last start's
+        y0 = fx(x0)
+        if y0 is None:
+            return SolveOutcome(Status.DOMAIN_ERROR, starts[0], (),
+                                "f undefined at starting point" if cur is None
+                                else f"f undefined at second start x1={x0!r}")
+        prev, cur = cur, IterationRecord(x0, y0)
+        if y0 == 0.0:
+            return SolveOutcome(Status.CONVERGED, x0, (), note)
     x, k = x0, 0                        # cur.x and len(trace)
     trace: list[IterationRecord] = []
     accepted: list[float] = []
@@ -381,8 +392,9 @@ def compile_tree(f: Expr) -> None:
     operands read as ``expressions._operand`` reads them.  The function
     is kept as the root's ``_compiled``, marked ``_tree``.  The walk
     keeps two frames per level, as ``expressions._compile`` does, so a
-    tree too deep for one keeps its closures and ``evaluate`` raises its
-    ValueError.
+    tree too deep for one is too deep for the other: on it the walk
+    raises ``evaluate``'s ValueError ("expression nested too deeply to
+    evaluate ...").
     """
     d = f.__dict__
     if "_tree" in d:
@@ -419,7 +431,7 @@ def compile_tree(f: Expr) -> None:
     try:
         walk(f)
     except RecursionError:
-        return
+        raise _nested_too_deep("evaluate") from None
     key = tuple(shape)
     factory = _TREES.get(key)
     if factory is None:

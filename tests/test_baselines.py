@@ -80,6 +80,8 @@ def test_newton_rejected_methods_and_starts():
         solve_baseline("muller", parse("x"), 1.0)
     with pytest.raises(ValueError):
         solve_baseline("newton", parse("x"), math.nan)
+    with pytest.raises(ValueError, match="x1 applies to method 'secant' only"):
+        solve_baseline("newton", parse("x - 1"), 0.0, x1=5.0)
 
 
 @pytest.mark.parametrize("x1", [math.inf, -math.inf, math.nan])
@@ -88,9 +90,11 @@ def test_non_finite_second_start_raises_like_the_first(x1):
         solve_baseline("secant", parse("x - 1"), 0.0, x1=x1)
     with pytest.raises(ValueError, match="x1 must be finite"):
         solve_baseline("newton", parse("x - 1"), 0.0, x1=x1)
-    # a finite second start where f is undefined is still a status
-    out = solve_baseline("secant", parse("ln(x)"), 1.0, x1=-1.0)
+    # a finite second start where f is undefined is still a status (from
+    # a first start that is not a root, which would converge at once)
+    out = solve_baseline("secant", parse("ln(x)"), 2.0, x1=-1.0)
     assert out.status is Status.DOMAIN_ERROR
+    assert (out.root, out.trace, out.note) == (2.0, (), "f undefined at second start x1=-1.0")
 
 
 def test_newton_domain_error_at_start():

@@ -199,8 +199,9 @@ def test_error_curve_domain_checks():
         f_n_curve(0.0, [2.0])
     with pytest.raises(ValueError):
         f_n_curve(1.0, [2.0])
-    with pytest.raises(ValueError):
-        f_n_curve(0.5, [0.0])
+    for n in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="grid values must be positive"):
+            f_n_curve(0.5, [n])
 
 
 def test_run_benchmark_empty_method_set():

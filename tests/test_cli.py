@@ -34,6 +34,15 @@ def test_solve_from_an_exact_root_converges_without_a_step(capsys):
     assert (code, out, err) == (0, "status converged\nroot 0\niterations 0\n", "")
 
 
+def test_secant_from_an_exact_root_converges_before_its_second_start(capsys):
+    # the defaulted second start, 0.1, is off the domain of x*sqrt(-x)
+    code, out, err = run_cli(capsys, "solve", "--expr", "x*sqrt(-x)", "--x0", "0",
+                             "--method", "secant")
+    assert (code, err) == (0, "")
+    assert out == ("status converged\nroot 0\niterations 0\n"
+                   "note secant second start defaulted to x1=0.1\n")
+
+
 def test_solve_fixed_power_syntax(capsys):
     # double root at 3 with an asymmetric cofactor; the power-2 fit applies
     code, out, _ = run_cli(

@@ -477,11 +477,11 @@ def test_a_scripted_lsq3_cycle_is_copied_field_for_field():
         return cycle[pos][0], cycle[pos][1:]
 
     step.calls = 0
-    out = iterate(step, fx, 5.0, 5.0, 1e-15, 20_000)
+    out = iterate(step, fx, (5.0,), 1e-15, 20_000)
     assert out.status is Status.MAX_ITERATIONS and out.iterations == 20_000
     assert step.calls < 20
     assert all(None not in rec for rec in out.trace)
-    assert_same_fields(out, reference_iterate(step, fx, 5.0, 5.0, 1e-15, 20_000))
+    assert_same_fields(out, reference_iterate(step, fx, (5.0,), 1e-15, 20_000))
 
 
 def test_a_stock_lsq3_cycle_is_copied_field_for_field(monkeypatch):

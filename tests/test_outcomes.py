@@ -177,12 +177,12 @@ def fx(x):
     return x if x >= 0.0 else None
 
 
-def run(step, x0=5.0, max_iter=50, **kwargs):
-    out = iterate(step, fx, x0, fx(x0), 1e-15, max_iter, **kwargs)
+def run(step, starts=(5.0,), max_iter=50, note=""):
+    out = iterate(step, fx, starts, 1e-15, max_iter, note)
     assert out.iterations == len(out.trace)
     assert all(type(rec) is IterationRecord for rec in out.trace)
     if not out.converged:
-        assert out.root == best_iterate(x0, fx(x0), out.trace)
+        assert out.root == best_iterate(starts[-1], fx(starts[-1]), out.trace)
     return out
 
 
@@ -274,27 +274,44 @@ def test_only_the_classifying_break_sets_the_note():
 
 
 def test_step_sees_the_last_two_accepted_points():
-    start = IterationRecord(9.0, 9.0)
     step = scripted(4.0, 3.0, 2.0, 1.0)
-    out = run(step, max_iter=4, prev=start)
+    out = run(step, starts=(9.0, 5.0), max_iter=4)
     xs = [(cur.x, prev.x) for cur, prev in step.calls]
     assert xs == [(5.0, 9.0), (4.0, 5.0), (3.0, 4.0), (2.0, 3.0)]
-    # the first previous point is the one given, and the current point is
-    # the accepted record itself
-    assert step.calls[0][1] is start
+    # the first two points are the start records, the first start's as
+    # the previous point; the current point is the accepted record itself
+    assert step.calls[0] == (IterationRecord(5.0, 5.0), IterationRecord(9.0, 9.0))
+    assert step.calls[1][1] is step.calls[0][0]
     assert step.calls[1][0] is out.trace[0]
     assert step.calls[2][1] is out.trace[0]
 
 
 def test_a_start_that_is_an_exact_root_converges_without_a_step():
-    for prev, x0, root in [(None, 0.0, 0.0), (IterationRecord(0.0, 0.0), 3.0, 0.0),
-                           (IterationRecord(2.0, 2.0), 0.0, 0.0),
-                           (IterationRecord(-0.0, -0.0), -0.0, -0.0)]:
+    for starts, root in [((0.0,), 0.0), ((0.0, 3.0), 0.0), ((2.0, 0.0), 0.0),
+                         ((-0.0, -0.0), -0.0)]:
         step = scripted()
-        out = run(step, x0=x0, prev=prev, note="given")
+        out = run(step, starts=starts, note="given")
         assert step.calls == []
         assert out == (Status.CONVERGED, root, (), "given")
         assert math.copysign(1.0, out.root) == math.copysign(1.0, root)
+
+
+def test_the_driver_evaluates_the_starts_in_order_and_stops_at_the_first_verdict():
+    # an exact root converges, and an undefined start ends the run
+    # domain-error at x0, each before the next start is evaluated; a
+    # domain-error start names itself over a note set before the run
+    for starts, want, evaluated in [
+        ((0.0, -1.0), (Status.CONVERGED, 0.0, (), "given"), [0.0]),
+        ((-1.0, 0.0), (Status.DOMAIN_ERROR, -1.0, (), "f undefined at starting point"),
+         [-1.0]),
+        ((2.0, -1.0), (Status.DOMAIN_ERROR, 2.0, (), "f undefined at second start x1=-1.0"),
+         [2.0, -1.0]),
+        ((2.0, 0.0), (Status.CONVERGED, 0.0, (), "given"), [2.0, 0.0]),
+    ]:
+        step, f = scripted(), counting(fx)
+        assert iterate(step, f, starts, 1e-15, 50, "given") == want
+        assert step.calls == []
+        assert f.xs == [_bits(x) for x in evaluated]
 
 
 # The starts of the exact-root cases: each is a root of its expression, and
@@ -310,15 +327,18 @@ def test_every_method_converges_at_once_from_an_exact_root(method, source, x0):
 
 
 def test_secant_converges_at_once_when_either_start_is_an_exact_root():
-    for x0, x1 in [(0.0, 0.5), (0.5, 0.0)]:
-        out = solve_baseline("secant", parse("x^2"), x0, x1)
-        assert (out.status, out.root, out.trace) == (Status.CONVERGED, 0.0, ())
+    # the last two: a first start that is a root is checked before the
+    # second, which is off the domain (x*sqrt(-x)'s default is 0.1)
+    for source, x0, x1, root in [("x^2", 0.0, 0.5, 0.0), ("x^2", 0.5, 0.0, 0.0),
+                                 ("x*sqrt(-x)", 0.0, None, 0.0), ("ln(x)", 1.0, -1.0, 1.0)]:
+        out = solve_baseline("secant", parse(source), x0, x1)
+        assert (out.status, out.root, out.trace) == (Status.CONVERGED, root, ())
 
 
 def test_step_extras_fill_the_record():
     def step(cur, prev):
         return cur.x / 2.0, (0.1, 2.0, -1.0, 1.0)
-    out = iterate(step, fx, 1.0, 1.0, 1e-15, 3)
+    out = iterate(step, fx, (1.0,), 1e-15, 3)
     assert out.trace[0] == IterationRecord(0.5, 0.5, 0.1, 2.0, -1.0, 1.0)
 
 
@@ -334,12 +354,18 @@ def test_records_are_immutable_named_tuples():
 # The periodic tail, against a driver that calls every step
 # ---------------------------------------------------------------------------
 
-def reference_iterate(step, fx, x0, y0, tolerance, max_iter, prev=None, note=""):
+def reference_iterate(step, fx, starts, tolerance, max_iter, note=""):
     """The driver's rule with no periodic tail and the shortcut-free cycle test."""
-    cur = IterationRecord(x0, y0)
-    for start in (prev, cur):
-        if start is not None and start.y == 0.0:
-            return SolveOutcome(Status.CONVERGED, start.x, (), note)
+    prev = cur = None
+    for i, x in enumerate(starts):
+        y = fx(x)
+        if y is None:
+            why = ["f undefined at starting point", f"f undefined at second start x1={x!r}"]
+            return SolveOutcome(Status.DOMAIN_ERROR, starts[0], (), why[i])
+        prev, cur = cur, IterationRecord(x, y)
+        if y == 0.0:
+            return SolveOutcome(Status.CONVERGED, x, (), note)
+    x0, y0 = cur.x, cur.y
     trace = []
     accepted = []
     status = Status.MAX_ITERATIONS
@@ -606,13 +632,13 @@ def test_a_state_differing_only_in_the_sign_of_a_zero_is_not_replayed():
         flip = -math.copysign(0.0, 1.0 if cur.y_minus is None else cur.y_minus)
         return 2.0, (None, None, flip, None)
     step.calls = 0
-    out = iterate(step, fx, 2.0, 2.0, 1e-15, 20)
+    out = iterate(step, fx, (2.0,), 1e-15, 20)
     assert out.status is Status.MAX_ITERATIONS
     assert [math.copysign(1.0, rec.y_minus) for rec in out.trace] == [-1.0, 1.0] * 10
     # (none, start), (start, -0), (-0, +0) and (+0, -0) are new states; then
     # (-0, +0) recurs exactly and the rest is copied
     assert step.calls == 4
-    assert outcome_digest(reference_iterate(step, fx, 2.0, 2.0, 1e-15, 20)) == outcome_digest(out)
+    assert outcome_digest(reference_iterate(step, fx, (2.0,), 1e-15, 20)) == outcome_digest(out)
 
 
 def test_a_failing_step_is_taken_once():
@@ -648,10 +674,12 @@ def run_both(step, f, x0, max_iter=50):
     its own counting ``f``: the outcome, which must be the same bit for bit,
     and the points ``f`` was called at after the start by each driver."""
     ours, theirs = counting(f), counting(f)
-    out = iterate(step, ours, x0, f(x0), 1e-15, max_iter)
-    ref = reference_iterate(step, theirs, x0, f(x0), 1e-15, max_iter)
+    out = iterate(step, ours, (x0,), 1e-15, max_iter)
+    ref = reference_iterate(step, theirs, (x0,), 1e-15, max_iter)
     assert outcome_digest(out) == outcome_digest(ref)
-    return out, ours.xs, theirs.xs
+    # each driver evaluates the start first, once
+    assert ours.xs[:1] == theirs.xs[:1] == [_bits(x0)]
+    return out, ours.xs[1:], theirs.xs[1:]
 
 
 def test_a_step_that_stays_put_is_evaluated_once():
@@ -671,7 +699,7 @@ def test_an_exact_two_cycle_evaluates_each_iterate_once():
 
 
 def test_a_step_back_onto_the_start_evaluates_it():
-    # 5 -> 1 -> 5 -> 1 ...: the start's y is taken as given, never reused
+    # 5 -> 1 -> 5 -> 1 ...: the start's y is never reused
     out, xs, _ = run_both(lambda cur, prev: (5.0 if cur.x == 1.0 else 1.0, ()), fx, 5.0)
     assert out.status is Status.OSCILLATING
     assert xs == [_bits(1.0), _bits(5.0)]
@@ -686,6 +714,14 @@ def test_a_step_from_zero_to_minus_zero_evaluates_it():
     assert [rec.y for rec in out.trace[:4]] == [3.0, 1.0, 3.0, 1.0]
     assert xs == [_bits(0.0), _bits(-0.0)]
     assert len(ref_xs) == 50
+
+
+def signed_fx(x):
+    """``fx`` but 1 at 0.0: pure, and it tells the zeros apart, so a run
+    can converge at -0.0 and still start at 0.0."""
+    if x == 0.0 and math.copysign(1.0, x) > 0.0:
+        return 1.0
+    return fx(x)
 
 
 def pure_table_step(seed):
@@ -710,13 +746,13 @@ def test_pure_steps_on_a_small_state_space_match_the_driver_without_replay():
     statuses = set()
     calls = {iterate: 0, reference_iterate: 0}
     for seed in range(300):
-        # a start with y = 0 is an exact root and takes no step, so the
-        # signed-zero starts carry y = 1
-        x0, y0 = [(0.0, 1.0), (-0.0, 1.0), (2.0, 2.0)][seed % 3]
+        # a start with y = 0 is an exact root and takes no step, so a
+        # signed-zero start is the zero where y is 1
+        starts = [(0.0,), (2.0, 0.0), (2.0,)][seed % 3]
         outs = {}
         for driver in calls:
             step = pure_table_step(seed)
-            outs[driver] = driver(step, fx, x0, y0, 1e-15, 60)
+            outs[driver] = driver(step, signed_fx, starts, 1e-15, 60)
             calls[driver] += step.calls
         assert outcome_digest(outs[iterate]) == outcome_digest(outs[reference_iterate]), seed
         statuses.add(outs[iterate].status)
@@ -726,25 +762,26 @@ def test_pure_steps_on_a_small_state_space_match_the_driver_without_replay():
 
 
 def test_pure_steps_from_a_given_start_state_match_the_driver_without_replay():
-    # A given prev, no extras and a start y0 that need not be f(x0): the
-    # two start records recur bit for bit only where a computed record
-    # matches them, so a table that reads any other record for a start
-    # finds recurrences that are not there, or misses ones that are.
+    # One start or two, no extras, and a pure f drawn per seed that tells
+    # 0.0 from -0.0: the table keys 0.0 and -0.0 alike, and the start
+    # records recur bit for bit only where a computed record matches them,
+    # so a table that reads any other record for a start finds recurrences
+    # that are not there, or misses ones that are.
+    points = [0.0, -0.0, 1.0, 2.0]
     statuses = set()
     calls = {iterate: 0, reference_iterate: 0}
     for seed in range(1500):
         rng = random.Random(seed)
-        x0, px = rng.choice([1.0, 2.0, 3.0]), rng.choice([1.0, 2.0, 3.0])
-        y0 = rng.choice([x0, 4.0])
-        prev = rng.choice([None, IterationRecord(px, px), IterationRecord(px, 4.0)])
+        ys = {_bits(x): rng.choice([1.0, 3.0, 4.0]) for x in points}
+        starts = tuple(rng.choice(points) for _ in range(rng.choice([1, 2])))
         outs = {}
         for driver in calls:
             def step(cur, prev):
                 calls[driver] += 1
                 fields = cur + (() if prev is None else prev)
                 rng = random.Random(f"{seed}:" + ",".join(map(_bits, fields)))
-                return rng.choice([1.0, 2.0, 3.0, 3.0]), ()
-            outs[driver] = driver(step, fx, x0, y0, 1e-15, 40, prev)
+                return rng.choice(points + [2.0]), ()
+            outs[driver] = driver(step, lambda x: ys[_bits(x)], starts, 1e-15, 40)
         assert outcome_digest(outs[iterate]) == outcome_digest(outs[reference_iterate]), seed
         statuses.add(outs[iterate].status)
     assert statuses == {Status.OSCILLATING, Status.MAX_ITERATIONS}
@@ -799,7 +836,7 @@ def test_periodic_runs_match_the_driver_without_replay():
                 outs = {}
                 for driver in calls:
                     step = periodic_step(prefix, cycle)
-                    outs[driver] = driver(step, fx, 20.0, 20.0, 1e-15, max_iter)
+                    outs[driver] = driver(step, fx, (20.0,), 1e-15, max_iter)
                     calls[driver] += step.calls
                 out = outs[iterate]
                 assert outcome_digest(out) == outcome_digest(outs[reference_iterate]), \
@@ -837,11 +874,10 @@ def test_a_verdict_on_the_last_checked_replay_still_fires():
             return c4, ()
         return head[pos], (float(pos), None, None, None)
 
-    start = IterationRecord(c4, fx(c4))
     assert CYCLE_MIN_INDEX + 9 - 1 == 9 + CHECKED_REPLAYS
     for max_iter in (15, 16, 17, 500):
-        out = iterate(step, fx, c5, fx(c5), 1e-15, max_iter, prev=start)
-        ref = reference_iterate(step, fx, c5, fx(c5), 1e-15, max_iter, prev=start)
+        out = iterate(step, fx, (c4, c5), 1e-15, max_iter)
+        ref = reference_iterate(step, fx, (c4, c5), 1e-15, max_iter)
         assert outcome_digest(out) == outcome_digest(ref)
         assert out.status is (Status.MAX_ITERATIONS if max_iter < 16 else Status.OSCILLATING)
         assert out.iterations == min(max_iter, 16)
@@ -864,8 +900,8 @@ def test_a_scripted_periodic_tail_repeats_the_period_records():
     # period 5, past the cycle test's periods, so the run ends max-iterations;
     # the first copy is trace[len(prefix) + p + 2] (see periodic_step)
     prefix, cycle = [7.0, 6.0, 9.0], [2.0, 3.0, 2.5, 4.0, 3.5]
-    out = iterate(periodic_step(prefix, cycle), fx, 20.0, 20.0, 1e-15, 200)
-    ref = reference_iterate(periodic_step(prefix, cycle), fx, 20.0, 20.0, 1e-15, 200)
+    out = iterate(periodic_step(prefix, cycle), fx, (20.0,), 1e-15, 200)
+    ref = reference_iterate(periodic_step(prefix, cycle), fx, (20.0,), 1e-15, 200)
     assert outcome_digest(out) == outcome_digest(ref)
     assert out.status is Status.MAX_ITERATIONS and out.iterations == 200
     assert_tail_repeats_the_period(out, len(cycle), len(prefix) + len(cycle) + 2)
